@@ -25,7 +25,7 @@ from .config import default_config, load_config, parse_config
 from .data import HeterogeneityConfig, build_task_stream, dirichlet_partition
 from .errors import ConfigError, DataError, PfdlError
 from .evaluation import build_metrics
-from .federation import (MODE_SHARING, MODES, ExperimentConfig,
+from .federation import (MODES, ExperimentConfig,
                          _evaluate_after_task, _global_objective,
                          build_datasets, physical_param_count,
                          run_experiment, write_data_artifacts)
@@ -188,28 +188,14 @@ def evaluate_run_dir(run_dir):
             path = ckpt / f"client_{k:03d}.state"
             if not path.exists():
                 raise DataError(f"{path}: missing checkpoint")
-            st = load_client_state(path)
-            if fed.mode == MODE_SHARING:
-                _restore_sharing_aliasing(st)
-            states.append(st)
+            states.append(load_client_state(path))
         _evaluate_after_task(cfg, states, tasks, streams, tpos,
                              acc_grid, w_grid, events)
 
     objective = _global_objective(cfg, states, tasks, streams, partitions)
     metrics = build_metrics(acc_grid, w_grid, global_objective=objective)
     pool_sizes = [len(st.pool) for st in states]
-    return cfg, metrics, pool_sizes, physical_param_count(states)
-
-
-def _restore_sharing_aliasing(state) -> None:
-    # serialization stores each pool entry separately; re-tie the physically
-    # shared trunk and auxiliary head so parameter accounting stays honest
-    if len(state.pool) <= 1:
-        return
-    first = state.pool[0]
-    for model in state.pool[1:]:
-        model.trunk = first.trunk
-        model.aux_head = first.aux_head
+    return cfg, metrics, pool_sizes, physical_param_count(states, fed.mode)
 
 
 def cmd_eval(args) -> int:

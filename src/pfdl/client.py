@@ -4,7 +4,8 @@ regularization against frozen task-start snapshots, and local SGD rounds.
 Snapshot policy: at task start, every pool model except the one bound to
 the new task is frozen as a migration anchor, weighted by its matching
 intensity. A config switch (`km_include_self`) additionally anchors a
-frozen copy of the bound model itself.
+frozen copy of the bound model itself. The anchors are stacked into one
+(A, P) matrix of flat parameter vectors.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .seeding import rng_for
 class ClientState:
     client_id: int
     pool: list[nn.PersonalModel] = field(default_factory=list)
-    pool_snapshots: list[nn.PersonalModel] = field(default_factory=list)
+    pool_snapshots: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     snapshot_rho: np.ndarray = field(default_factory=lambda: np.zeros(0))
     task_bindings: dict[int, int] = field(default_factory=dict)
     current_task: int | None = None
@@ -57,7 +58,7 @@ def begin_task(state: ClientState, shard_x: np.ndarray, task_id: int, lam: float
     shard_x = np.asarray(shard_x, dtype=np.float64)
     if shard_x.shape[0] == 0:
         state.active = False
-        state.pool_snapshots = []
+        state.pool_snapshots = np.zeros((0, 0))
         state.snapshot_rho = np.zeros(0)
         state.rho_history.append({"task": int(task_id), "inactive": True})
         return None
@@ -72,42 +73,26 @@ def begin_task(state: ClientState, shard_x: np.ndarray, task_id: int, lam: float
         bound = int(report.model_index)
     state.task_bindings[int(task_id)] = bound
 
-    snapshots, weights = [], []
-    for i, model in enumerate(state.pool):
-        if i == bound and not km_include_self:
-            continue
-        if i >= len(rho):
-            continue  # the freshly added model has no intensity entry
-        snapshots.append(nn.clone_model(model))
-        weights.append(rho[i])
-    state.pool_snapshots = snapshots
-    state.snapshot_rho = np.asarray(weights, dtype=np.float64)
+    # the freshly added model has no intensity entry, so i < len(rho)
+    anchored = [i for i in range(len(rho)) if i != bound or km_include_self]
+    state.pool_snapshots = np.array([state.pool[i].params for i in anchored]).reshape(
+        len(anchored), arch.param_count())
+    state.snapshot_rho = rho[anchored]
     state.rho_history.append({"task": int(task_id), **report.to_record()})
     return report
 
 
-def migration_loss(model: nn.PersonalModel, snapshots, rho) -> float:
-    """Sum_i rho_i * ||w - w_i||^2 over all parameters."""
-    rho = np.asarray(rho, dtype=np.float64)
-    if len(snapshots) != rho.shape[0]:
+def migration_loss(diff: np.ndarray, rho: np.ndarray) -> float:
+    """Sum_i rho_i * ||w - w_i||^2, from diff = w - anchors (one row each)."""
+    if diff.shape[0] != rho.shape[0]:
         raise ValueError("one weight per snapshot required")
-    total = 0.0
-    for r, snap in zip(rho, snapshots):
-        sq = 0.0
-        for p, ps in zip(nn.iter_arrays(model), nn.iter_arrays(snap)):
-            diff = p - ps
-            sq += float((diff * diff).sum())
-        total += float(r) * sq
-    return total
+    return float(rho @ np.einsum("ij,ij->i", diff, diff))
 
 
-def add_migration_grads(grads: nn.GradientSet, model: nn.PersonalModel,
-                        snapshots, rho) -> None:
-    """Accumulate 2 * rho_i * (w - w_i) into an existing gradient set."""
-    for r, snap in zip(rho, snapshots):
-        for g, p, ps in zip(nn.iter_arrays(grads), nn.iter_arrays(model),
-                            nn.iter_arrays(snap)):
-            g += (2.0 * float(r)) * (p - ps)
+def add_migration_grads(grads: np.ndarray, diff: np.ndarray, rho: np.ndarray) -> None:
+    """Accumulate the migration gradient 2 * rho^T (w - anchors) into a flat
+    gradient vector, from diff = w - anchors."""
+    grads += 2.0 * (rho @ diff)
 
 
 def local_train_round(state: ClientState, global_params: nn.PersonalModel | None,
@@ -121,8 +106,9 @@ def local_train_round(state: ClientState, global_params: nn.PersonalModel | None
     the first round of a task starts from the strategy-selected state).
     Then `epochs` epochs of minibatch SGD on the joint objective: CE on the
     task batch, BCE on the batch plus equally many synthesized negatives,
-    and the knowledge-migration pull toward the frozen anchors. All three
-    streams hit the shared trunk in a single step.
+    and the knowledge-migration pull toward the frozen anchors. One trunk
+    pass over [batch; negatives] serves both losses, and all three streams
+    hit the shared trunk in a single step.
 
     Epoch RNG derives from round_entropy + epoch index, so the outcome does
     not depend on scheduling or on any other client.
@@ -137,7 +123,8 @@ def local_train_round(state: ClientState, global_params: nn.PersonalModel | None
     y = np.asarray(shard_y, dtype=np.int64)
     n = X.shape[0]
     feat_std = X.std(axis=0)
-    has_anchors = len(state.pool_snapshots) > 0
+    w = model.params
+    anchors, rho = state.pool_snapshots, state.snapshot_rho
 
     loss_sum = 0.0
     steps = 0
@@ -146,18 +133,18 @@ def local_train_round(state: ClientState, global_params: nn.PersonalModel | None
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             rows = order[start:start + batch_size]
-            Xb, yb = X[rows], y[rows]
-            grads, cls_loss = nn._grads_and_loss(model, Xb, y_cls=yb, loss_spec=nn.LOSS_CLS)
+            Xb = X[rows]
             Xn = synthesize_negatives(Xb, feat_std, neg_spec, rng)
-            Xa = np.concatenate([Xb, Xn])
-            ya = np.concatenate([np.ones(len(Xb)), np.zeros(len(Xn))])
-            aux_grads, aux_loss = nn._grads_and_loss(model, Xa, y_aux=ya, loss_spec=nn.LOSS_AUX)
-            nn.grads_add(grads, aux_grads)
-            step_loss = cls_loss + aux_loss
-            if has_anchors:
-                add_migration_grads(grads, model, state.pool_snapshots, state.snapshot_rho)
-                step_loss += migration_loss(model, state.pool_snapshots, state.snapshot_rho)
-            nn.sgd_step(model, grads, lr=lr, weight_decay=weight_decay)
+            ya = np.zeros(2 * len(rows))
+            ya[:len(rows)] = 1.0
+            grads, step_loss = nn._grads_and_loss(
+                model, np.concatenate([Xb, Xn]), y_cls=y[rows], y_aux=ya,
+                loss_spec=nn.LOSS_JOINT)
+            if len(anchors):
+                diff = w - anchors
+                add_migration_grads(grads, diff, rho)
+                step_loss += migration_loss(diff, rho)
+            nn.sgd_step(w, grads, lr=lr, weight_decay=weight_decay)
             loss_sum += step_loss
             steps += 1
 

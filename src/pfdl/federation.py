@@ -11,8 +11,8 @@ and in the inference rule applied at evaluation time:
   fedavg       one model carried through every task, single-model inference
   source_only  like fedavg but frozen after the first task
   disjoint     a fresh model per task, task id known at inference
-  sharing      one physically shared trunk + auxiliary head, a fresh class
-               head per task, task id known at inference
+  sharing      one trunk + auxiliary head shared by every pool entry, a
+               fresh class head per task, task id known at inference
 """
 
 from __future__ import annotations
@@ -125,16 +125,13 @@ def aggregate(updates) -> nn.PersonalModel:
     total = float(sum(u.num_samples for u in ordered))
     if total <= 0:
         raise InvariantError("aggregate needs positive total sample weight")
-    out = nn.clone_model(ordered[0].parameters)
-    for a in nn.iter_arrays(out):
-        a[:] = 0.0
+    arch = ordered[0].parameters.arch
+    out = np.zeros_like(ordered[0].parameters.params)
     for u in ordered:
-        w = u.num_samples / total
-        for acc, p in zip(nn.iter_arrays(out), nn.iter_arrays(u.parameters)):
-            if acc.shape != p.shape:
-                raise InvariantError("aggregate saw mismatched parameter shapes")
-            acc += w * p
-    return out
+        if u.parameters.arch != arch:
+            raise InvariantError("aggregate saw mismatched architectures")
+        out += (u.num_samples / total) * u.parameters.params
+    return nn.PersonalModel(arch, out)
 
 
 # ------------------------------------------------------------ task start
@@ -155,7 +152,7 @@ def _begin_task(cfg: ExperimentConfig, state: client.ClientState,
                                  km_include_self=fed.km_include_self)
 
     state.current_task = task_pos
-    state.pool_snapshots = []
+    state.pool_snapshots = np.zeros((0, 0))
     state.snapshot_rho = np.zeros(0)
     if shard_x.shape[0] == 0:
         state.active = False
@@ -173,11 +170,12 @@ def _begin_task(cfg: ExperimentConfig, state: client.ClientState,
         if not state.pool:
             state.pool.append(nn.init_model(arch, init_seed))
         else:
-            first = state.pool[0]
-            rng = rng_for(*init_seed)
-            head = nn.init_layer(rng, arch.num_classes, arch.hidden_dims[-1])
-            state.pool.append(nn.PersonalModel(trunk=first.trunk, cls_head=head,
-                                               aux_head=first.aux_head, arch=arch))
+            # the shared trunk and aux head, under a fresh class head
+            model = nn.clone_model(state.pool[-1])
+            model.cls_head.weights[...] = nn.glorot_uniform(
+                rng_for(*init_seed), arch.num_classes, arch.hidden_dims[-1])
+            model.cls_head.bias[...] = 0.0
+            state.pool.append(model)
         state.task_bindings[task_pos] = len(state.pool) - 1
     else:
         raise ConfigError(f"unknown mode {fed.mode!r}")
@@ -221,15 +219,26 @@ def run_task(cfg: ExperimentConfig, states, shard_data, task_pos: int,
         updates = [u for u in results if u is not None]
 
         if updates:
+            for u in updates:
+                if not np.isfinite(u.train_loss):
+                    raise InvariantError(
+                        f"client {u.client_id}, task {task_pos}, round {rnd}: "
+                        f"local train loss is {u.train_loss}")
             slot.parameters = aggregate(updates)
+            # not finite when a parameter is, or when their squares overflow
+            norm = float(np.linalg.norm(slot.parameters.params))
+            if not np.isfinite(norm):
+                raise InvariantError(
+                    f"clients {[u.client_id for u in updates]}, task {task_pos}, "
+                    f"round {rnd}: the aggregate's parameter norm is {norm}")
             slot.round = rnd
             loss_mean = float(np.mean([u.train_loss for u in updates]))
         else:
             events.emit({"type": "warning", "task": task_pos, "round": rnd,
                          "reason": "no_active_clients_sampled"})
             loss_mean = None
-        norm = (float(np.linalg.norm(nn.flatten_params(slot.parameters)))
-                if slot.parameters is not None else None)
+            norm = (float(np.linalg.norm(slot.parameters.params))
+                    if slot.parameters is not None else None)
         events.emit({"type": "round", "round": rnd, "task": task_pos,
                      "mode": fed.mode, "sampled_clients": sampled,
                      "train_loss_mean": loss_mean, "global_param_norm": norm})
@@ -238,9 +247,17 @@ def run_task(cfg: ExperimentConfig, states, shard_data, task_pos: int,
             trajectory.append((task_pos, rnd, vec))
 
     if slot.parameters is not None:
+        lo, hi = cfg.arch().cls_head_span()
         for st in states:
             if st.active and task_pos in st.task_bindings:
-                nn.copy_into(st.pool[st.task_bindings[task_pos]], slot.parameters)
+                bound = st.pool[st.task_bindings[task_pos]]
+                nn.copy_into(bound, slot.parameters)
+                if fed.mode == MODE_SHARING:
+                    # every entry carries the shared trunk and aux head
+                    for model in st.pool:
+                        if model is not bound:
+                            model.params[:lo] = bound.params[:lo]
+                            model.params[hi:] = bound.params[hi:]
 
 
 # ------------------------------------------------------------ evaluation
@@ -306,16 +323,19 @@ def _global_objective(cfg: ExperimentConfig, states, tasks, streams,
     return num / den if den else None
 
 
-def physical_param_count(states) -> int:
-    """Total stored parameters, counting physically shared arrays once."""
-    seen: set[int] = set()
+def physical_param_count(states, mode: str) -> int:
+    """Total stored parameters. Sharing clients hold the trunk and aux
+    head once, plus one class head per pool entry."""
     total = 0
     for st in states:
-        for model in st.pool:
-            for a in nn.iter_arrays(model):
-                if id(a) not in seen:
-                    seen.add(id(a))
-                    total += a.size
+        if not st.pool:
+            continue
+        arch = st.pool[0].arch
+        if mode == MODE_SHARING:
+            lo, hi = arch.cls_head_span()
+            total += arch.param_count() - (hi - lo) + (hi - lo) * len(st.pool)
+        else:
+            total += arch.param_count() * len(st.pool)
     return total
 
 
@@ -411,57 +431,54 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1,
         write_manifest(out / "manifest.json", cfg.to_dict(),
                        sha256_hex(canonical_json(manifest)), __version__,
                        {"experiment": fed.seed, "data": data_seed}, outputs)
-        events = EventLog(out / "events.jsonl")
-    else:
-        events = EventLog()
 
     states = [client.ClientState(client_id=k) for k in range(K)]
     acc_grid = np.full((K, n_tasks, n_tasks), np.nan)
     w_grid = np.zeros((K, n_tasks, n_tasks))
     trajectory: list | None = [] if collect_trajectory else None
 
-    for tpos in range(n_tasks):
-        shard_data = []
-        for k in range(K):
-            d = streams[k][tpos]
-            rows = partitions[d][k].indices
-            shard_data.append((tasks[d].train_x[rows], tasks[d].train_y[rows]))
-
-        # source_only freezes after the first task but is still evaluated
-        if not (fed.mode == MODE_SOURCE_ONLY and tpos > 0):
+    with EventLog(out / "events.jsonl" if out is not None else None) as events:
+        for tpos in range(n_tasks):
+            shard_data = []
             for k in range(K):
-                report = _begin_task(cfg, states[k], shard_data[k][0], tpos)
-                if report is not None:
-                    events.emit({"type": "matching", "client": k,
-                                 "task": tpos, **report.to_record()})
-            slot = GlobalModelSlot(task_id=tpos)
-            run_task(cfg, states, shard_data, tpos, slot, events,
-                     threads=threads, trajectory=trajectory)
+                d = streams[k][tpos]
+                rows = partitions[d][k].indices
+                shard_data.append((tasks[d].train_x[rows], tasks[d].train_y[rows]))
 
-        _evaluate_after_task(cfg, states, tasks, streams, tpos,
-                             acc_grid, w_grid, events)
-        if out is not None:
-            ckpt = out / "checkpoints" / f"task_{tpos:02d}"
-            for st in states:
-                save_client_state(ckpt, st)
+            # source_only freezes after the first task but is still evaluated
+            if not (fed.mode == MODE_SOURCE_ONLY and tpos > 0):
+                for k in range(K):
+                    report = _begin_task(cfg, states[k], shard_data[k][0], tpos)
+                    if report is not None:
+                        events.emit({"type": "matching", "client": k,
+                                     "task": tpos, **report.to_record()})
+                slot = GlobalModelSlot(task_id=tpos)
+                run_task(cfg, states, shard_data, tpos, slot, events,
+                         threads=threads, trajectory=trajectory)
 
-    objective = _global_objective(cfg, states, tasks, streams, partitions)
-    metrics = build_metrics(acc_grid, w_grid, global_objective=objective)
-    pool_sizes = [len(st.pool) for st in states]
-    pc_total = physical_param_count(states)
-    events.emit({"type": "summary", "mode": fed.mode, "seed": fed.seed,
-                 "avg_final": metrics.avg_final,
-                 "mean_forgetting": metrics.mean_forgetting(),
-                 "global_objective": objective,
-                 "pool_sizes": pool_sizes,
-                 "param_count_total": pc_total})
+            _evaluate_after_task(cfg, states, tasks, streams, tpos,
+                                 acc_grid, w_grid, events)
+            if out is not None:
+                ckpt = out / "checkpoints" / f"task_{tpos:02d}"
+                for st in states:
+                    save_client_state(ckpt, st)
+
+        objective = _global_objective(cfg, states, tasks, streams, partitions)
+        metrics = build_metrics(acc_grid, w_grid, global_objective=objective)
+        pool_sizes = [len(st.pool) for st in states]
+        pc_total = physical_param_count(states, fed.mode)
+        events.emit({"type": "summary", "mode": fed.mode, "seed": fed.seed,
+                     "avg_final": metrics.avg_final,
+                     "mean_forgetting": metrics.mean_forgetting(),
+                     "global_objective": objective,
+                     "pool_sizes": pool_sizes,
+                     "param_count_total": pc_total})
     if out is not None:
         write_metrics_csv(out / "metrics.csv", fed.mode, fed.seed, metrics)
         write_summary_csv(out / "summary.csv",
                           [summary_row(fed.mode, fed.seed, metrics,
                                        float(np.mean(pool_sizes)), pc_total)])
         write_metrics_json(out / "metrics.json", metrics, pool_sizes, pc_total)
-    events.close()
     return RunResult(config=cfg, metrics=metrics, events=events, states=states,
                      pool_sizes=pool_sizes, param_count_total=pc_total,
                      out_dir=out, trajectory=trajectory)

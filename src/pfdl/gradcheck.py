@@ -16,30 +16,24 @@ from .client import add_migration_grads, migration_loss
 REL_GUARD = 1e-3
 
 
-def finite_diff_grads(arrays, loss_fn, h: float) -> list[np.ndarray]:
-    out = []
-    for arr in arrays:
-        g = np.zeros_like(arr)
-        flat = arr.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_fn()
-            flat[i] = orig - h
-            dn = loss_fn()
-            flat[i] = orig
-            gflat[i] = (up - dn) / (2.0 * h)
-        out.append(g)
-    return out
+def finite_diff_grad(params: np.ndarray, loss_fn, h: float) -> np.ndarray:
+    """Central differences of loss_fn() in every entry of a flat vector,
+    perturbed in place and restored."""
+    g = np.zeros_like(params)
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + h
+        up = loss_fn()
+        params[i] = orig - h
+        dn = loss_fn()
+        params[i] = orig
+        g[i] = (up - dn) / (2.0 * h)
+    return g
 
 
-def max_rel_error(analytic, fd, guard: float = REL_GUARD) -> float:
-    worst = 0.0
-    for a, f in zip(analytic, fd):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), guard)
-        worst = max(worst, float(np.max(np.abs(a - f) / denom)))
-    return worst
+def max_rel_error(analytic: np.ndarray, fd: np.ndarray, guard: float = REL_GUARD) -> float:
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), guard)
+    return float(np.max(np.abs(analytic - fd) / denom))
 
 
 def _random_arch(rng) -> nn.ArchSpec:
@@ -51,7 +45,10 @@ def _random_arch(rng) -> nn.ArchSpec:
 
 def run_nn_gradcheck(num_cases: int, seed: int = 0, h: float = 1e-6) -> float:
     """Max relative error of analytic vs central-difference gradients
-    for the cls, aux and joint losses over random models and batches."""
+    for the cls, aux and joint losses over random models and batches.
+
+    Joint cases label only a random number of leading rows with classes,
+    as the fused training pass does over [batch; negatives]."""
     rng = np.random.default_rng(seed)
     specs = (nn.LOSS_CLS, nn.LOSS_AUX, nn.LOSS_JOINT)
     worst = 0.0
@@ -61,41 +58,34 @@ def run_nn_gradcheck(num_cases: int, seed: int = 0, h: float = 1e-6) -> float:
         # check at a generic point: fresh zero biases park hidden units
         # exactly on the ReLU kink, where central differences and the
         # subgradient convention legitimately disagree
-        for a in nn.iter_arrays(model):
-            a += rng.standard_normal(a.shape) * 0.1
+        model.params += rng.standard_normal(model.params.size) * 0.1
         n = int(rng.integers(2, 6))
         X = rng.standard_normal((n, arch.input_dim))
-        y = rng.integers(0, arch.num_classes, size=n)
-        ya = rng.integers(0, 2, size=n).astype(float)
         spec = specs[case % len(specs)]
-        analytic = list(nn.iter_arrays(
-            nn.backward(model, X, y_cls=y, y_aux=ya, loss_spec=spec)))
-        fd = finite_diff_grads(
-            nn.iter_arrays(model),
+        n_cls = int(rng.integers(1, n + 1)) if spec == nn.LOSS_JOINT else n
+        y = rng.integers(0, arch.num_classes, size=n_cls)
+        ya = rng.integers(0, 2, size=n).astype(float)
+        analytic = nn.backward(model, X, y_cls=y, y_aux=ya, loss_spec=spec)
+        fd = finite_diff_grad(
+            model.params,
             lambda: nn.batch_loss(model, X, y_cls=y, y_aux=ya, loss_spec=spec), h)
         worst = max(worst, max_rel_error(analytic, fd))
     return worst
 
 
 def run_migration_gradcheck(num_cases: int, seed: int = 0, h: float = 1e-6) -> float:
-    """Max relative error for the knowledge-migration gradient on random
-    cases of roughly a hundred parameters."""
+    """Max relative error for the knowledge-migration gradient against a
+    stacked (A, P) anchor matrix, on random cases of roughly a hundred
+    parameters."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     arch = nn.ArchSpec(input_dim=5, hidden_dims=(8,), num_classes=4)  # 93 params
     for _ in range(num_cases):
-        model = nn.init_model(arch, int(rng.integers(0, 2**31)))
-        snapshots = []
-        for _ in range(int(rng.integers(1, 4))):
-            snap = nn.clone_model(model)
-            for a in nn.iter_arrays(snap):
-                a += rng.standard_normal(a.shape) * 0.3
-            snapshots.append(snap)
-        rho = rng.uniform(0.0, 1.0, size=len(snapshots))
-        analytic = nn.zeros_grads(model)
-        add_migration_grads(analytic, model, snapshots, rho)
-        fd = finite_diff_grads(
-            nn.iter_arrays(model),
-            lambda: migration_loss(model, snapshots, rho), h)
-        worst = max(worst, max_rel_error(list(nn.iter_arrays(analytic)), fd))
+        w = nn.init_model(arch, int(rng.integers(0, 2**31))).params
+        anchors = w + rng.standard_normal((int(rng.integers(1, 4)), w.size)) * 0.3
+        rho = rng.uniform(0.0, 1.0, size=len(anchors))
+        analytic = np.zeros_like(w)
+        add_migration_grads(analytic, w - anchors, rho)
+        fd = finite_diff_grad(w, lambda: migration_loss(w - anchors, rho), h)
+        worst = max(worst, max_rel_error(analytic, fd))
     return worst

@@ -66,7 +66,7 @@ def synthesize_negatives(X_pos: np.ndarray, feat_std: np.ndarray,
     if n_perm > 0:
         # an independent coordinate permutation per sample
         perms = np.argsort(rng.random((n_perm, d)), axis=1)
-        out[:n_perm] = np.take_along_axis(X_pos[:n_perm], perms, axis=1)
+        out[:n_perm] = X_pos[np.arange(n_perm)[:, None], perms]
     if n_perm < n:
         noise = rng.standard_normal((n - n_perm, d)) * (spec.noise_sigma_scale * feat_std)
         out[n_perm:] = X_pos[n_perm:] + noise
@@ -136,4 +136,4 @@ def train_auxiliary(model: nn.PersonalModel, X_pos: np.ndarray,
             Xa = np.concatenate([Xb, Xn])
             ya = np.concatenate([np.ones(len(Xb)), np.zeros(len(Xn))])
             grads = nn.backward(model, Xa, y_aux=ya, loss_spec=nn.LOSS_AUX)
-            nn.sgd_step(model, grads, lr=lr, weight_decay=weight_decay)
+            nn.sgd_step(model.params, grads, lr=lr, weight_decay=weight_decay)

@@ -5,13 +5,20 @@ head and a single-logit auxiliary head whose sigmoid output scores domain
 membership. The trunk arrays are stored exactly once, so an update coming
 through either head's loss is visible to both forward passes.
 
-Everything is float64 numpy. Weight matrices are (out_dim, in_dim); a
-batch X of shape (n, in_dim) flows as X @ W.T + b.
+All parameters of a model live in one contiguous float64 vector, laid out
+layer by layer (trunk layers, then cls head, then aux head; each layer's
+weights row-major, then its bias). The per-layer arrays are reshaped views
+into that vector, and gradients are flat vectors in the same layout, so
+copying, averaging, updating and serializing a model are each one vector
+operation.
+
+Weight matrices are (out_dim, in_dim); a batch X of shape (n, in_dim)
+flows as X @ W.T + b.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,15 +49,25 @@ class ArchSpec:
         if self.num_classes < 1:
             raise ValueError("num_classes must be positive")
 
-    def param_count(self) -> int:
-        total = 0
+    def layer_dims(self) -> list[tuple[int, int]]:
+        """(out_dim, in_dim) of every layer in flat-vector order: trunk
+        layers, cls head, aux head."""
+        dims = []
         fan_in = self.input_dim
         for h in self.hidden_dims:
-            total += h * fan_in + h
+            dims.append((h, fan_in))
             fan_in = h
-        total += self.num_classes * fan_in + self.num_classes
-        total += 1 * fan_in + 1
-        return total
+        dims.append((self.num_classes, fan_in))
+        dims.append((1, fan_in))
+        return dims
+
+    def param_count(self) -> int:
+        return sum(o * i + o for o, i in self.layer_dims())
+
+    def cls_head_span(self) -> tuple[int, int]:
+        """[lo, hi) of the cls head's weights and bias in the flat vector."""
+        lo = sum(o * i + o for o, i in self.layer_dims()[:-2])
+        return lo, lo + self.num_classes * (self.hidden_dims[-1] + 1)
 
 
 @dataclass
@@ -61,29 +78,36 @@ class LayerParams:
     bias: np.ndarray
 
 
-@dataclass
 class PersonalModel:
-    """Shared trunk plus classification and auxiliary heads."""
+    """Shared trunk plus classification and auxiliary heads.
 
-    trunk: list[LayerParams]
-    cls_head: LayerParams
-    aux_head: LayerParams
-    arch: ArchSpec
+    `params` is the flat parameter vector; `trunk`, `cls_head` and
+    `aux_head` are views into it. A given vector of the right size is
+    wrapped, not copied.
+    """
+
+    def __init__(self, arch: ArchSpec, params: np.ndarray | None = None):
+        size = arch.param_count()
+        if params is None:
+            params = np.zeros(size)
+        elif params.dtype != np.float64 or params.shape != (size,) or not params.flags.c_contiguous:
+            raise ValueError(f"expected a contiguous float64 vector of {size} parameters")
+        self.arch = arch
+        self.params = params
+        layers = []
+        lo = 0
+        for out_dim, in_dim in arch.layer_dims():
+            mid = lo + out_dim * in_dim
+            layers.append(LayerParams(params[lo:mid].reshape(out_dim, in_dim),
+                                      params[mid:mid + out_dim]))
+            lo = mid + out_dim
+        self.trunk = layers[:-2]
+        self.cls_head, self.aux_head = layers[-2:]
 
 
-@dataclass
-class GradientSet:
-    """Gradients with the same layout as the model they came from."""
-
-    trunk: list[LayerParams]
-    cls_head: LayerParams
-    aux_head: LayerParams
-
-
-def init_layer(rng: np.random.Generator, out_dim: int, in_dim: int) -> LayerParams:
+def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (in_dim + out_dim))
-    w = rng.uniform(-limit, limit, size=(out_dim, in_dim))
-    return LayerParams(weights=w, bias=np.zeros(out_dim))
+    return rng.uniform(-limit, limit, size=(out_dim, in_dim))
 
 
 def init_model(arch: ArchSpec, seed) -> PersonalModel:
@@ -93,75 +117,36 @@ def init_model(arch: ArchSpec, seed) -> PersonalModel:
     the same (arch, seed) always yields bitwise-identical parameters.
     """
     rng = np.random.default_rng(seed)
-    trunk = []
-    fan_in = arch.input_dim
-    for h in arch.hidden_dims:
-        trunk.append(init_layer(rng, h, fan_in))
-        fan_in = h
-    cls_head = init_layer(rng, arch.num_classes, fan_in)
-    aux_head = init_layer(rng, 1, fan_in)
-    return PersonalModel(trunk=trunk, cls_head=cls_head, aux_head=aux_head, arch=arch)
-
-
-def iter_layers(obj):
-    """Canonical layer order shared by models and gradient sets."""
-    yield from obj.trunk
-    yield obj.cls_head
-    yield obj.aux_head
-
-
-def iter_arrays(obj):
-    for layer in iter_layers(obj):
-        yield layer.weights
-        yield layer.bias
+    model = PersonalModel(arch)
+    for layer in (*model.trunk, model.cls_head, model.aux_head):
+        layer.weights[...] = glorot_uniform(rng, *layer.weights.shape)
+    return model
 
 
 def param_count(model: PersonalModel) -> int:
-    return sum(a.size for a in iter_arrays(model))
+    return model.params.size
 
 
-def flatten_params(model) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in iter_arrays(model)])
+def flatten_params(model: PersonalModel) -> np.ndarray:
+    return model.params.copy()
 
 
 def clone_model(model: PersonalModel) -> PersonalModel:
-    return PersonalModel(
-        trunk=[LayerParams(l.weights.copy(), l.bias.copy()) for l in model.trunk],
-        cls_head=LayerParams(model.cls_head.weights.copy(), model.cls_head.bias.copy()),
-        aux_head=LayerParams(model.aux_head.weights.copy(), model.aux_head.bias.copy()),
-        arch=model.arch,
-    )
+    return PersonalModel(model.arch, model.params.copy())
 
 
 def copy_into(dst: PersonalModel, src: PersonalModel) -> None:
-    """Copy parameters of src into dst in place, preserving array aliasing."""
-    for d, s in zip(iter_arrays(dst), iter_arrays(src)):
-        if d.shape != s.shape:
-            raise ValueError(f"shape mismatch {d.shape} vs {s.shape}")
-        np.copyto(d, s)
-
-
-def zeros_grads(model: PersonalModel) -> GradientSet:
-    return GradientSet(
-        trunk=[LayerParams(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.trunk],
-        cls_head=LayerParams(np.zeros_like(model.cls_head.weights), np.zeros_like(model.cls_head.bias)),
-        aux_head=LayerParams(np.zeros_like(model.aux_head.weights), np.zeros_like(model.aux_head.bias)),
-    )
-
-
-def grads_add(dst: GradientSet, src: GradientSet) -> None:
-    for d, s in zip(iter_arrays(dst), iter_arrays(src)):
-        d += s
+    """Copy parameters of src into dst in place; dst's views stay valid."""
+    if dst.params.shape != src.params.shape:
+        raise ValueError(f"shape mismatch {dst.params.shape} vs {src.params.shape}")
+    np.copyto(dst.params, src.params)
 
 
 def sigmoid(z):
+    # exp(-|z|) never overflows; it is exp(-z) for z >= 0 and exp(z) below
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def softmax(z):
@@ -243,106 +228,127 @@ def binary_cross_entropy(score, label) -> float:
     return float(-(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
 
 
-def _mean_ce_rows(logits: np.ndarray, y: np.ndarray) -> float:
+def _cross_entropy(logits: np.ndarray, y: np.ndarray):
+    """Mean CE over the rows of logits, and the softmax probabilities."""
     m = logits.max(axis=1, keepdims=True)
-    lse = (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))).ravel()
-    return float(np.mean(lse - logits[np.arange(len(y)), y]))
+    e = np.exp(logits - m)
+    se = e.sum(axis=1, keepdims=True)
+    lse = (m + np.log(se)).ravel()
+    return float((lse - logits[np.arange(len(y)), y]).sum() / len(y)), e / se
 
 
 def _mean_bce(scores: np.ndarray, y: np.ndarray) -> float:
-    s = np.clip(scores, BCE_EPS, 1.0 - BCE_EPS)
-    return float(np.mean(-(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))))
+    s = np.minimum(np.maximum(scores, BCE_EPS), 1.0 - BCE_EPS)
+    return float((-(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))).sum() / len(y))
+
+
+def _check_spec(loss_spec) -> None:
+    if loss_spec not in LOSS_SPECS:
+        raise ValueError(f"unknown loss_spec {loss_spec!r}")
+
+
+def _cls_labels(y_cls, n_rows: int) -> np.ndarray:
+    if y_cls is None:
+        raise ValueError("y_cls required for cls/joint loss")
+    y = np.asarray(y_cls, dtype=np.int64)
+    if y.ndim != 1 or not 1 <= y.shape[0] <= n_rows:
+        raise ValueError("y_cls must label between one and all leading rows")
+    return y
+
+
+def _aux_labels(y_aux, n_rows: int) -> np.ndarray:
+    if y_aux is None:
+        raise ValueError("y_aux required for aux/joint loss")
+    ya = np.asarray(y_aux, dtype=np.float64)
+    if ya.shape != (n_rows,):
+        raise ValueError("y_aux must have one label per row")
+    return ya
 
 
 def batch_loss(model: PersonalModel, X, y_cls=None, y_aux=None, loss_spec=LOSS_JOINT) -> float:
-    """Mean loss over a batch; joint = mean CE + mean BCE."""
-    if loss_spec not in LOSS_SPECS:
-        raise ValueError(f"unknown loss_spec {loss_spec!r}")
+    """Mean loss over a batch; joint = mean CE over the rows y_cls labels
+    (the leading ones) + mean BCE over all rows."""
+    _check_spec(loss_spec)
     X = _as_batch(model, X)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
     acts, _ = _trunk_forward(model, X)
     h = acts[-1]
     total = 0.0
-    if loss_spec in (LOSS_CLS, LOSS_JOINT):
-        y = np.asarray(y_cls, dtype=np.int64)
-        logits = h @ model.cls_head.weights.T + model.cls_head.bias
-        total += _mean_ce_rows(logits, y)
-    if loss_spec in (LOSS_AUX, LOSS_JOINT):
-        ya = np.asarray(y_aux, dtype=np.float64)
+    if loss_spec != LOSS_AUX:
+        y = _cls_labels(y_cls, X.shape[0])
+        logits = h[:len(y)] @ model.cls_head.weights.T + model.cls_head.bias
+        total += _cross_entropy(logits, y)[0]
+    if loss_spec != LOSS_CLS:
+        ya = _aux_labels(y_aux, X.shape[0])
         v = (h @ model.aux_head.weights.T + model.aux_head.bias).ravel()
         total += _mean_bce(sigmoid(v), ya)
     return total
 
 
 def _grads_and_loss(model: PersonalModel, X, y_cls=None, y_aux=None, loss_spec=LOSS_JOINT):
-    """Backward pass over a batch; returns (GradientSet, mean loss).
+    """One forward and one backward pass; returns (flat gradient, mean loss).
 
-    Gradients are means over the batch. Under `joint` the trunk receives
-    the sum of the classification-loss and auxiliary-loss streams; each
-    head only sees its own loss.
+    y_cls labels the leading rows of X and y_aux labels every row, so under
+    `joint` a single trunk pass over [batch; negatives] serves both losses:
+    mean CE over the labelled rows plus mean BCE over all rows. The trunk
+    receives the sum of both streams; each head only sees its own loss.
+    The gradient has the model's flat layout.
     """
-    if loss_spec not in LOSS_SPECS:
-        raise ValueError(f"unknown loss_spec {loss_spec!r}")
+    _check_spec(loss_spec)
     X = _as_batch(model, X)
-    n = X.shape[0]
-    if n == 0:
+    N = X.shape[0]
+    if N == 0:
         raise ValueError("empty batch")
     acts, zs = _trunk_forward(model, X)
     h = acts[-1]
-    grads = zeros_grads(model)
-    d_h = np.zeros_like(h)
     loss = 0.0
 
-    if loss_spec in (LOSS_CLS, LOSS_JOINT):
-        if y_cls is None:
-            raise ValueError("y_cls required for cls/joint loss")
-        y = np.asarray(y_cls, dtype=np.int64)
-        if y.shape != (n,):
-            raise ValueError("y_cls must have one label per row")
-        logits = h @ model.cls_head.weights.T + model.cls_head.bias
-        loss += _mean_ce_rows(logits, y)
-        delta = softmax(logits)
+    cls_head, aux_head = model.cls_head, model.aux_head
+    if loss_spec != LOSS_CLS:
+        ya = _aux_labels(y_aux, N)
+        s = sigmoid((h @ aux_head.weights.T + aux_head.bias).ravel())
+        loss += _mean_bce(s, ya)
+        delta_a = (s - ya) / N
+        aux_grads = [delta_a @ h, delta_a.sum(keepdims=True)]
+        d_h = np.outer(delta_a, aux_head.weights)
+    else:
+        aux_grads = [np.zeros(aux_head.weights.size), np.zeros(1)]
+        d_h = np.zeros_like(h)
+
+    if loss_spec != LOSS_AUX:
+        y = _cls_labels(y_cls, N)
+        n = len(y)
+        hc = h[:n]
+        ce, delta = _cross_entropy(hc @ cls_head.weights.T + cls_head.bias, y)
+        loss += ce
         delta[np.arange(n), y] -= 1.0
         delta /= n
-        grads.cls_head.weights += delta.T @ h
-        grads.cls_head.bias += delta.sum(axis=0)
-        d_h += delta @ model.cls_head.weights
+        cls_grads = [(delta.T @ hc).ravel(), delta.sum(axis=0)]
+        d_h[:n] += delta @ cls_head.weights
+    else:
+        cls_grads = [np.zeros(cls_head.weights.size), np.zeros(cls_head.bias.size)]
 
-    if loss_spec in (LOSS_AUX, LOSS_JOINT):
-        if y_aux is None:
-            raise ValueError("y_aux required for aux/joint loss")
-        ya = np.asarray(y_aux, dtype=np.float64)
-        if ya.shape != (n,):
-            raise ValueError("y_aux must have one label per row")
-        v = (h @ model.aux_head.weights.T + model.aux_head.bias).ravel()
-        s = sigmoid(v)
-        loss += _mean_bce(s, ya)
-        delta_a = (s - ya) / n
-        grads.aux_head.weights += (delta_a @ h)[None, :]
-        grads.aux_head.bias += np.array([delta_a.sum()])
-        d_h += np.outer(delta_a, model.aux_head.weights.ravel())
-
+    trunk_grads = []
     delta = d_h
     for i in reversed(range(len(model.trunk))):
         dz = delta * (zs[i] > 0)
-        grads.trunk[i].weights += dz.T @ acts[i]
-        grads.trunk[i].bias += dz.sum(axis=0)
+        trunk_grads[:0] = [(dz.T @ acts[i]).ravel(), dz.sum(axis=0)]
         if i > 0:
             delta = dz @ model.trunk[i].weights
-    return grads, loss
+    return np.concatenate(trunk_grads + cls_grads + aux_grads), loss
 
 
-def backward(model: PersonalModel, X, y_cls=None, y_aux=None, loss_spec=LOSS_JOINT) -> GradientSet:
+def backward(model: PersonalModel, X, y_cls=None, y_aux=None, loss_spec=LOSS_JOINT) -> np.ndarray:
     grads, _ = _grads_and_loss(model, X, y_cls=y_cls, y_aux=y_aux, loss_spec=loss_spec)
     return grads
 
 
-def sgd_step(model: PersonalModel, grads: GradientSet, lr: float, weight_decay: float = 0.0) -> None:
-    """Decoupled step: p <- p - lr * (g + weight_decay * p), in place."""
+def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float, weight_decay: float = 0.0) -> None:
+    """Decoupled step on flat vectors: p <- p - lr * (g + weight_decay * p),
+    in place."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     if weight_decay < 0:
         raise ValueError("weight_decay must be non-negative")
-    for p, g in zip(iter_arrays(model), iter_arrays(grads)):
-        p -= lr * (g + weight_decay * p)
+    params -= lr * (grads + weight_decay * params)

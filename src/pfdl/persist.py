@@ -26,7 +26,10 @@ def sha256_hex(data) -> str:
 
 
 class EventLog:
-    """Append-only JSONL log, optionally mirrored to a file."""
+    """Append-only JSONL log, optionally mirrored to a file.
+
+    As a context manager it closes the file on exit, exceptions included.
+    """
 
     def __init__(self, path=None):
         self.path = Path(path) if path is not None else None
@@ -42,6 +45,12 @@ class EventLog:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
+
+    def __enter__(self) -> "EventLog":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def of_type(self, kind: str) -> list[dict]:
         return [r for r in self.records if r.get("type") == kind]

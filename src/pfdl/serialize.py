@@ -1,9 +1,10 @@
 """Versioned binary persistence.
 
 Model checkpoints: magic "PFDL", format version u32, the architecture,
-then layer arrays in trunk, cls_head, aux_head order, row-major float64
-little-endian. Dataset files ("PFDD") and client-state files ("PFDS")
-follow the same header discipline. Readers validate magic and version and
+then the model's flat parameter vector (layer arrays in trunk, cls_head,
+aux_head order, each row-major) as float64 little-endian. Dataset files
+("PFDD") and client-state files ("PFDS") follow the same header
+discipline. Readers validate magic and version and
 raise DataError with file context on any mismatch or truncation.
 """
 
@@ -62,9 +63,7 @@ def write_model(fh, model: nn.PersonalModel) -> None:
     arch = model.arch
     fh.write(struct.pack("<III", arch.input_dim, arch.num_classes, len(arch.hidden_dims)))
     fh.write(struct.pack(f"<{len(arch.hidden_dims)}I", *arch.hidden_dims))
-    for layer in nn.iter_layers(model):
-        _write_f64(fh, layer.weights)
-        _write_f64(fh, layer.bias)
+    _write_f64(fh, model.params)
 
 
 def read_model(fh, ctx: str = "checkpoint") -> nn.PersonalModel:
@@ -72,15 +71,7 @@ def read_model(fh, ctx: str = "checkpoint") -> nn.PersonalModel:
     input_dim, num_classes, depth = struct.unpack("<III", _read_exact(fh, 12, ctx))
     hidden = struct.unpack(f"<{depth}I", _read_exact(fh, 4 * depth, ctx))
     arch = nn.ArchSpec(input_dim=input_dim, hidden_dims=tuple(hidden), num_classes=num_classes)
-    trunk = []
-    fan_in = arch.input_dim
-    for h in arch.hidden_dims:
-        trunk.append(nn.LayerParams(_read_f64(fh, (h, fan_in), ctx), _read_f64(fh, (h,), ctx)))
-        fan_in = h
-    cls_head = nn.LayerParams(_read_f64(fh, (arch.num_classes, fan_in), ctx),
-                              _read_f64(fh, (arch.num_classes,), ctx))
-    aux_head = nn.LayerParams(_read_f64(fh, (1, fan_in), ctx), _read_f64(fh, (1,), ctx))
-    return nn.PersonalModel(trunk=trunk, cls_head=cls_head, aux_head=aux_head, arch=arch)
+    return nn.PersonalModel(arch, _read_f64(fh, (arch.param_count(),), ctx))
 
 
 def save_model(path, model: nn.PersonalModel) -> None:

@@ -122,8 +122,7 @@ def test_4_ensemble_weights_are_proper_distributions():
         d = 1 if case % 5 == 0 else int(rng.integers(1, 6))
         pool = [nn.init_model(arch, [4, case, j]) for j in range(d)]
         for m in pool:
-            for arr in nn.iter_arrays(m):
-                arr += rng.standard_normal(arr.shape)
+            m.params += rng.standard_normal(m.params.shape)
         x = rng.standard_normal(arch.input_dim)
         w = ensemble_weights(pool, x)
         assert np.all(w >= 0.0)
@@ -142,8 +141,7 @@ def test_4_ensemble_weights_are_proper_distributions():
 
 def _constant_update(cid: int, value: float, n: int, arch: nn.ArchSpec) -> LocalUpdate:
     m = nn.init_model(arch, [99, cid])
-    for arr in nn.iter_arrays(m):
-        arr[...] = value
+    m.params[...] = value
     return LocalUpdate(client_id=cid, task_id=0, parameters=m, num_samples=n)
 
 
@@ -161,8 +159,7 @@ def test_5_aggregation_matches_weighted_mean_oracle():
         updates = []
         for cid in range(d):
             m = nn.init_model(arch, [5, cid])
-            for arr in nn.iter_arrays(m):
-                arr[...] = rng.standard_normal(arr.shape)
+            m.params[...] = rng.standard_normal(m.params.shape)
             updates.append(LocalUpdate(client_id=cid, task_id=0, parameters=m,
                                        num_samples=int(rng.integers(1, 50))))
         total = sum(u.num_samples for u in updates)

@@ -92,6 +92,25 @@ def test_eval_reproduces_sharing_run(tiny_config, tmp_path):
             == (tmp_path / "ev" / "summary.csv").read_bytes())
 
 
+def test_divergent_run_exits_4_without_nan_in_events(tmp_path, capsys):
+    cfg = tmp_path / "absurd_lr.json"
+    cfg.write_text(json.dumps(dict(TINY, lr=1e6)))
+    run_dir = tmp_path / "run"
+    with pytest.warns(RuntimeWarning):  # overflow on the way to the guard
+        code = cli.main(["run", "--config", str(cfg), "--out", str(run_dir)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "error[invariant]: clients [1], task 1, round 2" in err
+
+    def no_constants(name):
+        raise AssertionError(f"{name} in events.jsonl")
+
+    lines = (run_dir / "events.jsonl").read_text().splitlines()
+    assert lines
+    for line in lines:
+        json.loads(line, parse_constant=no_constants)
+
+
 def test_eval_missing_rundir_is_data_error(tmp_path, capsys):
     code = cli.main(["eval", str(tmp_path / "ghost")])
     assert code == 3

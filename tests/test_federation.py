@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from pfdl.federation import (ExperimentConfig, FederationConfig,
                              run_task, sample_clients)
 from pfdl.persist import EventLog
 from pfdl.seeding import rng_for
+from pfdl.serialize import load_client_state
 
 ARCH = nn.ArchSpec(input_dim=4, hidden_dims=(6,), num_classes=3)
 
@@ -55,30 +58,26 @@ def test_sample_deterministic_for_same_rng_stream():
 def constant_update(client_id, value, n):
     arch = nn.ArchSpec(input_dim=1, hidden_dims=(1,), num_classes=1)
     m = nn.init_model(arch, 0)
-    for a in nn.iter_arrays(m):
-        a[:] = value
+    m.params[:] = value
     return LocalUpdate(client_id=client_id, task_id=0, parameters=m, num_samples=n)
 
 
 def test_aggregate_weighted_mean_hand_case():
     out = aggregate([constant_update(0, 1.0, 10), constant_update(1, 3.0, 30)])
-    for a in nn.iter_arrays(out):
-        assert np.all(a == 2.5)  # 0.25*1 + 0.75*3, exact in binary floating point
+    assert np.all(out.params == 2.5)  # 0.25*1 + 0.75*3, exact in binary floating point
 
 
 def test_aggregate_idempotent_on_identical_payloads():
     u1 = constant_update(0, 0.7312589, 5)
     u2 = constant_update(1, 0.7312589, 5)
     out = aggregate([u1, u2])
-    for a, b in zip(nn.iter_arrays(out), nn.iter_arrays(u1.parameters)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(out.params, u1.parameters.params)
 
 
 def test_aggregate_single_update_is_identity():
     u = LocalUpdate(0, 0, nn.init_model(ARCH, 12), num_samples=17)
     out = aggregate([u])
-    for a, b in zip(nn.iter_arrays(out), nn.iter_arrays(u.parameters)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(out.params, u.parameters.params)
 
 
 def naive_weighted_mean(updates):
@@ -96,8 +95,7 @@ def test_aggregate_matches_naive_oracle():
         updates = []
         for k in range(int(rng.integers(2, 6))):
             m = nn.init_model(ARCH, [trial, k])
-            for a in nn.iter_arrays(m):
-                a += rng.standard_normal(a.shape)
+            m.params += rng.standard_normal(m.params.shape)
             updates.append(LocalUpdate(k, 0, m, num_samples=int(rng.integers(1, 50))))
         got = nn.flatten_params(aggregate(updates))
         want = naive_weighted_mean(updates)
@@ -122,9 +120,8 @@ def test_aggregate_affine_equivariance():
     for k in range(3):
         m = nn.init_model(ARCH, [100, k])
         ms = nn.clone_model(m)
-        for a in nn.iter_arrays(ms):
-            a *= scale
-            a += shift
+        ms.params *= scale
+        ms.params += shift
         n = int(rng.integers(1, 40))
         updates.append(LocalUpdate(k, 0, m, num_samples=n))
         shifted.append(LocalUpdate(k, 0, ms, num_samples=n))
@@ -146,8 +143,7 @@ def test_aggregate_conserves_sample_weight():
     # weights are num_samples / total; a constant-parameter pool must stay put
     updates = [constant_update(k, 4.25, n) for k, n in enumerate([3, 11, 6])]
     out = aggregate(updates)
-    for a in nn.iter_arrays(out):
-        assert np.max(np.abs(a - 4.25)) < 1e-15
+    assert np.max(np.abs(out.params - 4.25)) < 1e-15
 
 
 # ------------------------------------------------------------- run_task
@@ -175,9 +171,7 @@ def test_run_task_single_client_equals_its_update():
     slot = GlobalModelSlot(task_id=0)
     run_task(cfg, [state], [(X, y)], 0, slot, EventLog())
     # with one client the aggregate is that client's trained parameters
-    for a, b in zip(nn.iter_arrays(slot.parameters),
-                    nn.iter_arrays(state.pool[0])):
-        assert np.array_equal(a, b)
+    assert np.array_equal(slot.parameters.params, state.pool[0].params)
 
 
 def test_all_inactive_round_warns_and_carries_on():
@@ -211,9 +205,7 @@ def test_final_global_broadcast_to_all_bound_models():
     run_task(cfg, states, shard_data, 0, slot, EventLog())
     for st in states:
         if st.active:
-            for a, b in zip(nn.iter_arrays(st.pool[0]),
-                            nn.iter_arrays(slot.parameters)):
-                assert np.array_equal(a, b)
+            assert np.array_equal(st.pool[0].params, slot.parameters.params)
 
 
 # ------------------------------------------------------------- modes
@@ -245,14 +237,28 @@ def test_disjoint_stores_one_model_per_domain():
             assert len(set(st.task_bindings.values())) == 2
 
 
-def test_sharing_aliases_trunk_and_aux():
-    res = run_experiment(small_cfg(mode="sharing"))
-    for st in res.states:
-        if len(st.pool) == 2:
-            first, second = st.pool
-            assert first.trunk[0].weights is second.trunk[0].weights
-            assert first.aux_head.weights is second.aux_head.weights
-            assert first.cls_head.weights is not second.cls_head.weights
+def test_sharing_entries_share_trunk_and_aux_values(tmp_path):
+    # after every task, each pool entry equals the bound model off the
+    # class head, and no two entries carry the same class head
+    cfg = replace(small_cfg(mode="sharing"),
+                  data=replace(SMALL_DATA, rotation_degrees=(0.0, 120.0, 240.0)))
+    run_experiment(cfg, out_dir=tmp_path)
+    lo, hi = cfg.arch().cls_head_span()
+    largest = 0
+    for t in range(3):
+        for k in range(cfg.federation.num_clients):
+            st = load_client_state(
+                tmp_path / "checkpoints" / f"task_{t:02d}" / f"client_{k:03d}.state")
+            if not st.pool:
+                continue
+            largest = max(largest, len(st.pool))
+            ref = st.pool[st.task_bindings.get(t, 0)].params
+            for i, model in enumerate(st.pool):
+                assert np.array_equal(model.params[:lo], ref[:lo])
+                assert np.array_equal(model.params[hi:], ref[hi:])
+                for other in st.pool[i + 1:]:
+                    assert not np.array_equal(model.params[lo:hi], other.params[lo:hi])
+    assert largest == 3
 
 
 def test_sharing_param_count_is_trunk_plus_heads():
@@ -263,6 +269,22 @@ def test_sharing_param_count_is_trunk_plus_heads():
     head = arch.num_classes * arch.hidden_dims[-1] + arch.num_classes
     expect = sum(trunk_aux + head * len(st.pool) for st in res.states if st.pool)
     assert res.param_count_total == expect
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_divergent_round_raises_and_closes_the_event_log(tmp_path, monkeypatch):
+    handles = []
+
+    class RecordingLog(EventLog):
+        def __init__(self, path=None):
+            super().__init__(path)
+            handles.append(self._fh)
+
+    monkeypatch.setattr(federation, "EventLog", RecordingLog)
+    with pytest.raises(InvariantError, match=r"client 1, task 0, round 0: local train loss"):
+        run_experiment(small_cfg(lr=1e6), out_dir=tmp_path)
+    assert len(handles) == 1 and handles[0].closed
 
 
 def test_unknown_mode_rejected():

@@ -14,8 +14,7 @@ def make_model(seed=0, dim=6):
 
 def test_intensity_zero_parameters_gives_half():
     m = make_model()
-    for a in nn.iter_arrays(m):
-        a[:] = 0.0
+    m.params[:] = 0.0
     X = np.random.default_rng(0).standard_normal((10, 6))
     rho = matching.matching_intensity([m], X)
     assert rho.shape == (1,)

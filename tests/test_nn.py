@@ -21,8 +21,7 @@ def random_batch(rng, model, n):
 def test_init_same_seed_bitwise_identical():
     a = nn.init_model(small_arch(), 7)
     b = nn.init_model(small_arch(), 7)
-    for pa, pb in zip(nn.iter_arrays(a), nn.iter_arrays(b)):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(a.params, b.params)
 
 
 def test_init_different_seeds_differ():
@@ -34,7 +33,7 @@ def test_init_different_seeds_differ():
 def test_init_biases_zero_and_bounds():
     arch = small_arch()
     m = nn.init_model(arch, 0)
-    for layer in nn.iter_layers(m):
+    for layer in (*m.trunk, m.cls_head, m.aux_head):
         assert np.all(layer.bias == 0.0)
         fan_out, fan_in = layer.weights.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -46,6 +45,22 @@ def test_param_count_example():
     arch = nn.ArchSpec(input_dim=2, hidden_dims=(4,), num_classes=3)
     assert arch.param_count() == 32
     assert nn.param_count(nn.init_model(arch, 0)) == 32
+
+
+def test_flat_layout_is_layer_order():
+    # trunk layers, cls head, aux head; each weights row-major then bias
+    m = nn.init_model(small_arch(), 3)
+    layers = (*m.trunk, m.cls_head, m.aux_head)
+    parts = [a.ravel() for layer in layers for a in (layer.weights, layer.bias)]
+    assert np.array_equal(np.concatenate(parts), m.params)
+    for layer in layers:
+        assert np.shares_memory(layer.weights, m.params)
+        assert np.shares_memory(layer.bias, m.params)
+    lo, hi = m.arch.cls_head_span()
+    assert np.array_equal(m.params[lo:hi], np.concatenate(
+        [m.cls_head.weights.ravel(), m.cls_head.bias]))
+    with pytest.raises(ValueError):
+        nn.PersonalModel(small_arch(), np.zeros(m.params.size + 1))
 
 
 def test_arch_validation():
@@ -89,8 +104,7 @@ def test_forward_matches_naive_oracle():
 def test_forward_zero_input_zero_weights():
     arch = small_arch()
     m = nn.init_model(arch, 0)
-    for a in nn.iter_arrays(m):
-        a[:] = 0.0
+    m.params[:] = 0.0
     logits, score, _ = nn.forward(m, np.zeros(4))
     assert np.all(logits == 0.0)
     assert score == 0.5
@@ -157,29 +171,22 @@ def test_bce_cases():
 
 
 def finite_diff_grads(model, loss_fn, h=1e-6):
-    out = []
-    for arr in nn.iter_arrays(model):
-        g = np.zeros_like(arr)
-        flat = arr.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_fn()
-            flat[i] = orig - h
-            dn = loss_fn()
-            flat[i] = orig
-            gflat[i] = (up - dn) / (2 * h)
-        out.append(g)
-    return out
+    flat = model.params
+    g = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = loss_fn()
+        flat[i] = orig - h
+        dn = loss_fn()
+        flat[i] = orig
+        g[i] = (up - dn) / (2 * h)
+    return g
 
 
 def max_rel_err(analytic, fd, guard=1e-3):
-    worst = 0.0
-    for a, f in zip(analytic, fd):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), guard)
-        worst = max(worst, float(np.max(np.abs(a - f) / denom)))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), guard)
+    return float(np.max(np.abs(analytic - fd) / denom))
 
 
 @pytest.mark.parametrize("spec", [nn.LOSS_CLS, nn.LOSS_AUX, nn.LOSS_JOINT])
@@ -191,14 +198,14 @@ def test_backward_matches_central_differences(spec):
     fd = finite_diff_grads(
         model, lambda: nn.batch_loss(model, X, y_cls=y, y_aux=ya, loss_spec=spec), h=1e-6
     )
-    assert max_rel_err(list(nn.iter_arrays(grads)), fd) < 1e-4
+    assert max_rel_err(grads, fd) < 1e-4
 
 
 def test_cls_loss_gives_zero_aux_gradients():
     rng = np.random.default_rng(2)
     model = nn.init_model(small_arch(), 1)
     X, y, _ = random_batch(rng, model, 5)
-    g = nn.backward(model, X, y_cls=y, loss_spec=nn.LOSS_CLS)
+    g = nn.PersonalModel(model.arch, nn.backward(model, X, y_cls=y, loss_spec=nn.LOSS_CLS))
     assert np.all(g.aux_head.weights == 0.0)
     assert np.all(g.aux_head.bias == 0.0)
 
@@ -207,7 +214,7 @@ def test_aux_loss_gives_zero_cls_gradients():
     rng = np.random.default_rng(2)
     model = nn.init_model(small_arch(), 1)
     X, _, ya = random_batch(rng, model, 5)
-    g = nn.backward(model, X, y_aux=ya, loss_spec=nn.LOSS_AUX)
+    g = nn.PersonalModel(model.arch, nn.backward(model, X, y_aux=ya, loss_spec=nn.LOSS_AUX))
     assert np.all(g.cls_head.weights == 0.0)
     assert np.all(g.cls_head.bias == 0.0)
 
@@ -219,8 +226,7 @@ def test_joint_equals_cls_plus_aux_entrywise():
     gj = nn.backward(model, X, y_cls=y, y_aux=ya, loss_spec=nn.LOSS_JOINT)
     gc = nn.backward(model, X, y_cls=y, loss_spec=nn.LOSS_CLS)
     ga = nn.backward(model, X, y_aux=ya, loss_spec=nn.LOSS_AUX)
-    for j, c, a in zip(nn.iter_arrays(gj), nn.iter_arrays(gc), nn.iter_arrays(ga)):
-        assert np.allclose(j, c + a, atol=1e-15)
+    assert np.allclose(gj, gc + ga, atol=1e-15)
 
 
 def test_backward_empty_batch_raises():
@@ -235,8 +241,7 @@ def test_backward_deterministic():
     X, y, ya = random_batch(rng, model, 7)
     g1 = nn.backward(model, X, y_cls=y, y_aux=ya)
     g2 = nn.backward(model, X, y_cls=y, y_aux=ya)
-    for a, b in zip(nn.iter_arrays(g1), nn.iter_arrays(g2)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(g1, g2)
 
 
 # ---------------------------------------------------------------- sgd
@@ -246,18 +251,18 @@ def test_sgd_step_formula():
     # single weight 1.0, grad 0.5, lr 0.1, wd 0 -> 0.95
     arch = nn.ArchSpec(input_dim=1, hidden_dims=(1,), num_classes=1)
     m = nn.init_model(arch, 0)
-    for a in nn.iter_arrays(m):
-        a[:] = 0.0
+    m.params[:] = 0.0
     m.trunk[0].weights[0, 0] = 1.0
-    g = nn.zeros_grads(m)
-    g.trunk[0].weights[0, 0] = 0.5
-    nn.sgd_step(m, g, lr=0.1, weight_decay=0.0)
+    g = np.zeros_like(m.params)
+    g[0] = 0.5  # flat entry 0 is trunk[0].weights[0, 0]
+    nn.sgd_step(m.params, g, lr=0.1, weight_decay=0.0)
     assert abs(m.trunk[0].weights[0, 0] - 0.95) < 1e-15
+    assert np.all(m.params[1:] == 0.0)
 
     # weight_decay 0.1, zero gradient: p shrinks by lr*wd*p
     m.trunk[0].weights[0, 0] = 1.0
-    g.trunk[0].weights[0, 0] = 0.0
-    nn.sgd_step(m, g, lr=0.1, weight_decay=0.1)
+    g[0] = 0.0
+    nn.sgd_step(m.params, g, lr=0.1, weight_decay=0.1)
     assert abs(m.trunk[0].weights[0, 0] - 0.99) < 1e-15
 
 
@@ -266,19 +271,19 @@ def test_sgd_descends_quadratic():
     arch = nn.ArchSpec(input_dim=1, hidden_dims=(1,), num_classes=1)
     m = nn.init_model(arch, 1)
     p0 = m.trunk[0].weights[0, 0] = 2.0
-    g = nn.zeros_grads(m)
-    g.trunk[0].weights[0, 0] = p0
-    nn.sgd_step(m, g, lr=0.1)
+    g = np.zeros_like(m.params)
+    g[0] = p0  # flat entry 0 is trunk[0].weights[0, 0]
+    nn.sgd_step(m.params, g, lr=0.1)
     assert 0.5 * m.trunk[0].weights[0, 0] ** 2 < 0.5 * p0**2
 
 
 def test_sgd_validates_hyperparameters():
     m = nn.init_model(small_arch(), 0)
-    g = nn.zeros_grads(m)
+    g = np.zeros_like(m.params)
     with pytest.raises(ValueError):
-        nn.sgd_step(m, g, lr=0.0)
+        nn.sgd_step(m.params, g, lr=0.0)
     with pytest.raises(ValueError):
-        nn.sgd_step(m, g, lr=0.1, weight_decay=-1.0)
+        nn.sgd_step(m.params, g, lr=0.1, weight_decay=-1.0)
 
 
 # ---------------------------------------------------------------- trunk sharing
@@ -297,7 +302,7 @@ def test_trunk_update_visible_through_both_heads():
     aux_before = model.aux_head.weights.copy()
     for _ in range(20):
         g = nn.backward(model, X, y_cls=y, loss_spec=nn.LOSS_CLS)
-        nn.sgd_step(model, g, lr=0.5)
+        nn.sgd_step(model.params, g, lr=0.5)
     assert np.array_equal(aux_before, model.aux_head.weights)
     _, score_after, _ = nn.forward(model, x)
     logits_after = nn.class_logits(model, x)
@@ -307,10 +312,11 @@ def test_trunk_update_visible_through_both_heads():
 
 def test_copy_into_preserves_aliasing():
     m1 = nn.init_model(small_arch(), 0)
-    m2 = nn.PersonalModel(trunk=m1.trunk, cls_head=nn.LayerParams(
-        m1.cls_head.weights.copy(), m1.cls_head.bias.copy()), aux_head=m1.aux_head, arch=m1.arch)
+    buffer, trunk_w, aux_w = m1.params, m1.trunk[0].weights, m1.aux_head.weights
     src = nn.init_model(small_arch(), 99)
     nn.copy_into(m1, src)
-    # m2 shares trunk and aux storage with m1, so it sees the new values
-    assert np.array_equal(m2.trunk[0].weights, src.trunk[0].weights)
-    assert np.array_equal(m2.aux_head.weights, src.aux_head.weights)
+    # copy_into writes into m1's own buffer, so views taken before see the new values
+    assert m1.params is buffer
+    assert np.array_equal(trunk_w, src.trunk[0].weights)
+    assert np.array_equal(aux_w, src.aux_head.weights)
+    assert not np.shares_memory(m1.params, src.params)

@@ -22,9 +22,8 @@ def test_model_roundtrip_bitwise(tmp_path):
         serialize.save_model(path, m)
         back = serialize.load_model(path)
         assert back.arch == m.arch
-        for a, b in zip(nn.iter_arrays(m), nn.iter_arrays(back)):
-            assert a.dtype == b.dtype == np.float64
-            assert np.array_equal(a, b)
+        assert back.params.dtype == np.float64
+        assert np.array_equal(back.params, m.params)
 
 
 def test_model_bytes_start_with_magic_and_version():
@@ -118,8 +117,7 @@ def test_client_state_roundtrip(tmp_path):
     assert back.rho_history == state.rho_history
     assert len(back.pool) == 3
     for m, b in zip(state.pool, back.pool):
-        for a1, a2 in zip(nn.iter_arrays(m), nn.iter_arrays(b)):
-            assert np.array_equal(a1, a2)
+        assert np.array_equal(m.params, b.params)
 
 
 def test_client_state_without_sidecar(tmp_path):
