@@ -22,16 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from .config import default_config, load_config, parse_config
-from .data import HeterogeneityConfig, build_task_stream, dirichlet_partition
 from .errors import ConfigError, DataError, PfdlError
 from .evaluation import build_metrics
 from .federation import (MODES, ExperimentConfig,
                          _evaluate_after_task, _global_objective,
-                         build_datasets, physical_param_count,
-                         run_experiment, write_data_artifacts)
+                         build_datasets, partitions_and_streams,
+                         physical_param_count, run_experiment,
+                         write_data_artifacts)
 from .gradcheck import run_migration_gradcheck, run_nn_gradcheck
 from .persist import (SUMMARY_COLUMNS, EventLog, read_manifest, summary_row,
-                      write_metrics_csv, write_metrics_json, write_summary_csv)
+                      write_metrics_files, write_summary_csv)
 from .serialize import load_client_state, load_dataset
 
 LAMBDA_SWEEP = (0.0, 0.2, 0.5, 0.8, 1.0)
@@ -172,10 +172,8 @@ def evaluate_run_dir(run_dir):
     tasks = [load_dataset(p) for p in data_files]
     n_tasks = len(tasks)
     K = fed.num_clients
-    partitions = [dirichlet_partition(
-        t, HeterogeneityConfig(fed.alpha, K, seed=(data_seed, t.task_id)))
-        for t in tasks]
-    streams = build_task_stream(tasks, K, cfg.data.stream_mode, data_seed)
+    partitions, streams = partitions_and_streams(cfg, data_seed, tasks)
+    arch = cfg.arch()
 
     acc_grid = np.full((K, n_tasks, n_tasks), np.nan)
     w_grid = np.zeros((K, n_tasks, n_tasks))
@@ -189,6 +187,9 @@ def evaluate_run_dir(run_dir):
             if not path.exists():
                 raise DataError(f"{path}: missing checkpoint")
             states.append(load_client_state(path))
+            if any(m.arch != arch for m in states[-1].pool):
+                raise DataError(f"{path}: a pool model's architecture differs "
+                                f"from the config's {arch}")
         _evaluate_after_task(cfg, states, tasks, streams, tpos,
                              acc_grid, w_grid, events)
 
@@ -203,11 +204,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out) if args.out else Path(args.rundir) / "eval"
     out.mkdir(parents=True, exist_ok=True)
     fed = cfg.federation
-    write_metrics_csv(out / "metrics.csv", fed.mode, fed.seed, metrics)
-    write_summary_csv(out / "summary.csv",
-                      [summary_row(fed.mode, fed.seed, metrics,
-                                   float(np.mean(pool_sizes)), pc_total)])
-    write_metrics_json(out / "metrics.json", metrics, pool_sizes, pc_total)
+    write_metrics_files(out, fed.mode, fed.seed, metrics, pool_sizes, pc_total)
     print(f"mode={fed.mode} seed={fed.seed} avg_final={metrics.avg_final:.4f} "
           f"out={out}")
     return 0

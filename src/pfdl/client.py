@@ -27,18 +27,13 @@ class ClientState:
     pool_snapshots: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     snapshot_rho: np.ndarray = field(default_factory=lambda: np.zeros(0))
     task_bindings: dict[int, int] = field(default_factory=dict)
-    current_task: int | None = None
     active: bool = True
     rho_history: list[dict] = field(default_factory=list)
-
-    def bound_model(self, task_id: int) -> nn.PersonalModel:
-        return self.pool[self.task_bindings[task_id]]
 
 
 @dataclass
 class LocalUpdate:
     client_id: int
-    task_id: int
     parameters: nn.PersonalModel
     num_samples: int
     train_loss: float = 0.0  # round-mean joint loss, for the event log
@@ -54,7 +49,6 @@ def begin_task(state: ClientState, shard_x: np.ndarray, task_id: int, lam: float
     binds it to the task, and freezes the migration anchors. Returns the
     MatchingReport, or None for an inactive client.
     """
-    state.current_task = int(task_id)
     shard_x = np.asarray(shard_x, dtype=np.float64)
     if shard_x.shape[0] == 0:
         state.active = False
@@ -138,8 +132,7 @@ def local_train_round(state: ClientState, global_params: nn.PersonalModel | None
             ya = np.zeros(2 * len(rows))
             ya[:len(rows)] = 1.0
             grads, step_loss = nn._grads_and_loss(
-                model, np.concatenate([Xb, Xn]), y_cls=y[rows], y_aux=ya,
-                loss_spec=nn.LOSS_JOINT)
+                model, np.concatenate([Xb, Xn]), y_cls=y[rows], y_aux=ya)
             if len(anchors):
                 diff = w - anchors
                 add_migration_grads(grads, diff, rho)
@@ -149,6 +142,5 @@ def local_train_round(state: ClientState, global_params: nn.PersonalModel | None
             steps += 1
 
     mean_loss = loss_sum / steps if steps else 0.0
-    return LocalUpdate(client_id=state.client_id, task_id=int(task_id),
-                       parameters=nn.clone_model(model), num_samples=n,
-                       train_loss=mean_loss)
+    return LocalUpdate(client_id=state.client_id, parameters=nn.clone_model(model),
+                       num_samples=n, train_loss=mean_loss)

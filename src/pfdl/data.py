@@ -1,16 +1,16 @@
 """Synthetic domain-shifted classification tasks.
 
 A base dataset is a set of isotropic unit-variance Gaussian clusters whose
-means sit on a sphere of radius `class_separation`. Domains are feature
-transformations (labels never change): rotations, affine maps, additive
-Gaussian noise, coordinate permutations, or ordered compositions of these.
-Rotation by an angle acts as a Givens rotation on each consecutive
-coordinate pair, so 180 degrees maps x to -x exactly.
+means sit on a sphere of radius `class_separation`. A domain is a feature
+transformation (labels never change): a rotation followed, when the noise
+level is positive, by additive Gaussian noise. Rotation by an angle acts
+as a Givens rotation on each consecutive coordinate pair, so 180 degrees
+maps x to -x exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,39 +58,15 @@ class DataConfig:
 class Rotation:
     angle: float  # radians
 
-    kind = "rotation"
-
-
-@dataclass(frozen=True)
-class Affine:
-    matrix: np.ndarray  # (d, d)
-    shift: np.ndarray  # (d,)
-
-    kind = "affine"
-
 
 @dataclass(frozen=True)
 class Noise:
     sigma: float
 
-    kind = "noise"
-
-
-@dataclass(frozen=True)
-class Permute:
-    perm: tuple[int, ...]
-
-    kind = "permute"
-
-
-@dataclass(frozen=True)
-class Identity:
-    kind = "identity"
-
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Ordered composition of feature transformations."""
+    """Ordered composition of Rotation and Noise steps."""
 
     steps: tuple = ()
     name: str = "identity"
@@ -110,45 +86,21 @@ def rotation_matrix(dim: int, angle: float) -> np.ndarray:
 
 def _apply_steps(X: np.ndarray, steps, rng: np.random.Generator) -> np.ndarray:
     out = np.array(X, dtype=np.float64, copy=True)
-    d = out.shape[1]
     for step in steps:
         if isinstance(step, Rotation):
-            out = out @ rotation_matrix(d, step.angle).T
-        elif isinstance(step, Affine):
-            m = np.asarray(step.matrix, dtype=np.float64)
-            b = np.asarray(step.shift, dtype=np.float64)
-            if m.shape != (d, d) or b.shape != (d,):
-                raise ValueError(f"affine step shaped {m.shape}/{b.shape} does not fit dim {d}")
-            out = out @ m.T + b
+            out = out @ rotation_matrix(out.shape[1], step.angle).T
         elif isinstance(step, Noise):
             if step.sigma < 0:
                 raise ValueError("noise sigma must be non-negative")
             out = out + rng.standard_normal(out.shape) * step.sigma
-        elif isinstance(step, Permute):
-            if sorted(step.perm) != list(range(d)):
-                raise ValueError(f"permutation {step.perm} does not fit dim {d}")
-            out = out[:, list(step.perm)]
-        elif isinstance(step, Identity):
-            pass
         else:
             raise ValueError(f"unknown domain step {step!r}")
     return out
 
 
 def domain_to_dict(domain: DomainSpec) -> dict:
-    steps = []
-    for s in domain.steps:
-        if isinstance(s, Rotation):
-            steps.append({"kind": "rotation", "angle": s.angle})
-        elif isinstance(s, Affine):
-            steps.append({"kind": "affine", "matrix": np.asarray(s.matrix).tolist(),
-                          "shift": np.asarray(s.shift).tolist()})
-        elif isinstance(s, Noise):
-            steps.append({"kind": "noise", "sigma": s.sigma})
-        elif isinstance(s, Permute):
-            steps.append({"kind": "permute", "perm": list(s.perm)})
-        else:
-            steps.append({"kind": "identity"})
+    steps = [{"kind": "rotation", "angle": s.angle} if isinstance(s, Rotation)
+             else {"kind": "noise", "sigma": s.sigma} for s in domain.steps]
     return {"name": domain.name, "steps": steps}
 
 
@@ -158,15 +110,8 @@ def domain_from_dict(obj: dict) -> DomainSpec:
         kind = s["kind"]
         if kind == "rotation":
             steps.append(Rotation(angle=float(s["angle"])))
-        elif kind == "affine":
-            steps.append(Affine(matrix=np.asarray(s["matrix"], dtype=np.float64),
-                                shift=np.asarray(s["shift"], dtype=np.float64)))
         elif kind == "noise":
             steps.append(Noise(sigma=float(s["sigma"])))
-        elif kind == "permute":
-            steps.append(Permute(perm=tuple(int(i) for i in s["perm"])))
-        elif kind == "identity":
-            steps.append(Identity())
         else:
             raise ValueError(f"unknown domain step kind {kind!r}")
     return DomainSpec(steps=tuple(steps), name=str(obj["name"]))

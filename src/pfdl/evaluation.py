@@ -9,7 +9,7 @@ accuracy on task m measured after training task n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,8 @@ PROB_FLOOR = 1e-12
 def ensemble_weight_matrix(pool, X):
     """Per-sample normalized aux scores, shape (n, d); also the number of
     rows that fell back to uniform weighting."""
+    if not pool:
+        raise ValueError("empty pool")
     X = np.asarray(X, dtype=np.float64)
     scores = np.stack([nn.aux_scores(m, X) for m in pool], axis=1)
     denom = scores.sum(axis=1)
@@ -34,27 +36,11 @@ def ensemble_weight_matrix(pool, X):
     return weights, int(fallback.sum())
 
 
-def ensemble_weights(pool, x) -> np.ndarray:
-    """Normalized ensemble weights for a single sample."""
-    if len(pool) == 0:
-        raise ValueError("empty pool")
-    w, _ = ensemble_weight_matrix(pool, np.asarray(x, dtype=np.float64)[None, :])
-    return w[0]
-
-
 def ensemble_probs_matrix(pool, X):
     """Mixture predictive distribution for every row of X, shape (n, C)."""
     weights, fallbacks = ensemble_weight_matrix(pool, X)
     probs = np.stack([nn.softmax(nn.class_logits(m, X)) for m in pool], axis=1)
     return np.einsum("nd,ndc->nc", weights, probs), fallbacks
-
-
-def ensemble_predict(pool, x) -> np.ndarray:
-    """Mixture predictive distribution for a single sample."""
-    if len(pool) == 0:
-        raise ValueError("empty pool")
-    p, _ = ensemble_probs_matrix(pool, np.asarray(x, dtype=np.float64)[None, :])
-    return p[0]
 
 
 def accuracy_and_ce(probs: np.ndarray, y: np.ndarray) -> tuple[float, float]:

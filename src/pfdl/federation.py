@@ -2,17 +2,10 @@
 per-task round schedule, and the reference baselines run under one harness.
 
 Every mode shares the same local training procedure (joint CE + auxiliary
-BCE), the same sampling schedule, and the same aggregation rule. Modes
-differ only in how a client picks the model to train when a task arrives
-and in the inference rule applied at evaluation time:
-
-  pfeddil      matching-driven reuse/new decision, migration anchors,
-               weighted-ensemble inference over the whole pool
-  fedavg       one model carried through every task, single-model inference
-  source_only  like fedavg but frozen after the first task
-  disjoint     a fresh model per task, task id known at inference
-  sharing      one trunk + auxiliary head shared by every pool entry, a
-               fresh class head per task, task id known at inference
+BCE + migration pull), the same sampling schedule, and the same
+aggregation rule. Modes differ only in how a client binds a model to a
+task and, following from that, how it scores a task at evaluation time;
+MODE_TABLE holds one `Mode` record per mode.
 """
 
 from __future__ import annotations
@@ -32,18 +25,43 @@ from .errors import ConfigError, InvariantError
 from .evaluation import (MetricsMatrix, accuracy_and_ce, build_metrics,
                          ensemble_probs_matrix)
 from .matching import NegativeSynthesisSpec
-from .persist import (EventLog, canonical_json, sha256_hex, summary_row,
-                      write_manifest, write_metrics_csv, write_metrics_json,
-                      write_summary_csv)
+from .persist import (EventLog, canonical_json, sha256_hex, write_manifest,
+                      write_metrics_files)
 from .seeding import TAG_INIT, TAG_SAMPLE, TAG_TRAIN, rng_for
 from .serialize import save_client_state, save_dataset
 
-MODE_PFEDDIL = "pfeddil"
-MODE_FEDAVG = "fedavg"
-MODE_SOURCE_ONLY = "source_only"
-MODE_DISJOINT = "disjoint"
-MODE_SHARING = "sharing"
-MODES = (MODE_PFEDDIL, MODE_FEDAVG, MODE_SOURCE_ONLY, MODE_DISJOINT, MODE_SHARING)
+BIND_MATCH = "match"
+BIND_ONE = "one"
+BIND_PER_TASK = "per_task"
+
+
+@dataclass(frozen=True)
+class Mode:
+    """How a mode binds a model to a task.
+
+    bind: `match` reuses the best-matching pool model or adds one (with
+    migration anchors), `one` carries a single model through every task,
+    `per_task` adds a pool entry per task. Inference follows from it: the
+    aux-weighted ensemble over the pool, the one model, or the task's own
+    model (the task id is known at inference).
+    sharing: per-task entries share the trunk and the aux head, and each
+    new entry gets a fresh class head.
+    source_only: the mode trains on the first task only.
+    """
+
+    bind: str
+    sharing: bool = False
+    source_only: bool = False
+
+
+MODE_TABLE = {
+    "pfeddil": Mode(BIND_MATCH),
+    "fedavg": Mode(BIND_ONE),
+    "source_only": Mode(BIND_ONE, source_only=True),
+    "disjoint": Mode(BIND_PER_TASK),
+    "sharing": Mode(BIND_PER_TASK, sharing=True),
+}
+MODES = tuple(MODE_TABLE)
 
 
 @dataclass(frozen=True)
@@ -60,7 +78,7 @@ class FederationConfig:
     lam: float = 0.5
     alpha: float = 1.0
     max_pool_size: int = 8
-    mode: str = MODE_PFEDDIL
+    mode: str = "pfeddil"
     seed: int = 0
     km_include_self: bool = False
 
@@ -100,15 +118,6 @@ class ExperimentConfig:
         }
 
 
-@dataclass
-class GlobalModelSlot:
-    """The current task's federated parameters; one active slot at a time."""
-
-    task_id: int
-    parameters: nn.PersonalModel | None = None
-    round: int = -1
-
-
 def sample_clients(num_clients: int, active_fraction: float,
                    rng: np.random.Generator) -> list[int]:
     """Uniform sample without replacement of size max(1, floor(C*K))."""
@@ -139,46 +148,35 @@ def aggregate(updates) -> nn.PersonalModel:
 
 def _begin_task(cfg: ExperimentConfig, state: client.ClientState,
                 shard_x: np.ndarray, task_pos: int):
-    """Per-mode policy for binding a model to a new task.
+    """The mode's policy for binding a model to a new task.
 
-    Returns the MatchingReport for pfeddil clients, None otherwise. A
+    Returns the MatchingReport of a matching client, None otherwise. A
     client with an empty shard sits the task out in every mode.
     """
     fed = cfg.federation
+    mode = MODE_TABLE[fed.mode]
     init_seed = [fed.seed, TAG_INIT, state.client_id, task_pos]
-    if fed.mode == MODE_PFEDDIL:
+    if mode.bind == BIND_MATCH:
         return client.begin_task(state, shard_x, task_pos, fed.lam,
                                  fed.max_pool_size, cfg.arch(), init_seed,
                                  km_include_self=fed.km_include_self)
 
-    state.current_task = task_pos
     state.pool_snapshots = np.zeros((0, 0))
     state.snapshot_rho = np.zeros(0)
-    if shard_x.shape[0] == 0:
-        state.active = False
+    state.active = shard_x.shape[0] > 0
+    if not state.active:
         return None
-    state.active = True
     arch = cfg.arch()
-    if fed.mode in (MODE_FEDAVG, MODE_SOURCE_ONLY):
-        if not state.pool:
-            state.pool.append(nn.init_model(arch, init_seed))
-        state.task_bindings[task_pos] = 0
-    elif fed.mode == MODE_DISJOINT:
+    if mode.sharing and state.pool:
+        # the shared trunk and aux head, under a fresh class head
+        model = nn.clone_model(state.pool[-1])
+        model.cls_head.weights[...] = nn.glorot_uniform(
+            rng_for(*init_seed), arch.num_classes, arch.hidden_dims[-1])
+        model.cls_head.bias[...] = 0.0
+        state.pool.append(model)
+    elif mode.bind == BIND_PER_TASK or not state.pool:
         state.pool.append(nn.init_model(arch, init_seed))
-        state.task_bindings[task_pos] = len(state.pool) - 1
-    elif fed.mode == MODE_SHARING:
-        if not state.pool:
-            state.pool.append(nn.init_model(arch, init_seed))
-        else:
-            # the shared trunk and aux head, under a fresh class head
-            model = nn.clone_model(state.pool[-1])
-            model.cls_head.weights[...] = nn.glorot_uniform(
-                rng_for(*init_seed), arch.num_classes, arch.hidden_dims[-1])
-            model.cls_head.bias[...] = 0.0
-            state.pool.append(model)
-        state.task_bindings[task_pos] = len(state.pool) - 1
-    else:
-        raise ConfigError(f"unknown mode {fed.mode!r}")
+    state.task_bindings[task_pos] = len(state.pool) - 1
     return None
 
 
@@ -186,21 +184,23 @@ def _begin_task(cfg: ExperimentConfig, state: client.ClientState,
 
 
 def run_task(cfg: ExperimentConfig, states, shard_data, task_pos: int,
-             slot: GlobalModelSlot, events: EventLog, threads: int = 1,
-             trajectory: list | None = None) -> None:
+             events: EventLog, threads: int = 1,
+             trajectory: list | None = None) -> nn.PersonalModel | None:
     """T rounds of sample -> broadcast -> local train -> aggregate.
 
     The first round of a task has no broadcast, so clients train from
     their strategy-selected parameters and the reuse/new decision has
     teeth. A round in which every sampled client is inactive carries the
     previous global forward and logs a warning. After the last round the
-    final global overwrites every bound model.
+    final global overwrites every bound model; it is also returned (None
+    when no round had an active client).
     """
     fed = cfg.federation
+    global_model = None  # until the first aggregation
     for rnd in range(fed.rounds_per_task):
         rng = rng_for(fed.seed, TAG_SAMPLE, task_pos, rnd)
         sampled = sample_clients(fed.num_clients, fed.active_fraction, rng)
-        broadcast = slot.parameters  # None until the first aggregation
+        broadcast = global_model
 
         def _train(k: int):
             X, y = shard_data[k]
@@ -224,56 +224,61 @@ def run_task(cfg: ExperimentConfig, states, shard_data, task_pos: int,
                     raise InvariantError(
                         f"client {u.client_id}, task {task_pos}, round {rnd}: "
                         f"local train loss is {u.train_loss}")
-            slot.parameters = aggregate(updates)
-            # not finite when a parameter is, or when their squares overflow
-            norm = float(np.linalg.norm(slot.parameters.params))
+            global_model = aggregate(updates)
+            norm = _param_norm(global_model)
             if not np.isfinite(norm):
                 raise InvariantError(
                     f"clients {[u.client_id for u in updates]}, task {task_pos}, "
                     f"round {rnd}: the aggregate's parameter norm is {norm}")
-            slot.round = rnd
             loss_mean = float(np.mean([u.train_loss for u in updates]))
         else:
             events.emit({"type": "warning", "task": task_pos, "round": rnd,
                          "reason": "no_active_clients_sampled"})
             loss_mean = None
-            norm = (float(np.linalg.norm(slot.parameters.params))
-                    if slot.parameters is not None else None)
+            norm = _param_norm(global_model) if global_model is not None else None
         events.emit({"type": "round", "round": rnd, "task": task_pos,
                      "mode": fed.mode, "sampled_clients": sampled,
                      "train_loss_mean": loss_mean, "global_param_norm": norm})
         if trajectory is not None:
-            vec = None if slot.parameters is None else nn.flatten_params(slot.parameters)
+            vec = None if global_model is None else nn.flatten_params(global_model)
             trajectory.append((task_pos, rnd, vec))
 
-    if slot.parameters is not None:
+    if global_model is not None:
         lo, hi = cfg.arch().cls_head_span()
         for st in states:
             if st.active and task_pos in st.task_bindings:
                 bound = st.pool[st.task_bindings[task_pos]]
-                nn.copy_into(bound, slot.parameters)
-                if fed.mode == MODE_SHARING:
+                nn.copy_into(bound, global_model)
+                if MODE_TABLE[fed.mode].sharing:
                     # every entry carries the shared trunk and aux head
                     for model in st.pool:
                         if model is not bound:
                             model.params[:lo] = bound.params[:lo]
                             model.params[hi:] = bound.params[hi:]
+    return global_model
+
+
+def _param_norm(model: nn.PersonalModel) -> float:
+    """Not finite when a parameter is, or when their squares overflow; the
+    caller handles that, so the overflow warning is silenced."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(model.params))
 
 
 # ------------------------------------------------------------ evaluation
 
 
-def _client_task_probs(mode: str, state: client.ClientState, X: np.ndarray,
+def _client_task_probs(mode: Mode, state: client.ClientState, X: np.ndarray,
                        task_m: int):
     """The mode's inference rule: (probs, uniform-fallback count), or
     (None, 0) when the client cannot score this task at all."""
     if not state.pool:
         return None, 0
-    if mode == MODE_PFEDDIL:
+    if mode.bind == BIND_MATCH:
         return ensemble_probs_matrix(state.pool, X)
-    if mode in (MODE_FEDAVG, MODE_SOURCE_ONLY):
+    if mode.bind == BIND_ONE:
         model = state.pool[0]
-    else:  # disjoint / sharing know the task id at inference time
+    else:
         idx = state.task_bindings.get(task_m)
         if idx is None:
             return None, 0
@@ -285,12 +290,13 @@ def _evaluate_after_task(cfg: ExperimentConfig, states, tasks, streams,
                          n: int, acc_grid, w_grid, events: EventLog) -> None:
     """Fill row n of every client's accuracy grid (tasks 0..n)."""
     fed = cfg.federation
+    mode = MODE_TABLE[fed.mode]
     fallbacks = 0
     for st in states:
         k = st.client_id
         for m in range(n + 1):
             ds = tasks[streams[k][m]]
-            probs, fb = _client_task_probs(fed.mode, st, ds.test_x, m)
+            probs, fb = _client_task_probs(mode, st, ds.test_x, m)
             if probs is None:
                 continue
             fallbacks += fb
@@ -305,7 +311,7 @@ def _global_objective(cfg: ExperimentConfig, states, tasks, streams,
                       partitions) -> float | None:
     """Mean cross-entropy over every client's train shards, all tasks,
     weighted by shard size and scored with the mode's inference rule."""
-    fed = cfg.federation
+    mode = MODE_TABLE[cfg.federation.mode]
     num, den = 0.0, 0
     for st in states:
         k = st.client_id
@@ -314,7 +320,7 @@ def _global_objective(cfg: ExperimentConfig, states, tasks, streams,
             rows = partitions[d][k].indices
             if rows.size == 0:
                 continue
-            probs, _ = _client_task_probs(fed.mode, st, tasks[d].train_x[rows], m)
+            probs, _ = _client_task_probs(mode, st, tasks[d].train_x[rows], m)
             if probs is None:
                 continue
             _, ce = accuracy_and_ce(probs, tasks[d].train_y[rows])
@@ -331,7 +337,7 @@ def physical_param_count(states, mode: str) -> int:
         if not st.pool:
             continue
         arch = st.pool[0].arch
-        if mode == MODE_SHARING:
+        if MODE_TABLE[mode].sharing:
             lo, hi = arch.cls_head_span()
             total += arch.param_count() - (hi - lo) + (hi - lo) * len(st.pool)
         else:
@@ -352,13 +358,20 @@ def build_datasets(cfg: ExperimentConfig):
     domains = make_rotation_domains(cfg.data.rotation_degrees,
                                     cfg.data.domain_noise_sigma)
     tasks = [apply_domain(base, dom, t) for t, dom in enumerate(domains)]
+    return int(data_seed), tasks, *partitions_and_streams(cfg, data_seed, tasks)
+
+
+def partitions_and_streams(cfg: ExperimentConfig, data_seed: int, tasks):
+    """Per-task client shards and per-client task orders; both are
+    deterministic in the config, the data seed and the task count."""
+    fed = cfg.federation
     partitions = [dirichlet_partition(
         t, HeterogeneityConfig(fed.alpha, fed.num_clients,
                                seed=(data_seed, t.task_id)))
         for t in tasks]
-    streams = build_task_stream(domains, fed.num_clients,
+    streams = build_task_stream(tasks, fed.num_clients,
                                 cfg.data.stream_mode, data_seed)
-    return int(data_seed), tasks, partitions, streams
+    return partitions, streams
 
 
 def data_manifest_dict(cfg: ExperimentConfig, data_seed: int, tasks) -> dict:
@@ -410,7 +423,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1,
     results are identical for any worker count.
     """
     fed = cfg.federation
-    if fed.mode not in MODES:
+    mode = MODE_TABLE.get(fed.mode)
+    if mode is None:
         raise ConfigError(f"unknown mode {fed.mode!r} (choose from {', '.join(MODES)})")
     threads = max(1, int(threads))
     data_seed, tasks, partitions, streams = build_datasets(cfg)
@@ -445,15 +459,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1,
                 rows = partitions[d][k].indices
                 shard_data.append((tasks[d].train_x[rows], tasks[d].train_y[rows]))
 
-            # source_only freezes after the first task but is still evaluated
-            if not (fed.mode == MODE_SOURCE_ONLY and tpos > 0):
+            # a source_only mode freezes after the first task but is still evaluated
+            if not (mode.source_only and tpos > 0):
                 for k in range(K):
                     report = _begin_task(cfg, states[k], shard_data[k][0], tpos)
                     if report is not None:
                         events.emit({"type": "matching", "client": k,
                                      "task": tpos, **report.to_record()})
-                slot = GlobalModelSlot(task_id=tpos)
-                run_task(cfg, states, shard_data, tpos, slot, events,
+                run_task(cfg, states, shard_data, tpos, events,
                          threads=threads, trajectory=trajectory)
 
             _evaluate_after_task(cfg, states, tasks, streams, tpos,
@@ -474,11 +487,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1,
                      "pool_sizes": pool_sizes,
                      "param_count_total": pc_total})
     if out is not None:
-        write_metrics_csv(out / "metrics.csv", fed.mode, fed.seed, metrics)
-        write_summary_csv(out / "summary.csv",
-                          [summary_row(fed.mode, fed.seed, metrics,
-                                       float(np.mean(pool_sizes)), pc_total)])
-        write_metrics_json(out / "metrics.json", metrics, pool_sizes, pc_total)
+        write_metrics_files(out, fed.mode, fed.seed, metrics, pool_sizes, pc_total)
     return RunResult(config=cfg, metrics=metrics, events=events, states=states,
                      pool_sizes=pool_sizes, param_count_total=pc_total,
                      out_dir=out, trajectory=trajectory)

@@ -44,15 +44,14 @@ def _random_arch(rng) -> nn.ArchSpec:
 
 
 def run_nn_gradcheck(num_cases: int, seed: int = 0, h: float = 1e-6) -> float:
-    """Max relative error of analytic vs central-difference gradients
-    for the cls, aux and joint losses over random models and batches.
+    """Max relative error of analytic vs central-difference gradients of
+    the joint loss over random models and batches.
 
-    Joint cases label only a random number of leading rows with classes,
-    as the fused training pass does over [batch; negatives]."""
+    Each case labels a random number of leading rows with classes, as the
+    fused training pass does over [batch; negatives]."""
     rng = np.random.default_rng(seed)
-    specs = (nn.LOSS_CLS, nn.LOSS_AUX, nn.LOSS_JOINT)
     worst = 0.0
-    for case in range(num_cases):
+    for _ in range(num_cases):
         arch = _random_arch(rng)
         model = nn.init_model(arch, int(rng.integers(0, 2**31)))
         # check at a generic point: fresh zero biases park hidden units
@@ -61,14 +60,11 @@ def run_nn_gradcheck(num_cases: int, seed: int = 0, h: float = 1e-6) -> float:
         model.params += rng.standard_normal(model.params.size) * 0.1
         n = int(rng.integers(2, 6))
         X = rng.standard_normal((n, arch.input_dim))
-        spec = specs[case % len(specs)]
-        n_cls = int(rng.integers(1, n + 1)) if spec == nn.LOSS_JOINT else n
-        y = rng.integers(0, arch.num_classes, size=n_cls)
+        y = rng.integers(0, arch.num_classes, size=int(rng.integers(1, n + 1)))
         ya = rng.integers(0, 2, size=n).astype(float)
-        analytic = nn.backward(model, X, y_cls=y, y_aux=ya, loss_spec=spec)
+        analytic = nn.backward(model, X, y_cls=y, y_aux=ya)
         fd = finite_diff_grad(
-            model.params,
-            lambda: nn.batch_loss(model, X, y_cls=y, y_aux=ya, loss_spec=spec), h)
+            model.params, lambda: nn.batch_loss(model, X, y_cls=y, y_aux=ya), h)
         worst = max(worst, max_rel_error(analytic, fd))
     return worst
 

@@ -109,31 +109,3 @@ def select_strategy(rho: np.ndarray, lam: float, pool_size: int,
     return MatchingReport(rho=rho, lam=lam, decision=DECISION_REUSE, model_index=best,
                           budget_forced=True)
 
-
-def train_auxiliary(model: nn.PersonalModel, X_pos: np.ndarray,
-                    neg_spec: NegativeSynthesisSpec, epochs: int, lr: float,
-                    batch_size: int, rng: np.random.Generator,
-                    weight_decay: float = 0.0) -> None:
-    """SGD on the auxiliary BCE with balanced positive/negative batches.
-
-    Each minibatch of task samples (label 1) is paired with equally many
-    synthesized negatives (label 0). The gradient flows through the trunk
-    as well as the auxiliary head; zero epochs leave the model unchanged.
-    """
-    X_pos = np.asarray(X_pos, dtype=np.float64)
-    if X_pos.ndim != 2 or X_pos.shape[0] == 0:
-        raise ValueError("train_auxiliary needs a non-empty 2-d sample array")
-    if epochs < 0:
-        raise ValueError("epochs must be non-negative")
-    feat_std = X_pos.std(axis=0)
-    n = X_pos.shape[0]
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            rows = order[start:start + batch_size]
-            Xb = X_pos[rows]
-            Xn = synthesize_negatives(Xb, feat_std, neg_spec, rng)
-            Xa = np.concatenate([Xb, Xn])
-            ya = np.concatenate([np.ones(len(Xb)), np.zeros(len(Xn))])
-            grads = nn.backward(model, Xa, y_aux=ya, loss_spec=nn.LOSS_AUX)
-            nn.sgd_step(model.params, grads, lr=lr, weight_decay=weight_decay)

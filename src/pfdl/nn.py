@@ -22,11 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LOSS_CLS = "cls"
-LOSS_AUX = "aux"
-LOSS_JOINT = "joint"
-LOSS_SPECS = (LOSS_CLS, LOSS_AUX, LOSS_JOINT)
-
 BCE_EPS = 1e-12
 
 
@@ -123,10 +118,6 @@ def init_model(arch: ArchSpec, seed) -> PersonalModel:
     return model
 
 
-def param_count(model: PersonalModel) -> int:
-    return model.params.size
-
-
 def flatten_params(model: PersonalModel) -> np.ndarray:
     return model.params.copy()
 
@@ -192,42 +183,6 @@ def aux_scores(model: PersonalModel, X) -> np.ndarray:
     return sigmoid(v.ravel())
 
 
-def forward(model: PersonalModel, x):
-    """Single-sample forward pass.
-
-    Returns (class logits (C,), aux score in [0, 1], activation cache).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.arch.input_dim:
-        raise ValueError(
-            f"expected a feature vector of width {model.arch.input_dim}, got shape {x.shape}"
-        )
-    acts, zs = _trunk_forward(model, x[None, :])
-    h = acts[-1]
-    logits = (h @ model.cls_head.weights.T + model.cls_head.bias)[0]
-    score = float(sigmoid(h @ model.aux_head.weights.T + model.aux_head.bias)[0, 0])
-    return logits, score, (acts, zs)
-
-
-def softmax_cross_entropy(logits, label: int) -> float:
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ValueError("logits must be a vector")
-    if not 0 <= int(label) < logits.shape[0]:
-        raise ValueError(f"label {label} out of range for {logits.shape[0]} classes")
-    m = logits.max()
-    lse = m + np.log(np.exp(logits - m).sum())
-    return float(lse - logits[int(label)])
-
-
-def binary_cross_entropy(score, label) -> float:
-    y = float(label)
-    if y not in (0.0, 1.0):
-        raise ValueError("binary label must be 0 or 1")
-    s = min(max(float(score), BCE_EPS), 1.0 - BCE_EPS)
-    return float(-(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
-
-
 def _cross_entropy(logits: np.ndarray, y: np.ndarray):
     """Mean CE over the rows of logits, and the softmax probabilities."""
     m = logits.max(axis=1, keepdims=True)
@@ -242,92 +197,44 @@ def _mean_bce(scores: np.ndarray, y: np.ndarray) -> float:
     return float((-(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))).sum() / len(y))
 
 
-def _check_spec(loss_spec) -> None:
-    if loss_spec not in LOSS_SPECS:
-        raise ValueError(f"unknown loss_spec {loss_spec!r}")
+def _grads_and_loss(model: PersonalModel, X, y_cls, y_aux):
+    """One forward and one backward pass of the joint loss; returns (flat
+    gradient, mean loss).
 
-
-def _cls_labels(y_cls, n_rows: int) -> np.ndarray:
-    if y_cls is None:
-        raise ValueError("y_cls required for cls/joint loss")
-    y = np.asarray(y_cls, dtype=np.int64)
-    if y.ndim != 1 or not 1 <= y.shape[0] <= n_rows:
-        raise ValueError("y_cls must label between one and all leading rows")
-    return y
-
-
-def _aux_labels(y_aux, n_rows: int) -> np.ndarray:
-    if y_aux is None:
-        raise ValueError("y_aux required for aux/joint loss")
-    ya = np.asarray(y_aux, dtype=np.float64)
-    if ya.shape != (n_rows,):
-        raise ValueError("y_aux must have one label per row")
-    return ya
-
-
-def batch_loss(model: PersonalModel, X, y_cls=None, y_aux=None, loss_spec=LOSS_JOINT) -> float:
-    """Mean loss over a batch; joint = mean CE over the rows y_cls labels
-    (the leading ones) + mean BCE over all rows."""
-    _check_spec(loss_spec)
-    X = _as_batch(model, X)
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
-    acts, _ = _trunk_forward(model, X)
-    h = acts[-1]
-    total = 0.0
-    if loss_spec != LOSS_AUX:
-        y = _cls_labels(y_cls, X.shape[0])
-        logits = h[:len(y)] @ model.cls_head.weights.T + model.cls_head.bias
-        total += _cross_entropy(logits, y)[0]
-    if loss_spec != LOSS_CLS:
-        ya = _aux_labels(y_aux, X.shape[0])
-        v = (h @ model.aux_head.weights.T + model.aux_head.bias).ravel()
-        total += _mean_bce(sigmoid(v), ya)
-    return total
-
-
-def _grads_and_loss(model: PersonalModel, X, y_cls=None, y_aux=None, loss_spec=LOSS_JOINT):
-    """One forward and one backward pass; returns (flat gradient, mean loss).
-
-    y_cls labels the leading rows of X and y_aux labels every row, so under
-    `joint` a single trunk pass over [batch; negatives] serves both losses:
-    mean CE over the labelled rows plus mean BCE over all rows. The trunk
-    receives the sum of both streams; each head only sees its own loss.
-    The gradient has the model's flat layout.
+    y_cls labels the leading rows of X and y_aux labels every row, so a
+    single trunk pass over [batch; negatives] serves both losses: mean CE
+    over the labelled rows plus mean BCE over all rows. The trunk receives
+    the sum of both streams; each head only sees its own loss. The
+    gradient has the model's flat layout.
     """
-    _check_spec(loss_spec)
     X = _as_batch(model, X)
     N = X.shape[0]
     if N == 0:
         raise ValueError("empty batch")
+    y = np.asarray(y_cls, dtype=np.int64)
+    if y.ndim != 1 or not 1 <= y.shape[0] <= N:
+        raise ValueError("y_cls must label between one and all leading rows")
+    ya = np.asarray(y_aux, dtype=np.float64)
+    if ya.shape != (N,):
+        raise ValueError("y_aux must have one label per row")
     acts, zs = _trunk_forward(model, X)
     h = acts[-1]
-    loss = 0.0
-
     cls_head, aux_head = model.cls_head, model.aux_head
-    if loss_spec != LOSS_CLS:
-        ya = _aux_labels(y_aux, N)
-        s = sigmoid((h @ aux_head.weights.T + aux_head.bias).ravel())
-        loss += _mean_bce(s, ya)
-        delta_a = (s - ya) / N
-        aux_grads = [delta_a @ h, delta_a.sum(keepdims=True)]
-        d_h = np.outer(delta_a, aux_head.weights)
-    else:
-        aux_grads = [np.zeros(aux_head.weights.size), np.zeros(1)]
-        d_h = np.zeros_like(h)
 
-    if loss_spec != LOSS_AUX:
-        y = _cls_labels(y_cls, N)
-        n = len(y)
-        hc = h[:n]
-        ce, delta = _cross_entropy(hc @ cls_head.weights.T + cls_head.bias, y)
-        loss += ce
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        cls_grads = [(delta.T @ hc).ravel(), delta.sum(axis=0)]
-        d_h[:n] += delta @ cls_head.weights
-    else:
-        cls_grads = [np.zeros(cls_head.weights.size), np.zeros(cls_head.bias.size)]
+    s = sigmoid((h @ aux_head.weights.T + aux_head.bias).ravel())
+    loss = _mean_bce(s, ya)
+    delta_a = (s - ya) / N
+    aux_grads = [delta_a @ h, delta_a.sum(keepdims=True)]
+    d_h = np.outer(delta_a, aux_head.weights)
+
+    n = len(y)
+    hc = h[:n]
+    ce, delta = _cross_entropy(hc @ cls_head.weights.T + cls_head.bias, y)
+    loss += ce
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    cls_grads = [(delta.T @ hc).ravel(), delta.sum(axis=0)]
+    d_h[:n] += delta @ cls_head.weights
 
     trunk_grads = []
     delta = d_h
@@ -339,9 +246,14 @@ def _grads_and_loss(model: PersonalModel, X, y_cls=None, y_aux=None, loss_spec=L
     return np.concatenate(trunk_grads + cls_grads + aux_grads), loss
 
 
-def backward(model: PersonalModel, X, y_cls=None, y_aux=None, loss_spec=LOSS_JOINT) -> np.ndarray:
-    grads, _ = _grads_and_loss(model, X, y_cls=y_cls, y_aux=y_aux, loss_spec=loss_spec)
-    return grads
+def backward(model: PersonalModel, X, y_cls, y_aux) -> np.ndarray:
+    return _grads_and_loss(model, X, y_cls=y_cls, y_aux=y_aux)[0]
+
+
+def batch_loss(model: PersonalModel, X, y_cls, y_aux) -> float:
+    """Mean joint loss over a batch: mean CE over the rows y_cls labels
+    (the leading ones) + mean BCE over all rows."""
+    return _grads_and_loss(model, X, y_cls=y_cls, y_aux=y_aux)[1]
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float, weight_decay: float = 0.0) -> None:

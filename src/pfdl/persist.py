@@ -14,6 +14,8 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -101,6 +103,17 @@ def write_metrics_json(path, metrics, pool_sizes, param_count_total) -> None:
         "param_count_total": int(param_count_total),
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def write_metrics_files(out, mode: str, seed: int, metrics, pool_sizes,
+                        param_count_total) -> None:
+    """metrics.csv, summary.csv and metrics.json of one run, into out."""
+    out = Path(out)
+    write_metrics_csv(out / "metrics.csv", mode, seed, metrics)
+    write_summary_csv(out / "summary.csv",
+                      [summary_row(mode, seed, metrics, float(np.mean(pool_sizes)),
+                                   param_count_total)])
+    write_metrics_json(out / "metrics.json", metrics, pool_sizes, param_count_total)
 
 
 def write_manifest(path, config_dict: dict, data_manifest_hash: str, code_version: str,

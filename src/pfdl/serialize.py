@@ -10,7 +10,6 @@ raise DataError with file context on any mismatch or truncation.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .client import ClientState
-from .data import DomainSpec, TaskDataset, domain_from_dict, domain_to_dict
+from .data import TaskDataset, domain_from_dict, domain_to_dict
 from .errors import DataError
 
 MODEL_MAGIC = b"PFDL"
@@ -70,24 +69,11 @@ def read_model(fh, ctx: str = "checkpoint") -> nn.PersonalModel:
     _check_header(fh, MODEL_MAGIC, ctx)
     input_dim, num_classes, depth = struct.unpack("<III", _read_exact(fh, 12, ctx))
     hidden = struct.unpack(f"<{depth}I", _read_exact(fh, 4 * depth, ctx))
-    arch = nn.ArchSpec(input_dim=input_dim, hidden_dims=tuple(hidden), num_classes=num_classes)
+    try:
+        arch = nn.ArchSpec(input_dim=input_dim, hidden_dims=hidden, num_classes=num_classes)
+    except ValueError as e:
+        raise DataError(f"{ctx}: bad model header ({e})") from e
     return nn.PersonalModel(arch, _read_f64(fh, (arch.param_count(),), ctx))
-
-
-def save_model(path, model: nn.PersonalModel) -> None:
-    with open(path, "wb") as fh:
-        write_model(fh, model)
-
-
-def load_model(path) -> nn.PersonalModel:
-    with open(path, "rb") as fh:
-        return read_model(fh, ctx=str(path))
-
-
-def model_bytes(model: nn.PersonalModel) -> bytes:
-    buf = io.BytesIO()
-    write_model(buf, model)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------- datasets
@@ -164,6 +150,8 @@ def load_client_state(path) -> ClientState:
             t, idx = struct.unpack("<II", _read_exact(fh, 8, ctx))
             bindings[t] = idx
         pool = [read_model(fh, ctx) for _ in range(pool_size)]
+        if fh.read(1):
+            raise DataError(f"{ctx}: trailing bytes after the last model")
     state = ClientState(client_id=client_id, pool=pool, task_bindings=bindings)
     name = str(path)
     sidecar = Path(name[: -len(".state")] + ".rho.json" if name.endswith(".state")

@@ -16,7 +16,7 @@ import pytest
 
 from pfdl import data, nn
 from pfdl.config import benchmark_config, parse_config
-from pfdl.evaluation import ensemble_probs_matrix, ensemble_weights
+from pfdl.evaluation import ensemble_probs_matrix, ensemble_weight_matrix
 from pfdl.client import LocalUpdate
 from pfdl.federation import aggregate, build_datasets, run_experiment
 from pfdl.gradcheck import run_migration_gradcheck, run_nn_gradcheck
@@ -42,7 +42,7 @@ def pfeddil_runs():
         per_client = []
         for st in res.states:
             if 0 in st.task_bindings:
-                model = st.bound_model(0)
+                model = st.pool[st.task_bindings[0]]
                 own = float(nn.aux_scores(model, tasks[streams[st.client_id][0]].test_x).mean())
                 rot = float(nn.aux_scores(model, tasks[3].test_x).mean())
                 per_client.append(own - rot)
@@ -124,7 +124,8 @@ def test_4_ensemble_weights_are_proper_distributions():
         for m in pool:
             m.params += rng.standard_normal(m.params.shape)
         x = rng.standard_normal(arch.input_dim)
-        w = ensemble_weights(pool, x)
+        W, _ = ensemble_weight_matrix(pool, x[None, :])
+        w = W[0]
         assert np.all(w >= 0.0)
         worst_wsum = max(worst_wsum, abs(float(w.sum()) - 1.0))
         P, _ = ensemble_probs_matrix(pool, x[None, :])
@@ -142,7 +143,7 @@ def test_4_ensemble_weights_are_proper_distributions():
 def _constant_update(cid: int, value: float, n: int, arch: nn.ArchSpec) -> LocalUpdate:
     m = nn.init_model(arch, [99, cid])
     m.params[...] = value
-    return LocalUpdate(client_id=cid, task_id=0, parameters=m, num_samples=n)
+    return LocalUpdate(client_id=cid, parameters=m, num_samples=n)
 
 
 def test_5_aggregation_matches_weighted_mean_oracle():
@@ -160,7 +161,7 @@ def test_5_aggregation_matches_weighted_mean_oracle():
         for cid in range(d):
             m = nn.init_model(arch, [5, cid])
             m.params[...] = rng.standard_normal(m.params.shape)
-            updates.append(LocalUpdate(client_id=cid, task_id=0, parameters=m,
+            updates.append(LocalUpdate(client_id=cid, parameters=m,
                                        num_samples=int(rng.integers(1, 50))))
         total = sum(u.num_samples for u in updates)
         oracle = sum(u.num_samples * nn.flatten_params(u.parameters) for u in updates) / total

@@ -1,10 +1,13 @@
 import json
+import struct
 import subprocess
 import sys
 
 import pytest
 
-from pfdl import cli
+from pfdl import cli, nn
+from pfdl.federation import MODES
+from pfdl.serialize import load_client_state, save_client_state
 
 TINY = {
     "clients": 3,
@@ -68,36 +71,76 @@ def test_seed_flag_overrides_config(tiny_config, tmp_path):
     assert man["seeds"]["experiment"] == 42
 
 
-def test_eval_reproduces_run_metrics(tiny_config, tmp_path):
+# clients 0, 1 and 5 get empty shards on task 0 and sit it out
+EMPTY_SHARDS = dict(TINY, clients=6, alpha=0.05, seed=1,
+                    data=dict(TINY["data"], rotation_degrees=[0, 180, 0]))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("doc", [TINY, EMPTY_SHARDS], ids=["tiny", "empty_shards"])
+def test_eval_reproduces_run_metrics(tmp_path, doc, mode):
+    # every mode's inference rule and the physical parameter count survive
+    # the save/load cycle
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(doc, mode=mode)))
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    assert cli.main(["eval", str(run_dir)]) == 0
+    for name in ("metrics.csv", "summary.csv", "metrics.json"):
+        assert (run_dir / name).read_bytes() == (run_dir / "eval" / name).read_bytes()
+
+
+def first_state_file(run_dir):
+    return run_dir / "checkpoints" / "task_00" / "client_000.state"
+
+
+def test_eval_rejects_invalid_model_header(tiny_config, tmp_path, capsys):
     run_dir = tmp_path / "run"
     cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)])
-    assert cli.main(["eval", str(run_dir)]) == 0
-    assert ((run_dir / "metrics.csv").read_bytes()
-            == (run_dir / "eval" / "metrics.csv").read_bytes())
-    assert ((run_dir / "summary.csv").read_bytes()
-            == (run_dir / "eval" / "summary.csv").read_bytes())
-    assert ((run_dir / "metrics.json").read_bytes()
-            == (run_dir / "eval" / "metrics.json").read_bytes())
+    path = first_state_file(run_dir)
+    raw = bytearray(path.read_bytes())
+    at = raw.index(b"PFDL") + 8  # the first model's input_dim
+    raw[at:at + 4] = bytes(4)
+    path.write_bytes(bytes(raw))
+    assert cli.main(["eval", str(run_dir)]) == 3
+    assert "bad model header" in capsys.readouterr().err
 
 
-def test_eval_reproduces_sharing_run(tiny_config, tmp_path):
-    doc = dict(TINY, mode="sharing")
-    cfg = tmp_path / "sharing.json"
-    cfg.write_text(json.dumps(doc))
-    run_dir = tmp_path / "share"
-    cli.main(["run", "--config", str(cfg), "--out", str(run_dir)])
-    cli.main(["eval", str(run_dir), "--out", str(tmp_path / "ev")])
-    # physical parameter accounting survives the save/load cycle
-    assert ((run_dir / "summary.csv").read_bytes()
-            == (tmp_path / "ev" / "summary.csv").read_bytes())
+def test_eval_rejects_trailing_bytes(tiny_config, tmp_path, capsys):
+    # hidden dims [10, 6] relabelled [6, 10]: the model reads 8 floats
+    # short and leaves them behind
+    run_dir = tmp_path / "run"
+    cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)])
+    path = first_state_file(run_dir)
+    raw = bytearray(path.read_bytes())
+    at = raw.index(b"PFDL") + 20  # the first model's hidden dims
+    assert raw.count(b"PFDL") == 1
+    assert raw[at:at + 8] == struct.pack("<II", 10, 6)
+    raw[at:at + 8] = struct.pack("<II", 6, 10)
+    path.write_bytes(bytes(raw))
+    assert cli.main(["eval", str(run_dir)]) == 3
+    assert "trailing bytes" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_model_of_another_arch(tiny_config, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)])
+    path = first_state_file(run_dir)
+    state = load_client_state(path)
+    other = nn.ArchSpec(input_dim=6, hidden_dims=(6, 10), num_classes=3)
+    state.pool = [nn.init_model(other, 0) for _ in state.pool]
+    save_client_state(path.parent, state)
+    assert cli.main(["eval", str(run_dir)]) == 3
+    assert "architecture differs" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergent_run_exits_4_without_nan_in_events(tmp_path, capsys):
+    # the guard reports the overflow itself, without a NumPy warning first
     cfg = tmp_path / "absurd_lr.json"
     cfg.write_text(json.dumps(dict(TINY, lr=1e6)))
     run_dir = tmp_path / "run"
-    with pytest.warns(RuntimeWarning):  # overflow on the way to the guard
-        code = cli.main(["run", "--config", str(cfg), "--out", str(run_dir)])
+    code = cli.main(["run", "--config", str(cfg), "--out", str(run_dir)])
     assert code == 4
     err = capsys.readouterr().err
     assert "error[invariant]: clients [1], task 1, round 2" in err

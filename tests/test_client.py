@@ -183,10 +183,10 @@ def test_local_round_reduces_joint_loss():
     st = fresh_state()
     client.begin_task(st, X, 0, 0.5, 8, ARCH, init_seed=6)
     m = st.pool[0]
-    before = nn.batch_loss(m, X, y_cls=y, y_aux=np.ones(len(X)), loss_spec=nn.LOSS_JOINT)
+    before = nn.batch_loss(m, X, y_cls=y, y_aux=np.ones(len(X)))
     for r in range(5):
         run_round(st, X, y, entropy=(0, 6, 0, 0, r))
-    after = nn.batch_loss(m, X, y_cls=y, y_aux=np.ones(len(X)), loss_spec=nn.LOSS_JOINT)
+    after = nn.batch_loss(m, X, y_cls=y, y_aux=np.ones(len(X)))
     assert after < before
 
 
@@ -202,7 +202,6 @@ def test_local_round_update_fields():
     client.begin_task(st, X, 0, 0.5, 8, ARCH, init_seed=1)
     up = run_round(st, X, y)
     assert up.client_id == 4
-    assert up.task_id == 0
     assert up.num_samples == 33
     assert np.isfinite(up.train_loss)
     # the payload is a detached copy

@@ -19,15 +19,16 @@ def test_weights_sum_to_one():
     rng = np.random.default_rng(0)
     pool = pool_of(3)
     for _ in range(50):
-        w = evaluation.ensemble_weights(pool, rng.standard_normal(4))
+        W, _ = evaluation.ensemble_weight_matrix(pool, rng.standard_normal((1, 4)))
+        w = W[0]
         assert abs(w.sum() - 1.0) < 1e-12
         assert np.all(w >= 0)
 
 
 def test_single_model_weight_is_one():
-    w = evaluation.ensemble_weights(pool_of(1), np.zeros(4))
-    assert w.shape == (1,)
-    assert abs(w[0] - 1.0) < 1e-15
+    W, _ = evaluation.ensemble_weight_matrix(pool_of(1), np.zeros((1, 4)))
+    assert W.shape == (1, 1)
+    assert abs(W[0, 0] - 1.0) < 1e-15
 
 
 def test_zero_scores_fall_back_to_uniform():
@@ -45,8 +46,8 @@ def test_weights_proportional_to_scores():
     pool = pool_of(2)
     x = np.random.default_rng(3).standard_normal(4)
     s = np.array([float(nn.aux_scores(m, x[None])[0]) for m in pool])
-    w = evaluation.ensemble_weights(pool, x)
-    assert np.allclose(w, s / s.sum(), atol=1e-12)
+    W, _ = evaluation.ensemble_weight_matrix(pool, x[None])
+    assert np.allclose(W[0], s / s.sum(), atol=1e-12)
 
 
 # ------------------------------------------------------------- predict
@@ -56,19 +57,18 @@ def test_predict_single_model_equals_softmax():
     pool = pool_of(1, seed0=5)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        x = rng.standard_normal(4)
-        p = evaluation.ensemble_predict(pool, x)
-        q = nn.softmax(nn.class_logits(pool[0], x)[0])
-        assert np.max(np.abs(p - q)) < 1e-12
+        X = rng.standard_normal((3, 4))
+        P, _ = evaluation.ensemble_probs_matrix(pool, X)
+        Q = nn.softmax(nn.class_logits(pool[0], X))
+        assert np.max(np.abs(P - Q)) < 1e-12
 
 
 def test_predict_distribution_sums_to_one():
     pool = pool_of(4)
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        p = evaluation.ensemble_predict(pool, rng.standard_normal(4))
-        assert abs(p.sum() - 1.0) < 1e-9
-        assert np.all(p >= 0)
+    P, _ = evaluation.ensemble_probs_matrix(pool, rng.standard_normal((50, 4)))
+    assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-9
+    assert np.all(P >= 0)
 
 
 def test_predict_matches_naive_oracle():
@@ -87,15 +87,17 @@ def test_predict_matches_naive_oracle():
 
 def test_predict_pool_order_permutation_invariant():
     pool = pool_of(3, seed0=20)
-    x = np.random.default_rng(5).standard_normal(4)
-    a = evaluation.ensemble_predict(pool, x)
-    b = evaluation.ensemble_predict(pool[::-1], x)
+    X = np.random.default_rng(5).standard_normal((10, 4))
+    a, _ = evaluation.ensemble_probs_matrix(pool, X)
+    b, _ = evaluation.ensemble_probs_matrix(pool[::-1], X)
     assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_empty_pool_raises():
-    with pytest.raises(ValueError):
-        evaluation.ensemble_predict([], np.zeros(4))
+    with pytest.raises(ValueError, match="empty pool"):
+        evaluation.ensemble_weight_matrix([], np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="empty pool"):
+        evaluation.ensemble_probs_matrix([], np.zeros((1, 4)))
 
 
 def test_accuracy_and_ce():

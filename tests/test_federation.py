@@ -7,9 +7,8 @@ from pfdl import federation, nn
 from pfdl.client import ClientState, LocalUpdate
 from pfdl.data import DataConfig
 from pfdl.errors import ConfigError, InvariantError
-from pfdl.federation import (ExperimentConfig, FederationConfig,
-                             GlobalModelSlot, aggregate, run_experiment,
-                             run_task, sample_clients)
+from pfdl.federation import (ExperimentConfig, FederationConfig, aggregate,
+                             run_experiment, run_task, sample_clients)
 from pfdl.persist import EventLog
 from pfdl.seeding import rng_for
 from pfdl.serialize import load_client_state
@@ -59,7 +58,7 @@ def constant_update(client_id, value, n):
     arch = nn.ArchSpec(input_dim=1, hidden_dims=(1,), num_classes=1)
     m = nn.init_model(arch, 0)
     m.params[:] = value
-    return LocalUpdate(client_id=client_id, task_id=0, parameters=m, num_samples=n)
+    return LocalUpdate(client_id=client_id, parameters=m, num_samples=n)
 
 
 def test_aggregate_weighted_mean_hand_case():
@@ -75,7 +74,7 @@ def test_aggregate_idempotent_on_identical_payloads():
 
 
 def test_aggregate_single_update_is_identity():
-    u = LocalUpdate(0, 0, nn.init_model(ARCH, 12), num_samples=17)
+    u = LocalUpdate(0, nn.init_model(ARCH, 12), num_samples=17)
     out = aggregate([u])
     assert np.array_equal(out.params, u.parameters.params)
 
@@ -96,7 +95,7 @@ def test_aggregate_matches_naive_oracle():
         for k in range(int(rng.integers(2, 6))):
             m = nn.init_model(ARCH, [trial, k])
             m.params += rng.standard_normal(m.params.shape)
-            updates.append(LocalUpdate(k, 0, m, num_samples=int(rng.integers(1, 50))))
+            updates.append(LocalUpdate(k, m, num_samples=int(rng.integers(1, 50))))
         got = nn.flatten_params(aggregate(updates))
         want = naive_weighted_mean(updates)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -107,7 +106,7 @@ def test_aggregate_order_invariant():
     updates = []
     for k in range(4):
         m = nn.init_model(ARCH, k)
-        updates.append(LocalUpdate(k, 0, m, num_samples=int(rng.integers(1, 30))))
+        updates.append(LocalUpdate(k, m, num_samples=int(rng.integers(1, 30))))
     a = nn.flatten_params(aggregate(updates))
     b = nn.flatten_params(aggregate(list(reversed(updates))))
     assert np.array_equal(a, b)
@@ -123,8 +122,8 @@ def test_aggregate_affine_equivariance():
         ms.params *= scale
         ms.params += shift
         n = int(rng.integers(1, 40))
-        updates.append(LocalUpdate(k, 0, m, num_samples=n))
-        shifted.append(LocalUpdate(k, 0, ms, num_samples=n))
+        updates.append(LocalUpdate(k, m, num_samples=n))
+        shifted.append(LocalUpdate(k, ms, num_samples=n))
     base = nn.flatten_params(aggregate(updates))
     got = nn.flatten_params(aggregate(shifted))
     assert np.max(np.abs(got - (scale * base + shift))) < 1e-12
@@ -135,8 +134,8 @@ def test_aggregate_rejects_empty_and_mismatched():
         aggregate([])
     other = nn.ArchSpec(input_dim=4, hidden_dims=(5,), num_classes=3)
     with pytest.raises(InvariantError):
-        aggregate([LocalUpdate(0, 0, nn.init_model(ARCH, 0), 3),
-                   LocalUpdate(1, 0, nn.init_model(other, 0), 3)])
+        aggregate([LocalUpdate(0, nn.init_model(ARCH, 0), 3),
+                   LocalUpdate(1, nn.init_model(other, 0), 3)])
 
 
 def test_aggregate_conserves_sample_weight():
@@ -168,10 +167,9 @@ def test_run_task_single_client_equals_its_update():
     X = tasks[0].train_x[partitions[0][0].indices]
     y = tasks[0].train_y[partitions[0][0].indices]
     federation._begin_task(cfg, state, X, 0)
-    slot = GlobalModelSlot(task_id=0)
-    run_task(cfg, [state], [(X, y)], 0, slot, EventLog())
+    global_model = run_task(cfg, [state], [(X, y)], 0, EventLog())
     # with one client the aggregate is that client's trained parameters
-    assert np.array_equal(slot.parameters.params, state.pool[0].params)
+    assert np.array_equal(global_model.params, state.pool[0].params)
 
 
 def test_all_inactive_round_warns_and_carries_on():
@@ -179,11 +177,9 @@ def test_all_inactive_round_warns_and_carries_on():
     state = ClientState(client_id=0)
     federation._begin_task(cfg, state, np.zeros((0, 6)), 0)
     assert state.active is False
-    slot = GlobalModelSlot(task_id=0)
     events = EventLog()
-    run_task(cfg, [state], [(np.zeros((0, 6)), np.zeros(0, dtype=int))],
-             0, slot, events)
-    assert slot.parameters is None
+    assert run_task(cfg, [state], [(np.zeros((0, 6)), np.zeros(0, dtype=int))],
+                    0, events) is None
     warnings = events.of_type("warning")
     assert len(warnings) == 3
     assert all(w["reason"] == "no_active_clients_sampled" for w in warnings)
@@ -201,11 +197,10 @@ def test_final_global_broadcast_to_all_bound_models():
         rows = partitions[0][k].indices
         shard_data.append((tasks[0].train_x[rows], tasks[0].train_y[rows]))
         federation._begin_task(cfg, states[k], shard_data[k][0], 0)
-    slot = GlobalModelSlot(task_id=0)
-    run_task(cfg, states, shard_data, 0, slot, EventLog())
+    global_model = run_task(cfg, states, shard_data, 0, EventLog())
     for st in states:
         if st.active:
-            assert np.array_equal(st.pool[0].params, slot.parameters.params)
+            assert np.array_equal(st.pool[0].params, global_model.params)
 
 
 # ------------------------------------------------------------- modes

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pfdl import data, matching, nn
+from pfdl import client, data, matching, nn
 
 
 def make_model(seed=0, dim=6):
@@ -35,8 +35,7 @@ def test_intensity_single_sample_equals_aux_score():
     m = make_model(3)
     x = rng.standard_normal(6)
     rho = matching.matching_intensity([m], x[None, :])
-    _, score, _ = nn.forward(m, x)
-    assert abs(rho[0] - score) < 1e-12
+    assert abs(rho[0] - nn.aux_scores(m, x[None, :])[0]) < 1e-12
 
 
 def test_intensity_empty_pool():
@@ -153,12 +152,22 @@ def test_negative_spec_validation():
 # ------------------------------------------------------------- aux training
 
 
+def train_round(model, X, y, epochs, seed):
+    """One local round of the joint step on a single-model pool; its aux
+    stream trains the aux head on X against synthesized negatives."""
+    st = client.ClientState(client_id=0, pool=[model], task_bindings={0: 0})
+    client.local_train_round(st, None, X, y, task_id=0, epochs=epochs, lr=0.05,
+                             weight_decay=0.0, batch_size=16,
+                             neg_spec=matching.NegativeSynthesisSpec(),
+                             round_entropy=(seed,))
+
+
 def test_train_auxiliary_zero_epochs_unchanged():
     m = make_model(4)
     before = nn.flatten_params(m).copy()
-    X = np.random.default_rng(0).standard_normal((20, 6))
-    matching.train_auxiliary(m, X, matching.NegativeSynthesisSpec(), epochs=0,
-                             lr=0.01, batch_size=8, rng=np.random.default_rng(1))
+    rng = np.random.default_rng(0)
+    train_round(m, rng.standard_normal((20, 6)), rng.integers(0, 3, size=20),
+                epochs=0, seed=1)
     assert np.array_equal(before, nn.flatten_params(m))
 
 
@@ -170,21 +179,7 @@ def test_train_auxiliary_separates_tasks():
     far = data.apply_domain(base, rot, task_id=1)
     arch = nn.ArchSpec(input_dim=6, hidden_dims=(16, 8), num_classes=3)
     m = nn.init_model(arch, 0)
-    matching.train_auxiliary(m, base.train_x, matching.NegativeSynthesisSpec(),
-                             epochs=40, lr=0.05, batch_size=16,
-                             rng=np.random.default_rng(2))
+    train_round(m, base.train_x, base.train_y, epochs=40, seed=2)
     pos = nn.aux_scores(m, base.test_x).mean()
     neg = nn.aux_scores(m, far.test_x).mean()
     assert pos - neg >= 0.2
-
-
-def test_train_auxiliary_leaves_cls_head_alone():
-    m = make_model(6)
-    cls_before = m.cls_head.weights.copy()
-    X = np.random.default_rng(3).standard_normal((30, 6))
-    matching.train_auxiliary(m, X, matching.NegativeSynthesisSpec(), epochs=3,
-                             lr=0.05, batch_size=10, rng=np.random.default_rng(4))
-    # BCE has no dependence on the classification head...
-    assert np.array_equal(cls_before, m.cls_head.weights)
-    # ...but the shared trunk does move
-    assert not np.array_equal(nn.flatten_params(m), nn.flatten_params(make_model(6)))

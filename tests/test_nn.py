@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pfdl import nn
+from test_client import _reference_pass
 
 
 def small_arch():
@@ -44,7 +45,7 @@ def test_param_count_example():
     # input 2, hidden (4,), C=3: 2*4+4 + 4*3+3 + 4*1+1 = 32
     arch = nn.ArchSpec(input_dim=2, hidden_dims=(4,), num_classes=3)
     assert arch.param_count() == 32
-    assert nn.param_count(nn.init_model(arch, 0)) == 32
+    assert nn.init_model(arch, 0).params.size == 32
 
 
 def test_flat_layout_is_layer_order():
@@ -95,7 +96,8 @@ def test_forward_matches_naive_oracle():
     model = nn.init_model(small_arch(), 5)
     for _ in range(20):
         x = rng.standard_normal(4)
-        logits, score, _ = nn.forward(model, x)
+        logits = nn.class_logits(model, x[None, :])[0]
+        score = nn.aux_scores(model, x[None, :])[0]
         ol, os = naive_forward(model, x)
         assert np.allclose(logits, ol, atol=1e-12)
         assert abs(score - os) < 1e-12
@@ -105,15 +107,16 @@ def test_forward_zero_input_zero_weights():
     arch = small_arch()
     m = nn.init_model(arch, 0)
     m.params[:] = 0.0
-    logits, score, _ = nn.forward(m, np.zeros(4))
-    assert np.all(logits == 0.0)
-    assert score == 0.5
+    assert np.all(nn.class_logits(m, np.zeros((1, 4))) == 0.0)
+    assert nn.aux_scores(m, np.zeros((1, 4)))[0] == 0.5
 
 
 def test_forward_dimension_mismatch():
     m = nn.init_model(small_arch(), 0)
     with pytest.raises(ValueError):
-        nn.forward(m, np.zeros(5))
+        nn.class_logits(m, np.zeros((1, 5)))
+    with pytest.raises(ValueError):
+        nn.aux_scores(m, np.zeros((1, 5)))
 
 
 def test_aux_score_in_unit_interval():
@@ -135,12 +138,17 @@ def test_softmax_rows_sum_to_one():
 # ---------------------------------------------------------------- losses
 
 
+def ce(logits, label):
+    """The training pass's mean CE on one row of logits."""
+    return nn._cross_entropy(np.asarray(logits, dtype=float)[None, :], np.array([label]))[0]
+
+
 def test_ce_uniform_logits_is_log_c():
-    assert abs(nn.softmax_cross_entropy(np.zeros(10), 3) - np.log(10.0)) < 1e-12
+    assert abs(ce(np.zeros(10), 3) - np.log(10.0)) < 1e-12
 
 
 def test_ce_saturated_correct_class():
-    loss = nn.softmax_cross_entropy(np.array([30.0, -30.0]), 0)
+    loss = ce(np.array([30.0, -30.0]), 0)
     assert loss < 1e-12
 
 
@@ -151,20 +159,25 @@ def test_ce_matches_extended_precision_oracle():
     for _ in range(20):
         logits = rng.standard_normal(5) * rng.uniform(0.5, 30)
         label = int(rng.integers(0, 5))
-        got = nn.softmax_cross_entropy(logits, label)
+        got = ce(logits, label)
         denom = mp.fsum([mp.e ** mp.mpf(float(v)) for v in logits])
         want = float(-mp.log(mp.e ** mp.mpf(float(logits[label])) / denom))
         assert abs(got - want) < 1e-10
 
 
 def test_bce_cases():
-    assert abs(nn.binary_cross_entropy(0.5, 1) - np.log(2.0)) < 1e-12
+    def bce(score, label):
+        return nn._mean_bce(np.array([score]), np.array([float(label)]))
+
+    assert abs(bce(0.5, 1) - np.log(2.0)) < 1e-12
     # fully confident and correct: loss about 1e-12, certainly tiny
-    assert nn.binary_cross_entropy(1.0 - 1e-12, 1) < 1e-9
-    # clamped wrong-side score stays finite
-    assert np.isfinite(nn.binary_cross_entropy(0.0, 1))
-    with pytest.raises(ValueError):
-        nn.binary_cross_entropy(0.5, 0.3)
+    assert bce(1.0 - 1e-12, 1) < 1e-9
+    # clamped wrong-side scores stay finite
+    assert np.isfinite(bce(0.0, 1))
+    assert np.isfinite(bce(1.0, 0))
+    # the batch loss is the mean over rows
+    pair = nn._mean_bce(np.array([0.5, 0.25]), np.array([1.0, 0.0]))
+    assert abs(pair - (bce(0.5, 1) + bce(0.25, 0)) / 2) < 1e-15
 
 
 # ---------------------------------------------------------------- gradients
@@ -189,50 +202,77 @@ def max_rel_err(analytic, fd, guard=1e-3):
     return float(np.max(np.abs(analytic - fd) / denom))
 
 
-@pytest.mark.parametrize("spec", [nn.LOSS_CLS, nn.LOSS_AUX, nn.LOSS_JOINT])
-def test_backward_matches_central_differences(spec):
+def aux_head_slice(arch):
+    """The aux head's weights and bias: the last entries of the flat vector."""
+    return slice(arch.param_count() - arch.hidden_dims[-1] - 1, None)
+
+
+@pytest.mark.parametrize("term", ["cls", "aux", "joint"])
+def test_backward_matches_central_differences(term):
+    # cls: the CE term alone, over the cls head it owns; aux: the BCE term
+    # alone, over the aux head; joint: the whole loss over every parameter
     rng = np.random.default_rng(17)
     model = nn.init_model(small_arch(), 23)
     X, y, ya = random_batch(rng, model, 6)
-    grads = nn.backward(model, X, y_cls=y, y_aux=ya, loss_spec=spec)
-    fd = finite_diff_grads(
-        model, lambda: nn.batch_loss(model, X, y_cls=y, y_aux=ya, loss_spec=spec), h=1e-6
-    )
-    assert max_rel_err(grads, fd) < 1e-4
+    y = y[:4]  # the CE labels the leading rows only
+    grads = nn.backward(model, X, y_cls=y, y_aux=ya)
+    loss = {
+        "cls": lambda: nn._cross_entropy(nn.class_logits(model, X[:4]), y)[0],
+        "aux": lambda: nn._mean_bce(nn.aux_scores(model, X), ya),
+        "joint": lambda: nn.batch_loss(model, X, y_cls=y, y_aux=ya),
+    }[term]
+    owned = {"cls": slice(*model.arch.cls_head_span()),
+             "aux": aux_head_slice(model.arch), "joint": slice(None)}[term]
+    fd = finite_diff_grads(model, loss, h=1e-6)
+    assert max_rel_err(grads[owned], fd[owned]) < 1e-4
 
 
 def test_cls_loss_gives_zero_aux_gradients():
+    # the CE term has no path to the aux head: relabelling the classes
+    # leaves the aux head's gradient bitwise unchanged
     rng = np.random.default_rng(2)
     model = nn.init_model(small_arch(), 1)
-    X, y, _ = random_batch(rng, model, 5)
-    g = nn.PersonalModel(model.arch, nn.backward(model, X, y_cls=y, loss_spec=nn.LOSS_CLS))
-    assert np.all(g.aux_head.weights == 0.0)
-    assert np.all(g.aux_head.bias == 0.0)
+    X, y, ya = random_batch(rng, model, 5)
+    aux = aux_head_slice(model.arch)
+    g1 = nn.backward(model, X, y_cls=y, y_aux=ya)
+    g2 = nn.backward(model, X, y_cls=(y + 1) % 3, y_aux=ya)
+    assert np.array_equal(g1[aux], g2[aux])
+    assert not np.array_equal(g1, g2)
 
 
 def test_aux_loss_gives_zero_cls_gradients():
+    # the BCE term has no path to the cls head: flipping the aux labels
+    # leaves the cls head's gradient bitwise unchanged
     rng = np.random.default_rng(2)
     model = nn.init_model(small_arch(), 1)
-    X, _, ya = random_batch(rng, model, 5)
-    g = nn.PersonalModel(model.arch, nn.backward(model, X, y_aux=ya, loss_spec=nn.LOSS_AUX))
-    assert np.all(g.cls_head.weights == 0.0)
-    assert np.all(g.cls_head.bias == 0.0)
+    X, y, ya = random_batch(rng, model, 5)
+    cls = slice(*model.arch.cls_head_span())
+    g1 = nn.backward(model, X, y_cls=y, y_aux=ya)
+    g2 = nn.backward(model, X, y_cls=y, y_aux=1.0 - ya)
+    assert np.array_equal(g1[cls], g2[cls])
+    assert not np.array_equal(g1, g2)
 
 
 def test_joint_equals_cls_plus_aux_entrywise():
+    # the fused pass against the two-pass oracle: a class pass over the
+    # labelled rows plus an aux pass over every row
     rng = np.random.default_rng(5)
     model = nn.init_model(small_arch(), 3)
     X, y, ya = random_batch(rng, model, 8)
-    gj = nn.backward(model, X, y_cls=y, y_aux=ya, loss_spec=nn.LOSS_JOINT)
-    gc = nn.backward(model, X, y_cls=y, loss_spec=nn.LOSS_CLS)
-    ga = nn.backward(model, X, y_aux=ya, loss_spec=nn.LOSS_AUX)
-    assert np.allclose(gj, gc + ga, atol=1e-15)
+    gj, loss = nn._grads_and_loss(model, X, y_cls=y[:5], y_aux=ya)
+    gc, lc = _reference_pass(model, X[:5], y_cls=y[:5])
+    ga, la = _reference_pass(model, X, y_aux=ya)
+    want = np.concatenate([(c + a).ravel() for layer_c, layer_a in zip(gc, ga)
+                           for c, a in zip(layer_c, layer_a)])
+    assert np.allclose(gj, want, atol=1e-15)
+    assert abs(loss - (lc + la)) < 1e-14
 
 
 def test_backward_empty_batch_raises():
     model = nn.init_model(small_arch(), 0)
     with pytest.raises(ValueError):
-        nn.backward(model, np.zeros((0, 4)), y_cls=np.zeros(0, dtype=int), loss_spec=nn.LOSS_CLS)
+        nn.backward(model, np.zeros((0, 4)), y_cls=np.zeros(0, dtype=int),
+                    y_aux=np.zeros(0))
 
 
 def test_backward_deterministic():
@@ -292,19 +332,21 @@ def test_sgd_validates_hyperparameters():
 def test_trunk_update_visible_through_both_heads():
     rng = np.random.default_rng(6)
     model = nn.init_model(small_arch(), 9)
-    x = rng.standard_normal(4)
-    _, score_before, _ = nn.forward(model, x)
+    x = rng.standard_normal((1, 4))
+    score_before = nn.aux_scores(model, x)[0]
     logits_before = nn.class_logits(model, x)
 
-    # train only the classification loss; the aux head params stay put but
-    # its output must move because the trunk is physically shared
-    X, y, _ = random_batch(rng, model, 16)
+    # step on everything but the aux head; its params stay put but its
+    # output must move because the trunk is physically shared
+    X, y, ya = random_batch(rng, model, 16)
+    aux = aux_head_slice(model.arch)
     aux_before = model.aux_head.weights.copy()
     for _ in range(20):
-        g = nn.backward(model, X, y_cls=y, loss_spec=nn.LOSS_CLS)
+        g = nn.backward(model, X, y_cls=y, y_aux=ya)
+        g[aux] = 0.0
         nn.sgd_step(model.params, g, lr=0.5)
     assert np.array_equal(aux_before, model.aux_head.weights)
-    _, score_after, _ = nn.forward(model, x)
+    score_after = nn.aux_scores(model, x)[0]
     logits_after = nn.class_logits(model, x)
     assert not np.allclose(logits_before, logits_after)
     assert score_after != score_before

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -15,60 +17,78 @@ def random_model(seed, arch=None):
 # ------------------------------------------------------------- models
 
 
-def test_model_roundtrip_bitwise(tmp_path):
+def test_model_roundtrip_bitwise():
     for seed in range(5):
         m = random_model(seed)
-        path = tmp_path / f"m{seed}.pfdl"
-        serialize.save_model(path, m)
-        back = serialize.load_model(path)
+        buf = io.BytesIO()
+        serialize.write_model(buf, m)
+        buf.seek(0)
+        back = serialize.read_model(buf)
         assert back.arch == m.arch
         assert back.params.dtype == np.float64
         assert np.array_equal(back.params, m.params)
+        assert buf.read() == b""
 
 
 def test_model_bytes_start_with_magic_and_version():
-    raw = serialize.model_bytes(random_model(0))
-    assert raw[:4] == b"PFDL"
-    assert int.from_bytes(raw[4:8], "little") == 1
+    buf = io.BytesIO()
+    serialize.write_model(buf, random_model(0))
+    assert buf.getvalue()[:4] == b"PFDL"
+    assert int.from_bytes(buf.getvalue()[4:8], "little") == 1
 
 
 def test_model_bytes_deterministic():
-    assert serialize.model_bytes(random_model(3)) == serialize.model_bytes(random_model(3))
+    a, b = io.BytesIO(), io.BytesIO()
+    serialize.write_model(a, random_model(3))
+    serialize.write_model(b, random_model(3))
+    assert a.getvalue() == b.getvalue()
 
 
 def test_model_file_size_matches_layout():
     arch = nn.ArchSpec(input_dim=5, hidden_dims=(7, 4), num_classes=3)
-    raw = serialize.model_bytes(random_model(1, arch))
+    buf = io.BytesIO()
+    serialize.write_model(buf, random_model(1, arch))
     header = 4 + 4 + 12 + 4 * len(arch.hidden_dims)
-    assert len(raw) == header + 8 * arch.param_count()
+    assert len(buf.getvalue()) == header + 8 * arch.param_count()
 
 
-def test_bad_magic_rejected(tmp_path):
-    path = tmp_path / "m.pfdl"
-    serialize.save_model(path, random_model(0))
-    raw = bytearray(path.read_bytes())
-    raw[:4] = b"NOPE"
-    path.write_bytes(bytes(raw))
+def corrupted(edit) -> io.BytesIO:
+    """A written model's bytes after edit(bytearray), ready to read."""
+    buf = io.BytesIO()
+    serialize.write_model(buf, random_model(0))
+    raw = bytearray(buf.getvalue())
+    edit(raw)
+    return io.BytesIO(bytes(raw))
+
+
+def test_bad_magic_rejected():
+    def edit(raw):
+        raw[:4] = b"NOPE"
     with pytest.raises(DataError, match="magic"):
-        serialize.load_model(path)
+        serialize.read_model(corrupted(edit))
 
 
-def test_bad_version_rejected(tmp_path):
-    path = tmp_path / "m.pfdl"
-    serialize.save_model(path, random_model(0))
-    raw = bytearray(path.read_bytes())
-    raw[4:8] = (99).to_bytes(4, "little")
-    path.write_bytes(bytes(raw))
+def test_bad_version_rejected():
+    def edit(raw):
+        raw[4:8] = (99).to_bytes(4, "little")
     with pytest.raises(DataError, match="version"):
-        serialize.load_model(path)
+        serialize.read_model(corrupted(edit))
 
 
-def test_truncated_file_rejected(tmp_path):
-    path = tmp_path / "m.pfdl"
-    serialize.save_model(path, random_model(0))
-    path.write_bytes(path.read_bytes()[:-9])
+def test_truncated_file_rejected():
+    def edit(raw):
+        del raw[-9:]
     with pytest.raises(DataError, match="truncated"):
-        serialize.load_model(path)
+        serialize.read_model(corrupted(edit))
+
+
+@pytest.mark.parametrize("field", [0, 1, 2])
+def test_invalid_arch_header_rejected(field):
+    # input_dim, num_classes or depth of zero describes no architecture
+    def edit(raw):
+        raw[8 + 4 * field:12 + 4 * field] = bytes(4)
+    with pytest.raises(DataError, match="bad model header"):
+        serialize.read_model(corrupted(edit))
 
 
 # ------------------------------------------------------------- datasets
@@ -96,8 +116,8 @@ def test_dataset_magic(tmp_path):
     path = tmp_path / "t.bin"
     serialize.save_dataset(path, base)
     assert path.read_bytes()[:4] == b"PFDD"
-    with pytest.raises(DataError):
-        serialize.load_model(path)  # wrong reader for this magic
+    with open(path, "rb") as fh, pytest.raises(DataError):
+        serialize.read_model(fh)  # wrong reader for this magic
 
 
 # ------------------------------------------------------------- states
@@ -126,3 +146,4 @@ def test_client_state_without_sidecar(tmp_path):
     sidecar.unlink()
     back = serialize.load_client_state(path)
     assert back.rho_history == []
+
