@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import default_config, load_config, parse_config
 from .errors import ConfigError, DataError, PfdlError
-from .evaluation import build_metrics
+from .evaluation import OutputMemo, build_metrics
 from .federation import (MODES, ExperimentConfig,
                          _evaluate_after_task, _global_objective,
                          build_datasets, partitions_and_streams,
@@ -178,6 +178,7 @@ def evaluate_run_dir(run_dir):
     acc_grid = np.full((K, n_tasks, n_tasks), np.nan)
     w_grid = np.zeros((K, n_tasks, n_tasks))
     events = EventLog()
+    memo = OutputMemo()
     states = None
     for tpos in range(n_tasks):
         ckpt = run_dir / "checkpoints" / f"task_{tpos:02d}"
@@ -191,7 +192,7 @@ def evaluate_run_dir(run_dir):
                 raise DataError(f"{path}: a pool model's architecture differs "
                                 f"from the config's {arch}")
         _evaluate_after_task(cfg, states, tasks, streams, tpos,
-                             acc_grid, w_grid, events)
+                             acc_grid, w_grid, events, memo)
 
     objective = _global_objective(cfg, states, tasks, streams, partitions)
     metrics = build_metrics(acc_grid, w_grid, global_objective=objective)

@@ -122,24 +122,28 @@ def local_train_round(state: ClientState, global_params: nn.PersonalModel | None
 
     loss_sum = 0.0
     steps = 0
-    for epoch in range(epochs):
-        rng = rng_for(*round_entropy, epoch)
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            rows = order[start:start + batch_size]
-            Xb = X[rows]
-            Xn = synthesize_negatives(Xb, feat_std, neg_spec, rng)
-            ya = np.zeros(2 * len(rows))
-            ya[:len(rows)] = 1.0
-            grads, step_loss = nn._grads_and_loss(
-                model, np.concatenate([Xb, Xn]), y_cls=y[rows], y_aux=ya)
-            if len(anchors):
-                diff = w - anchors
-                add_migration_grads(grads, diff, rho)
-                step_loss += migration_loss(diff, rho)
-            nn.sgd_step(w, grads, lr=lr, weight_decay=weight_decay)
-            loss_sum += step_loss
-            steps += 1
+    # a diverging round overflows to inf/nan here; run_task's non-finite
+    # guard reports it, so NumPy's warnings would only bury that report.
+    # errstate is per thread, and this runs in the round's worker.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            rng = rng_for(*round_entropy, epoch)
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):
+                rows = order[start:start + batch_size]
+                Xb = X[rows]
+                Xn = synthesize_negatives(Xb, feat_std, neg_spec, rng)
+                ya = np.zeros(2 * len(rows))
+                ya[:len(rows)] = 1.0
+                grads, step_loss = nn._grads_and_loss(
+                    model, np.concatenate([Xb, Xn]), y_cls=y[rows], y_aux=ya)
+                if len(anchors):
+                    diff = w - anchors
+                    add_migration_grads(grads, diff, rho)
+                    step_loss += migration_loss(diff, rho)
+                nn.sgd_step(w, grads, lr=lr, weight_decay=weight_decay)
+                loss_sum += step_loss
+                steps += 1
 
     mean_loss = loss_sum / steps if steps else 0.0
     return LocalUpdate(client_id=state.client_id, parameters=nn.clone_model(model),

@@ -9,6 +9,7 @@ accuracy on task m measured after training task n.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,26 +21,71 @@ ZERO_DENOM = 1e-12
 PROB_FLOOR = 1e-12
 
 
-def ensemble_weight_matrix(pool, X):
-    """Per-sample normalized aux scores, shape (n, d); also the number of
-    rows that fell back to uniform weighting."""
-    if not pool:
-        raise ValueError("empty pool")
-    X = np.asarray(X, dtype=np.float64)
-    scores = np.stack([nn.aux_scores(m, X) for m in pool], axis=1)
+def model_outputs(model: nn.PersonalModel, X) -> tuple[np.ndarray, np.ndarray]:
+    """A model's aux scores, shape (n,), and softmax probabilities, shape
+    (n, C), on the rows of X."""
+    logits, scores = nn.heads(model, X)
+    return scores, nn.softmax(logits)
+
+
+def model_digest(model: nn.PersonalModel) -> bytes:
+    """sha256 of the model's parameter bytes: equal for bit-identical
+    models, new whenever a parameter changes in place."""
+    return hashlib.sha256(model.params).digest()
+
+
+class OutputMemo(dict):
+    """Model outputs on the run's test sets, computed once per run.
+
+    Maps (model digest, dataset index) to the model's `model_outputs` on
+    that dataset's test rows. The key is the parameters' content, never
+    the model object: models are overwritten in place during a run, and
+    every active client ends a task holding a bit-identical copy of the
+    task's global model, so identical copies share one entry.
+    """
+
+    def outputs(self, model: nn.PersonalModel, X, key) -> tuple[np.ndarray, np.ndarray]:
+        """model_outputs(model, X), read through the memo; key is
+        (model_digest(model), index of the dataset X comes from)."""
+        out = self.get(key)
+        if out is None:
+            out = self[key] = model_outputs(model, X)
+        return out
+
+    def retain(self, digests) -> None:
+        """Drop every entry whose model digest is not in digests."""
+        for key in [key for key in self if key[0] not in digests]:
+            del self[key]
+
+
+def ensemble_weights(scores: np.ndarray):
+    """Per-sample normalized aux scores from an (n, d) score matrix, one
+    column per pool model; also the number of rows that fell back to
+    uniform weighting."""
     denom = scores.sum(axis=1)
     fallback = denom < ZERO_DENOM
     weights = np.empty_like(scores)
     ok = ~fallback
     weights[ok] = scores[ok] / denom[ok, None]
-    weights[fallback] = 1.0 / len(pool)
+    weights[fallback] = 1.0 / scores.shape[1]
     return weights, int(fallback.sum())
 
 
-def ensemble_probs_matrix(pool, X):
-    """Mixture predictive distribution for every row of X, shape (n, C)."""
-    weights, fallbacks = ensemble_weight_matrix(pool, X)
-    probs = np.stack([nn.softmax(nn.class_logits(m, X)) for m in pool], axis=1)
+def ensemble_probs_matrix(pool, X, memo: OutputMemo | None = None, keys=()):
+    """Mixture predictive distribution for every row of X, shape (n, C),
+    and the number of rows that fell back to uniform weighting.
+
+    With a memo, keys[i] is pool[i]'s memo key on X and the models'
+    outputs are read through the memo.
+    """
+    if not pool:
+        raise ValueError("empty pool")
+    if memo is None:
+        outputs = [model_outputs(m, X) for m in pool]
+    else:
+        outputs = [memo.outputs(m, X, key) for m, key in zip(pool, keys, strict=True)]
+    weights, fallbacks = ensemble_weights(np.stack([s for s, _ in outputs], axis=1))
+    probs = np.stack([p for _, p in outputs], axis=1)
     return np.einsum("nd,ndc->nc", weights, probs), fallbacks
 
 

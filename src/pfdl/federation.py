@@ -22,8 +22,9 @@ from .data import (DataConfig, HeterogeneityConfig, apply_domain,
                    build_task_stream, dirichlet_partition, domain_to_dict,
                    make_base_dataset, make_rotation_domains)
 from .errors import ConfigError, InvariantError
-from .evaluation import (MetricsMatrix, accuracy_and_ce, build_metrics,
-                         ensemble_probs_matrix)
+from .evaluation import (MetricsMatrix, OutputMemo, accuracy_and_ce,
+                         build_metrics, ensemble_probs_matrix, model_digest,
+                         model_outputs)
 from .matching import NegativeSynthesisSpec
 from .persist import (EventLog, canonical_json, sha256_hex, write_manifest,
                       write_metrics_files)
@@ -269,34 +270,43 @@ def _param_norm(model: nn.PersonalModel) -> float:
 
 
 def _client_task_probs(mode: Mode, state: client.ClientState, X: np.ndarray,
-                       task_m: int):
+                       task_m: int, memo: OutputMemo | None = None, keys=()):
     """The mode's inference rule: (probs, uniform-fallback count), or
-    (None, 0) when the client cannot score this task at all."""
+    (None, 0) when the client cannot score this task at all. With a memo,
+    keys[i] is state.pool[i]'s memo key on X."""
     if not state.pool:
         return None, 0
     if mode.bind == BIND_MATCH:
-        return ensemble_probs_matrix(state.pool, X)
+        return ensemble_probs_matrix(state.pool, X, memo, keys)
     if mode.bind == BIND_ONE:
-        model = state.pool[0]
+        idx = 0
     else:
         idx = state.task_bindings.get(task_m)
         if idx is None:
             return None, 0
-        model = state.pool[idx]
-    return nn.softmax(nn.class_logits(model, X)), 0
+    if memo is None:
+        return model_outputs(state.pool[idx], X)[1], 0
+    return memo.outputs(state.pool[idx], X, keys[idx])[1], 0
 
 
 def _evaluate_after_task(cfg: ExperimentConfig, states, tasks, streams,
-                         n: int, acc_grid, w_grid, events: EventLog) -> None:
-    """Fill row n of every client's accuracy grid (tasks 0..n)."""
+                         n: int, acc_grid, w_grid, events: EventLog,
+                         memo: OutputMemo) -> None:
+    """Fill row n of every client's accuracy grid (tasks 0..n), reading
+    model outputs through the run's memo; entries of models that no pool
+    holds any more are dropped first."""
     fed = cfg.federation
     mode = MODE_TABLE[fed.mode]
+    digests = [[model_digest(model) for model in st.pool] for st in states]
+    memo.retain({g for pool in digests for g in pool})
     fallbacks = 0
-    for st in states:
+    for st, pool_digests in zip(states, digests):
         k = st.client_id
         for m in range(n + 1):
-            ds = tasks[streams[k][m]]
-            probs, fb = _client_task_probs(mode, st, ds.test_x, m)
+            d = streams[k][m]
+            ds = tasks[d]
+            probs, fb = _client_task_probs(mode, st, ds.test_x, m, memo,
+                                           [(g, d) for g in pool_digests])
             if probs is None:
                 continue
             fallbacks += fb
@@ -450,6 +460,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1,
     acc_grid = np.full((K, n_tasks, n_tasks), np.nan)
     w_grid = np.zeros((K, n_tasks, n_tasks))
     trajectory: list | None = [] if collect_trajectory else None
+    memo = OutputMemo()
 
     with EventLog(out / "events.jsonl" if out is not None else None) as events:
         for tpos in range(n_tasks):
@@ -470,7 +481,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1,
                          threads=threads, trajectory=trajectory)
 
             _evaluate_after_task(cfg, states, tasks, streams, tpos,
-                                 acc_grid, w_grid, events)
+                                 acc_grid, w_grid, events, memo)
             if out is not None:
                 ckpt = out / "checkpoints" / f"task_{tpos:02d}"
                 for st in states:

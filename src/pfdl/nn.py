@@ -169,18 +169,20 @@ def _as_batch(model: PersonalModel, X) -> np.ndarray:
     return X
 
 
-def class_logits(model: PersonalModel, X) -> np.ndarray:
+def heads(model: PersonalModel, X) -> tuple[np.ndarray, np.ndarray]:
+    """Class logits, shape (n, C), and the auxiliary head's sigmoid
+    scores, shape (n,), from one trunk pass."""
     X = _as_batch(model, X)
     acts, _ = _trunk_forward(model, X)
-    return acts[-1] @ model.cls_head.weights.T + model.cls_head.bias
+    h = acts[-1]
+    logits = h @ model.cls_head.weights.T + model.cls_head.bias
+    v = h @ model.aux_head.weights.T + model.aux_head.bias
+    return logits, sigmoid(v.ravel())
 
 
 def aux_scores(model: PersonalModel, X) -> np.ndarray:
     """Sigmoid outputs of the auxiliary head, shape (n,)."""
-    X = _as_batch(model, X)
-    acts, _ = _trunk_forward(model, X)
-    v = acts[-1] @ model.aux_head.weights.T + model.aux_head.bias
-    return sigmoid(v.ravel())
+    return heads(model, X)[1]
 
 
 def _cross_entropy(logits: np.ndarray, y: np.ndarray):

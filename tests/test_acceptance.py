@@ -16,7 +16,7 @@ import pytest
 
 from pfdl import data, nn
 from pfdl.config import benchmark_config, parse_config
-from pfdl.evaluation import ensemble_probs_matrix, ensemble_weight_matrix
+from pfdl.evaluation import ensemble_probs_matrix, ensemble_weights
 from pfdl.client import LocalUpdate
 from pfdl.federation import aggregate, build_datasets, run_experiment
 from pfdl.gradcheck import run_migration_gradcheck, run_nn_gradcheck
@@ -124,14 +124,14 @@ def test_4_ensemble_weights_are_proper_distributions():
         for m in pool:
             m.params += rng.standard_normal(m.params.shape)
         x = rng.standard_normal(arch.input_dim)
-        W, _ = ensemble_weight_matrix(pool, x[None, :])
+        W, _ = ensemble_weights(np.stack([nn.aux_scores(m, x[None, :]) for m in pool], axis=1))
         w = W[0]
         assert np.all(w >= 0.0)
         worst_wsum = max(worst_wsum, abs(float(w.sum()) - 1.0))
         P, _ = ensemble_probs_matrix(pool, x[None, :])
         worst_psum = max(worst_psum, abs(float(P.sum()) - 1.0))
         if d == 1:
-            direct = nn.softmax(nn.class_logits(pool[0], x[None, :]))
+            direct = nn.softmax(nn.heads(pool[0], x[None, :])[0])
             worst_single = max(worst_single, float(np.max(np.abs(P - direct))))
     print(f"[4] weight-sum err {worst_wsum:.2e}, prob-sum err {worst_psum:.2e}, "
           f"single-model err {worst_single:.2e} over 1000 cases")

@@ -154,6 +154,28 @@ def test_divergent_run_exits_4_without_nan_in_events(tmp_path, capsys):
         json.loads(line, parse_constant=no_constants)
 
 
+# the small_cfg of test_federation.py: at this lr the train loss itself goes NaN
+DIVERGENT_LOSS = {
+    "clients": 3, "active_fraction": 0.5, "rounds_per_task": 4, "local_epochs": 2,
+    "batch_size": 16, "seed": 3, "lr": 1e6,
+    "data": {"num_classes": 3, "input_dim": 6, "samples_per_class": 60,
+             "rotation_degrees": [0, 120], "domain_noise_sigma": 0.1},
+    "arch": {"hidden_dims": [12, 6]},
+}
+
+
+def test_divergent_loss_exits_4_with_only_the_error_line(tmp_path):
+    cfg = tmp_path / "nan_loss.json"
+    cfg.write_text(json.dumps(DIVERGENT_LOSS))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pfdl", "run", "--config", str(cfg),
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stderr == ("error[invariant]: client 1, task 0, round 0: "
+                           "local train loss is nan\n")
+
+
 def test_eval_missing_rundir_is_data_error(tmp_path, capsys):
     code = cli.main(["eval", str(tmp_path / "ghost")])
     assert code == 3

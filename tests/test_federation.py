@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pfdl import federation, nn
+from pfdl import evaluation, federation, nn
 from pfdl.client import ClientState, LocalUpdate
 from pfdl.data import DataConfig
 from pfdl.errors import ConfigError, InvariantError
@@ -266,8 +266,7 @@ def test_sharing_param_count_is_trunk_plus_heads():
     assert res.param_count_total == expect
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergent_round_raises_and_closes_the_event_log(tmp_path, monkeypatch):
     handles = []
 
@@ -280,6 +279,66 @@ def test_divergent_round_raises_and_closes_the_event_log(tmp_path, monkeypatch):
     with pytest.raises(InvariantError, match=r"client 1, task 0, round 0: local train loss"):
         run_experiment(small_cfg(lr=1e6), out_dir=tmp_path)
     assert len(handles) == 1 and handles[0].closed
+
+
+# ------------------------------------------------------------- output memo
+
+
+def _memo_free_grid(cfg, states, tasks, streams, n):
+    mode = federation.MODE_TABLE[cfg.federation.mode]
+    grid = np.full((len(states), n + 1, n + 1), np.nan)
+    for st in states:
+        for m in range(n + 1):
+            ds = tasks[streams[st.client_id][m]]
+            probs, _ = federation._client_task_probs(mode, st, ds.test_x, m)
+            if probs is not None:
+                grid[st.client_id, n, m] = evaluation.accuracy_and_ce(probs, ds.test_y)[0]
+    return grid
+
+
+@pytest.mark.parametrize("mode", ["pfeddil", "fedavg", "disjoint"])
+def test_memo_sees_a_model_changed_in_place(mode):
+    cfg = small_cfg(mode=mode)
+    res = run_experiment(cfg)
+    _, tasks, _, streams = federation.build_datasets(cfg)
+    states, n = res.states, 1
+    # clients 0 and 1 hold bit-identical models (separate objects)
+    for a, b in zip(states[0].pool, states[1].pool):
+        nn.copy_into(b, a)
+        assert a is not b and a.params.tobytes() == b.params.tobytes()
+    memo = evaluation.OutputMemo()
+    grid = np.full((3, 2, 2), np.nan)
+    w_grid = np.zeros((3, 2, 2))
+    federation._evaluate_after_task(cfg, states, tasks, streams, n, grid,
+                                    w_grid, EventLog(), memo)
+    before = grid.copy()
+    for model in states[0].pool:
+        model.params[...] = nn.init_model(cfg.arch(), [5, 5]).params
+    federation._evaluate_after_task(cfg, states, tasks, streams, n, grid,
+                                    w_grid, EventLog(), memo)
+    want = _memo_free_grid(cfg, states, tasks, streams, n)
+    assert np.array_equal(grid[:, n], want[:, n], equal_nan=True)
+    assert not np.array_equal(grid[0, n], before[0, n])
+    assert np.array_equal(grid[1, n], before[1, n])
+
+
+def test_memo_holds_only_models_some_pool_holds(monkeypatch):
+    memos, live = [], []
+    evaluate = federation._evaluate_after_task
+
+    def recording(cfg, states, *args):
+        evaluate(cfg, states, *args)
+        memos.append(args[-1])
+        live.append({evaluation.model_digest(m) for st in states for m in st.pool})
+
+    monkeypatch.setattr(federation, "_evaluate_after_task", recording)
+    run_experiment(replace(small_cfg(rounds_per_task=2),
+                           data=replace(SMALL_DATA, rotation_degrees=(0.0, 120.0, 240.0))))
+    assert len(memos) == 3 and all(memo is memos[0] for memo in memos)
+    memo_digests = {digest for digest, _ in memos[0]}
+    assert memo_digests and memo_digests <= live[-1]
+    # the run changed models that an earlier eval had scored
+    assert set().union(*live[:-1]) - live[-1]
 
 
 def test_unknown_mode_rejected():

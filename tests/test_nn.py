@@ -96,27 +96,52 @@ def test_forward_matches_naive_oracle():
     model = nn.init_model(small_arch(), 5)
     for _ in range(20):
         x = rng.standard_normal(4)
-        logits = nn.class_logits(model, x[None, :])[0]
-        score = nn.aux_scores(model, x[None, :])[0]
+        logits, scores = nn.heads(model, x[None, :])
         ol, os = naive_forward(model, x)
-        assert np.allclose(logits, ol, atol=1e-12)
-        assert abs(score - os) < 1e-12
+        assert np.allclose(logits[0], ol, atol=1e-12)
+        assert abs(scores[0] - os) < 1e-12
 
 
 def test_forward_zero_input_zero_weights():
     arch = small_arch()
     m = nn.init_model(arch, 0)
     m.params[:] = 0.0
-    assert np.all(nn.class_logits(m, np.zeros((1, 4))) == 0.0)
-    assert nn.aux_scores(m, np.zeros((1, 4)))[0] == 0.5
+    logits, scores = nn.heads(m, np.zeros((1, 4)))
+    assert np.all(logits == 0.0)
+    assert scores[0] == 0.5
 
 
 def test_forward_dimension_mismatch():
     m = nn.init_model(small_arch(), 0)
     with pytest.raises(ValueError):
-        nn.class_logits(m, np.zeros((1, 5)))
+        nn.heads(m, np.zeros((1, 5)))
     with pytest.raises(ValueError):
         nn.aux_scores(m, np.zeros((1, 5)))
+
+
+def two_pass_heads(model, X):
+    """Class logits and aux scores, each from its own trunk pass."""
+    h_cls = nn._trunk_forward(model, X)[0][-1]
+    h_aux = nn._trunk_forward(model, X)[0][-1]
+    logits = h_cls @ model.cls_head.weights.T + model.cls_head.bias
+    v = h_aux @ model.aux_head.weights.T + model.aux_head.bias
+    return logits, nn.sigmoid(v.ravel())
+
+
+def test_heads_bitwise_equal_to_two_passes():
+    rng = np.random.default_rng(17)
+    for case in range(30):
+        hidden = rng.integers(1, 40, size=int(rng.integers(1, 4)))
+        arch = nn.ArchSpec(input_dim=int(rng.integers(1, 9)), hidden_dims=tuple(hidden),
+                           num_classes=int(rng.integers(1, 12)))
+        model = nn.init_model(arch, [17, case])
+        model.params += rng.standard_normal(model.params.shape)
+        X = rng.standard_normal((int(rng.integers(1, 300)), arch.input_dim)) * 3
+        logits, scores = nn.heads(model, X)
+        want_logits, want_scores = two_pass_heads(model, X)
+        assert logits.tobytes() == want_logits.tobytes()
+        assert scores.tobytes() == want_scores.tobytes()
+        assert nn.aux_scores(model, X).tobytes() == want_scores.tobytes()
 
 
 def test_aux_score_in_unit_interval():
@@ -217,7 +242,7 @@ def test_backward_matches_central_differences(term):
     y = y[:4]  # the CE labels the leading rows only
     grads = nn.backward(model, X, y_cls=y, y_aux=ya)
     loss = {
-        "cls": lambda: nn._cross_entropy(nn.class_logits(model, X[:4]), y)[0],
+        "cls": lambda: nn._cross_entropy(nn.heads(model, X[:4])[0], y)[0],
         "aux": lambda: nn._mean_bce(nn.aux_scores(model, X), ya),
         "joint": lambda: nn.batch_loss(model, X, y_cls=y, y_aux=ya),
     }[term]
@@ -334,7 +359,7 @@ def test_trunk_update_visible_through_both_heads():
     model = nn.init_model(small_arch(), 9)
     x = rng.standard_normal((1, 4))
     score_before = nn.aux_scores(model, x)[0]
-    logits_before = nn.class_logits(model, x)
+    logits_before = nn.heads(model, x)[0]
 
     # step on everything but the aux head; its params stay put but its
     # output must move because the trunk is physically shared
@@ -347,7 +372,7 @@ def test_trunk_update_visible_through_both_heads():
         nn.sgd_step(model.params, g, lr=0.5)
     assert np.array_equal(aux_before, model.aux_head.weights)
     score_after = nn.aux_scores(model, x)[0]
-    logits_after = nn.class_logits(model, x)
+    logits_after = nn.heads(model, x)[0]
     assert not np.allclose(logits_before, logits_after)
     assert score_after != score_before
 
