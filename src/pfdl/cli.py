@@ -5,16 +5,14 @@ difference audit of both loss gradients), compare (summary CSV across
 modes and seeds plus a lambda sweep), eval (recompute metrics from a run
 directory's stored checkpoints), gen-data (datasets + manifest only).
 
-PFDL_THREADS caps the number of worker threads inside a round (results
-are identical for any value). Exit codes: 0 ok, 2 config error, 3 data
-error, 4 internal invariant failure.
+Exit codes: 0 ok, 2 config error, 3 data error, 4 internal invariant
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,17 +37,6 @@ GRADCHECK_CASES = 100
 GRADCHECK_TOLERANCE = 1e-4
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("PFDL_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"PFDL_THREADS: expected a positive integer, got {raw!r}")
-    if threads < 1:
-        raise ConfigError(f"PFDL_THREADS: expected a positive integer, got {raw!r}")
-    return threads
-
-
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_config()
     if getattr(args, "seed", None) is not None:
@@ -66,7 +53,7 @@ def _with(cfg: ExperimentConfig, **fed_overrides) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     cfg = _load(args)
-    res = run_experiment(cfg, out_dir=args.out, threads=_threads_from_env())
+    res = run_experiment(cfg, out_dir=args.out)
     print(f"mode={cfg.federation.mode} seed={cfg.federation.seed} "
           f"avg_final={res.metrics.avg_final:.4f} "
           f"mean_forgetting={res.metrics.mean_forgetting():.4f} "
@@ -115,14 +102,13 @@ def cmd_compare(args) -> int:
     cfg = _load(args)
     modes = _parse_modes(args.modes)
     seeds = _parse_seeds(args.seeds, cfg.federation.seed)
-    threads = _threads_from_env()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for mode in modes:
         for seed in seeds:
-            res = run_experiment(_with(cfg, mode=mode, seed=seed), threads=threads)
+            res = run_experiment(_with(cfg, mode=mode, seed=seed))
             rows.append(summary_row(mode, seed, res.metrics,
                                     float(np.mean(res.pool_sizes)),
                                     res.param_count_total))
@@ -132,8 +118,7 @@ def cmd_compare(args) -> int:
     sweep = []
     for lam in LAMBDA_SWEEP:
         for seed in seeds:
-            res = run_experiment(_with(cfg, mode="pfeddil", lam=lam, seed=seed),
-                                 threads=threads)
+            res = run_experiment(_with(cfg, mode="pfeddil", lam=lam, seed=seed))
             sweep.append([f"{lam:.2f}", seed,
                           f"{res.metrics.avg_final:.6f}",
                           f"{res.metrics.mean_forgetting():.6f}",
@@ -151,9 +136,10 @@ def cmd_compare(args) -> int:
 def evaluate_run_dir(run_dir):
     """Recompute the metrics of a finished run from its stored artifacts.
 
-    Datasets come from the run's data files; partitions and streams are
-    re-derived from the config (they are deterministic); the accuracy grid
-    is rebuilt from the per-task client-state checkpoints.
+    Datasets come from the run's data files, data/task_TT.bin for each
+    configured domain; partitions and streams are re-derived from the
+    config (they are deterministic); the accuracy grid is rebuilt from the
+    per-task client-state checkpoints.
 
     Returns (config, metrics, pool_sizes, param_count_total).
     """
@@ -166,10 +152,14 @@ def evaluate_run_dir(run_dir):
     fed = cfg.federation
     data_seed = int(manifest["seeds"]["data"])
 
-    data_files = sorted((run_dir / "data").glob("task_*.bin"))
-    if not data_files:
-        raise DataError(f"{run_dir}: no task datasets under data/")
-    tasks = [load_dataset(p) for p in data_files]
+    tasks = []
+    for t in range(len(cfg.data.rotation_degrees)):
+        path = run_dir / "data" / f"task_{t:02d}.bin"
+        if not path.exists():
+            raise DataError(f"{path}: missing task dataset")
+        tasks.append(load_dataset(path))
+        if tasks[t].task_id != t:
+            raise DataError(f"{path}: holds task {tasks[t].task_id}, expected {t}")
     n_tasks = len(tasks)
     K = fed.num_clients
     partitions, streams = partitions_and_streams(cfg, data_seed, tasks)

@@ -11,7 +11,6 @@ MODE_TABLE holds one `Mode` record per mode.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -185,8 +184,7 @@ def _begin_task(cfg: ExperimentConfig, state: client.ClientState,
 
 
 def run_task(cfg: ExperimentConfig, states, shard_data, task_pos: int,
-             events: EventLog, threads: int = 1,
-             trajectory: list | None = None) -> nn.PersonalModel | None:
+             events: EventLog) -> nn.PersonalModel | None:
     """T rounds of sample -> broadcast -> local train -> aggregate.
 
     The first round of a task has no broadcast, so clients train from
@@ -198,51 +196,42 @@ def run_task(cfg: ExperimentConfig, states, shard_data, task_pos: int,
     """
     fed = cfg.federation
     global_model = None  # until the first aggregation
-    for rnd in range(fed.rounds_per_task):
-        rng = rng_for(fed.seed, TAG_SAMPLE, task_pos, rnd)
-        sampled = sample_clients(fed.num_clients, fed.active_fraction, rng)
-        broadcast = global_model
-
-        def _train(k: int):
-            X, y = shard_data[k]
-            return client.local_train_round(
-                states[k], broadcast, X, y, task_id=task_pos,
+    # a diverging round overflows to inf/nan; the non-finite guards below
+    # report it, so NumPy's warnings would only bury that report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rnd in range(fed.rounds_per_task):
+            rng = rng_for(fed.seed, TAG_SAMPLE, task_pos, rnd)
+            sampled = sample_clients(fed.num_clients, fed.active_fraction, rng)
+            results = [client.local_train_round(
+                states[k], global_model, *shard_data[k], task_id=task_pos,
                 epochs=fed.local_epochs, lr=fed.lr,
                 weight_decay=fed.weight_decay, batch_size=fed.batch_size,
                 neg_spec=cfg.negatives,
                 round_entropy=(fed.seed, TAG_TRAIN, k, task_pos, rnd))
+                for k in sampled]
+            updates = [u for u in results if u is not None]
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=min(threads, len(sampled))) as ex:
-                results = list(ex.map(_train, sampled))
-        else:
-            results = [_train(k) for k in sampled]
-        updates = [u for u in results if u is not None]
-
-        if updates:
-            for u in updates:
-                if not np.isfinite(u.train_loss):
-                    raise InvariantError(
-                        f"client {u.client_id}, task {task_pos}, round {rnd}: "
-                        f"local train loss is {u.train_loss}")
-            global_model = aggregate(updates)
-            norm = _param_norm(global_model)
-            if not np.isfinite(norm):
+            if updates:
+                for u in updates:
+                    if not np.isfinite(u.train_loss):
+                        raise InvariantError(
+                            f"client {u.client_id}, task {task_pos}, round {rnd}: "
+                            f"local train loss is {u.train_loss}")
+                global_model = aggregate(updates)
+                loss_mean = float(np.mean([u.train_loss for u in updates]))
+            else:
+                events.emit({"type": "warning", "task": task_pos, "round": rnd,
+                             "reason": "no_active_clients_sampled"})
+                loss_mean = None
+            norm = (None if global_model is None
+                    else float(np.linalg.norm(global_model.params)))
+            if updates and not np.isfinite(norm):
                 raise InvariantError(
                     f"clients {[u.client_id for u in updates]}, task {task_pos}, "
                     f"round {rnd}: the aggregate's parameter norm is {norm}")
-            loss_mean = float(np.mean([u.train_loss for u in updates]))
-        else:
-            events.emit({"type": "warning", "task": task_pos, "round": rnd,
-                         "reason": "no_active_clients_sampled"})
-            loss_mean = None
-            norm = _param_norm(global_model) if global_model is not None else None
-        events.emit({"type": "round", "round": rnd, "task": task_pos,
-                     "mode": fed.mode, "sampled_clients": sampled,
-                     "train_loss_mean": loss_mean, "global_param_norm": norm})
-        if trajectory is not None:
-            vec = None if global_model is None else nn.flatten_params(global_model)
-            trajectory.append((task_pos, rnd, vec))
+            events.emit({"type": "round", "round": rnd, "task": task_pos,
+                         "mode": fed.mode, "sampled_clients": sampled,
+                         "train_loss_mean": loss_mean, "global_param_norm": norm})
 
     if global_model is not None:
         lo, hi = cfg.arch().cls_head_span()
@@ -257,13 +246,6 @@ def run_task(cfg: ExperimentConfig, states, shard_data, task_pos: int,
                             model.params[:lo] = bound.params[:lo]
                             model.params[hi:] = bound.params[hi:]
     return global_model
-
-
-def _param_norm(model: nn.PersonalModel) -> float:
-    """Not finite when a parameter is, or when their squares overflow; the
-    caller handles that, so the overflow warning is silenced."""
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(model.params))
 
 
 # ------------------------------------------------------------ evaluation
@@ -420,23 +402,23 @@ class RunResult:
     pool_sizes: list[int]
     param_count_total: int
     out_dir: Path | None = None
-    trajectory: list | None = None
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1,
-                   collect_trajectory: bool = False) -> RunResult:
+def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> RunResult:
     """One full incremental run: every task in order, T rounds each,
     evaluation after every task, artifacts to out_dir when given.
 
     The manifest declaring every output path is written before the first
-    training round. threads > 1 parallelizes clients within a round; the
-    results are identical for any worker count.
+    training round. Clients train one after another; `threads` is kept
+    only because the benchmark child passes threads=1, and any other
+    value is a ValueError.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}")
     fed = cfg.federation
     mode = MODE_TABLE.get(fed.mode)
     if mode is None:
         raise ConfigError(f"unknown mode {fed.mode!r} (choose from {', '.join(MODES)})")
-    threads = max(1, int(threads))
     data_seed, tasks, partitions, streams = build_datasets(cfg)
     n_tasks = len(tasks)
     K = fed.num_clients
@@ -459,7 +441,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1,
     states = [client.ClientState(client_id=k) for k in range(K)]
     acc_grid = np.full((K, n_tasks, n_tasks), np.nan)
     w_grid = np.zeros((K, n_tasks, n_tasks))
-    trajectory: list | None = [] if collect_trajectory else None
     memo = OutputMemo()
 
     with EventLog(out / "events.jsonl" if out is not None else None) as events:
@@ -477,8 +458,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1,
                     if report is not None:
                         events.emit({"type": "matching", "client": k,
                                      "task": tpos, **report.to_record()})
-                run_task(cfg, states, shard_data, tpos, events,
-                         threads=threads, trajectory=trajectory)
+                run_task(cfg, states, shard_data, tpos, events)
 
             _evaluate_after_task(cfg, states, tasks, streams, tpos,
                                  acc_grid, w_grid, events, memo)
@@ -501,4 +481,4 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1,
         write_metrics_files(out, fed.mode, fed.seed, metrics, pool_sizes, pc_total)
     return RunResult(config=cfg, metrics=metrics, events=events, states=states,
                      pool_sizes=pool_sizes, param_count_total=pc_total,
-                     out_dir=out, trajectory=trajectory)
+                     out_dir=out)

@@ -118,10 +118,6 @@ def init_model(arch: ArchSpec, seed) -> PersonalModel:
     return model
 
 
-def flatten_params(model: PersonalModel) -> np.ndarray:
-    return model.params.copy()
-
-
 def clone_model(model: PersonalModel) -> PersonalModel:
     return PersonalModel(model.arch, model.params.copy())
 

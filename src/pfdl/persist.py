@@ -54,9 +54,6 @@ class EventLog:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def of_type(self, kind: str) -> list[dict]:
-        return [r for r in self.records if r.get("type") == kind]
-
 
 METRICS_COLUMNS = ["mode", "seed", "client_weighting", "n", "m", "accuracy"]
 SUMMARY_COLUMNS = ["mode", "seed", "avg_final", "mean_forgetting",

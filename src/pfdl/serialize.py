@@ -4,13 +4,16 @@ Model checkpoints: magic "PFDL", format version u32, the architecture,
 then the model's flat parameter vector (layer arrays in trunk, cls_head,
 aux_head order, each row-major) as float64 little-endian. Dataset files
 ("PFDD") and client-state files ("PFDS") follow the same header
-discipline. Readers validate magic and version and
-raise DataError with file context on any mismatch or truncation.
+discipline. Readers load a file whole, validate magic and version, and
+raise DataError with file context on any mismatch or truncation; a count
+in a header that asks for more bytes than are left is a truncation.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -28,10 +31,13 @@ FORMAT_VERSION = 1
 
 
 def _read_exact(fh, n: int, ctx: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise DataError(f"{ctx}: truncated file (wanted {n} bytes, got {len(buf)})")
-    return buf
+    # checked against the bytes left, so a corrupt count never asks for more
+    pos = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - pos
+    fh.seek(pos)
+    if n > left:
+        raise DataError(f"{ctx}: truncated file (wanted {n} bytes, got {left})")
+    return fh.read(n)
 
 
 def _check_header(fh, magic: bytes, ctx: str) -> None:
@@ -48,8 +54,7 @@ def _write_f64(fh, arr: np.ndarray) -> None:
 
 
 def _read_f64(fh, shape, ctx: str) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
-    buf = _read_exact(fh, 8 * count, ctx)
+    buf = _read_exact(fh, 8 * math.prod(shape), ctx)
     return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
 
 
@@ -97,7 +102,7 @@ def save_dataset(path, task: TaskDataset) -> None:
 
 def load_dataset(path) -> TaskDataset:
     ctx = str(path)
-    with open(path, "rb") as fh:
+    with io.BytesIO(Path(path).read_bytes()) as fh:
         _check_header(fh, DATA_MAGIC, ctx)
         task_id, num_classes, dim, seed = struct.unpack("<IIIq", _read_exact(fh, 20, ctx))
         (dom_len,) = struct.unpack("<I", _read_exact(fh, 4, ctx))
@@ -124,7 +129,7 @@ def save_client_state(dir_path, state: ClientState) -> tuple[Path, Path]:
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
     path = dir_path / f"client_{state.client_id:03d}.state"
-    sidecar = dir_path / f"client_{state.client_id:03d}.rho.json"
+    sidecar = path.with_suffix(".rho.json")
     with open(path, "wb") as fh:
         fh.write(STATE_MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
@@ -141,7 +146,7 @@ def save_client_state(dir_path, state: ClientState) -> tuple[Path, Path]:
 def load_client_state(path) -> ClientState:
     """Rebuild a client at a task boundary (snapshots are not persisted)."""
     ctx = str(path)
-    with open(path, "rb") as fh:
+    with io.BytesIO(Path(path).read_bytes()) as fh:
         _check_header(fh, STATE_MAGIC, ctx)
         client_id, pool_size = struct.unpack("<II", _read_exact(fh, 8, ctx))
         (n_bind,) = struct.unpack("<I", _read_exact(fh, 4, ctx))
@@ -153,9 +158,7 @@ def load_client_state(path) -> ClientState:
         if fh.read(1):
             raise DataError(f"{ctx}: trailing bytes after the last model")
     state = ClientState(client_id=client_id, pool=pool, task_bindings=bindings)
-    name = str(path)
-    sidecar = Path(name[: -len(".state")] + ".rho.json" if name.endswith(".state")
-                   else name + ".rho.json")
+    sidecar = Path(path).with_suffix(".rho.json")
     if sidecar.exists():
         state.rho_history = json.loads(sidecar.read_text())
     return state

@@ -77,14 +77,14 @@ def test_1_gradients_match_finite_differences():
     assert elapsed < 10.0
 
 
-def test_2_zero_lambda_reduces_to_fedavg():
+def test_2_zero_lambda_reduces_to_fedavg(global_trajectory):
     t0 = time.monotonic()
     base = {"clients": 3, "rounds_per_task": 5, "seed": 11, "lambda": 0.0,
             "data": {"rotation_degrees": [0.0, 180.0], "samples_per_class": 60}}
     runs = {}
     for mode in ("pfeddil", "fedavg"):
         cfg = parse_config({**base, "mode": mode})
-        runs[mode] = run_experiment(cfg, collect_trajectory=True).trajectory
+        runs[mode] = global_trajectory(cfg)[1]
     elapsed = time.monotonic() - t0
     a, b = runs["pfeddil"], runs["fedavg"]
     assert len(a) == len(b) == 2 * 5
@@ -150,7 +150,7 @@ def test_5_aggregation_matches_weighted_mean_oracle():
     arch = nn.ArchSpec(input_dim=3, hidden_dims=(4,), num_classes=2)
     merged = aggregate([_constant_update(0, 1.0, 10, arch),
                         _constant_update(1, 3.0, 30, arch)])
-    flat = nn.flatten_params(merged)
+    flat = merged.params.copy()
     assert np.all(flat == 2.5)
 
     rng = np.random.default_rng(5)
@@ -164,8 +164,8 @@ def test_5_aggregation_matches_weighted_mean_oracle():
             updates.append(LocalUpdate(client_id=cid, parameters=m,
                                        num_samples=int(rng.integers(1, 50))))
         total = sum(u.num_samples for u in updates)
-        oracle = sum(u.num_samples * nn.flatten_params(u.parameters) for u in updates) / total
-        got = nn.flatten_params(aggregate(updates))
+        oracle = sum(u.num_samples * u.parameters.params.copy() for u in updates) / total
+        got = aggregate(updates).params.copy()
         worst = max(worst, float(np.max(np.abs(got - oracle))))
     print(f"[5] hand case exact, naive-oracle max err {worst:.2e} over 100 sets")
     assert worst <= 1e-12
@@ -219,7 +219,7 @@ def test_8_dirichlet_partitions_are_exact_and_skewed():
     assert elapsed < 30.0
 
 
-def test_9_runs_are_byte_deterministic_across_threads(tmp_path):
+def test_9_runs_are_byte_deterministic_across_processes(tmp_path):
     cfg = {"mode": "pfeddil", "seed": 7, "clients": 6, "active_fraction": 0.5,
            "rounds_per_task": 4, "local_epochs": 2,
            "data": {"rotation_degrees": [0.0, 180.0], "samples_per_class": 48,
@@ -229,15 +229,16 @@ def test_9_runs_are_byte_deterministic_across_threads(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
 
     outputs = []
-    for tag, threads in (("a1", "1"), ("b1", "1"), ("a8", "8"), ("b8", "8")):
+    for tag, hash_seed in (("a0", "0"), ("b0", "0"), ("a1", "1"), ("b1", "1")):
         out = tmp_path / tag
-        env = dict(os.environ, PFDL_THREADS=threads)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         proc = subprocess.run(
             [sys.executable, "-m", "pfdl", "run", "--config", str(cfg_path),
              "--out", str(out)],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        outputs.append((out / "metrics.csv").read_bytes())
+        outputs.append(tuple((out / name).read_bytes()
+                             for name in ("metrics.csv", "events.jsonl")))
     assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
-    print(f"[9] four runs (threads 1,1,8,8) byte-identical metrics "
-          f"({len(outputs[0])} bytes)")
+    print(f"[9] four processes (PYTHONHASHSEED 0,0,1,1) byte-identical "
+          f"metrics.csv and events.jsonl ({sum(map(len, outputs[0]))} bytes)")

@@ -46,23 +46,6 @@ def test_run_twice_byte_identical(tiny_config, tmp_path):
                 == (tmp_path / "b" / name).read_bytes())
 
 
-def test_thread_env_does_not_change_bytes(tiny_config, tmp_path, monkeypatch):
-    monkeypatch.setenv("PFDL_THREADS", "1")
-    cli.main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "t1")])
-    monkeypatch.setenv("PFDL_THREADS", "8")
-    cli.main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "t8")])
-    assert ((tmp_path / "t1" / "metrics.csv").read_bytes()
-            == (tmp_path / "t8" / "metrics.csv").read_bytes())
-
-
-def test_bad_thread_env_is_config_error(tiny_config, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PFDL_THREADS", "many")
-    code = cli.main(["run", "--config", str(tiny_config),
-                     "--out", str(tmp_path / "x")])
-    assert code == 2
-    assert "error[config]: PFDL_THREADS" in capsys.readouterr().err
-
-
 def test_seed_flag_overrides_config(tiny_config, tmp_path):
     cli.main(["run", "--config", str(tiny_config), "--seed", "42",
               "--out", str(tmp_path / "s")])
@@ -120,6 +103,44 @@ def test_eval_rejects_trailing_bytes(tiny_config, tmp_path, capsys):
     path.write_bytes(bytes(raw))
     assert cli.main(["eval", str(run_dir)]) == 3
     assert "trailing bytes" in capsys.readouterr().err
+
+
+THREE_TASKS = dict(TINY, data=dict(TINY["data"], rotation_degrees=[0, 90, 180]))
+
+
+@pytest.fixture()
+def three_task_run(tmp_path):
+    cfg = tmp_path / "three.json"
+    cfg.write_text(json.dumps(THREE_TASKS))
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    return run_dir
+
+
+@pytest.mark.parametrize("task", [0, 1, 2])
+def test_eval_rejects_a_missing_task_dataset(three_task_run, capsys, task):
+    path = three_task_run / "data" / f"task_{task:02d}.bin"
+    path.unlink()
+    assert cli.main(["eval", str(three_task_run)]) == 3
+    assert f"{path}: missing task dataset" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_dataset_of_another_task(three_task_run, capsys):
+    data = three_task_run / "data"
+    (data / "task_01.bin").write_bytes((data / "task_02.bin").read_bytes())
+    assert cli.main(["eval", str(three_task_run)]) == 3
+    assert "task_01.bin: holds task 2, expected 1" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_huge_dataset_row_count(three_task_run, capsys):
+    # n_train and n_test of 2**40 are a truncated file, not a 2**40-row read
+    path = three_task_run / "data" / "task_01.bin"
+    raw = bytearray(path.read_bytes())
+    (dom_len,) = struct.unpack("<I", raw[28:32])
+    raw[32 + dom_len:48 + dom_len] = struct.pack("<QQ", 2**40, 2**40)
+    path.write_bytes(bytes(raw))
+    assert cli.main(["eval", str(three_task_run)]) == 3
+    assert "truncated file" in capsys.readouterr().err
 
 
 def test_eval_rejects_a_model_of_another_arch(tiny_config, tmp_path, capsys):

@@ -156,7 +156,7 @@ def test_local_round_deterministic():
         st = fresh_state()
         client.begin_task(st, X, 0, 0.5, 8, ARCH, init_seed=4)
         up = run_round(st, X, y)
-        outs.append(nn.flatten_params(up.parameters))
+        outs.append(up.parameters.params.copy())
     assert np.array_equal(outs[0], outs[1])
 
 
@@ -170,8 +170,8 @@ def test_local_round_adopts_global_params():
     # a round from the broadcast equals a round from the same local init
     up_a = run_round(st, X, y, global_params=reference)
     up_b = run_round(st2, X, y, global_params=None)
-    assert np.array_equal(nn.flatten_params(up_a.parameters),
-                          nn.flatten_params(up_b.parameters))
+    assert np.array_equal(up_a.parameters.params.copy(),
+                          up_b.parameters.params.copy())
 
 
 def test_local_round_reduces_joint_loss():
@@ -230,9 +230,9 @@ def test_migration_pulls_toward_anchor():
     client.begin_task(st, X, 1, 1.0, 8, ARCH, init_seed=1)
     anchor = st.pool_snapshots[0].copy()
     st.snapshot_rho = np.array([1.0])
-    d0 = np.linalg.norm(nn.flatten_params(st.pool[1]) - anchor)
+    d0 = np.linalg.norm(st.pool[1].params.copy() - anchor)
     run_round(st, X, y, task_id=1, epochs=5, entropy=(0, 6, 0, 1, 0))
-    d1 = np.linalg.norm(nn.flatten_params(st.pool[1]) - anchor)
+    d1 = np.linalg.norm(st.pool[1].params.copy() - anchor)
     assert d1 < d0
 
 
@@ -248,8 +248,8 @@ def test_no_anchor_training_identical_to_plain_joint():
     st_b.pool_snapshots = np.zeros((0, 0))
     st_b.snapshot_rho = np.zeros(0)
     up_b = run_round(st_b, X, y)
-    assert np.array_equal(nn.flatten_params(up_a.parameters),
-                          nn.flatten_params(up_b.parameters))
+    assert np.array_equal(up_a.parameters.params.copy(),
+                          up_b.parameters.params.copy())
 
 
 # ------------------------------------------------------------- fused step oracle

@@ -164,11 +164,11 @@ def train_round(model, X, y, epochs, seed):
 
 def test_train_auxiliary_zero_epochs_unchanged():
     m = make_model(4)
-    before = nn.flatten_params(m).copy()
+    before = m.params.copy()
     rng = np.random.default_rng(0)
     train_round(m, rng.standard_normal((20, 6)), rng.integers(0, 3, size=20),
                 epochs=0, seed=1)
-    assert np.array_equal(before, nn.flatten_params(m))
+    assert np.array_equal(before, m.params.copy())
 
 
 def test_train_auxiliary_separates_tasks():

@@ -28,7 +28,7 @@ def test_init_same_seed_bitwise_identical():
 def test_init_different_seeds_differ():
     a = nn.init_model(small_arch(), 7)
     b = nn.init_model(small_arch(), 8)
-    assert not np.allclose(nn.flatten_params(a), nn.flatten_params(b))
+    assert not np.allclose(a.params.copy(), b.params.copy())
 
 
 def test_init_biases_zero_and_bounds():

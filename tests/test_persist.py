@@ -26,14 +26,14 @@ def test_event_log_mirrors_to_file(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     assert json.loads(lines[1]) == {"type": "warning", "reason": "x"}
-    assert [r["round"] for r in log.of_type("round")] == [0, 1]
+    assert [r["round"] for r in log.records if r["type"] == "round"] == [0, 1]
 
 
 def test_event_log_without_path_keeps_records():
     log = persist.EventLog(None)
     log.emit({"type": "eval"})
     log.close()
-    assert log.of_type("eval") == [{"type": "eval"}]
+    assert log.records == [{"type": "eval"}]
 
 
 def test_metrics_csv_rows_are_lower_triangular(tmp_path):

@@ -82,6 +82,16 @@ def test_truncated_file_rejected():
         serialize.read_model(corrupted(edit))
 
 
+def test_huge_model_depth_is_truncation(tmp_path):
+    # a depth of 2**32 - 1 would read 16 GiB of hidden dims
+    def edit(raw):
+        raw[16:20] = b"\xff" * 4
+    path = tmp_path / "model.bin"
+    path.write_bytes(corrupted(edit).getvalue())
+    with open(path, "rb") as fh, pytest.raises(DataError, match="truncated"):
+        serialize.read_model(fh)
+
+
 @pytest.mark.parametrize("field", [0, 1, 2])
 def test_invalid_arch_header_rejected(field):
     # input_dim, num_classes or depth of zero describes no architecture
@@ -138,6 +148,16 @@ def test_client_state_roundtrip(tmp_path):
     assert len(back.pool) == 3
     for m, b in zip(state.pool, back.pool):
         assert np.array_equal(m.params, b.params)
+
+
+def test_huge_pool_size_is_truncation(tmp_path):
+    state = ClientState(client_id=0, pool=[random_model(0)], task_bindings={0: 0})
+    path, _ = serialize.save_client_state(tmp_path, state)
+    raw = bytearray(path.read_bytes())
+    raw[12:16] = b"\xff" * 4  # pool size 2**32 - 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="truncated"):
+        serialize.load_client_state(path)
 
 
 def test_client_state_without_sidecar(tmp_path):
