@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import default_config, load_config, parse_config
+from .data import split_sizes
 from .errors import ConfigError, DataError, PfdlError
 from .evaluation import OutputMemo, build_metrics
 from .federation import (MODES, ExperimentConfig,
@@ -133,6 +134,19 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _check_dataset_shape(path, task, cfg: ExperimentConfig) -> None:
+    """Raise DataError unless a loaded dataset has the feature width, class
+    count and train/test row counts that the config produces."""
+    n_train, n_test = split_sizes(cfg.data.samples_per_class)
+    classes = cfg.data.num_classes
+    for what, got, want in (("feature width", task.train_x.shape[1], cfg.data.input_dim),
+                            ("num_classes", task.num_classes, classes),
+                            ("train rows", task.n_train, classes * n_train),
+                            ("test rows", task.test_y.shape[0], classes * n_test)):
+        if got != want:
+            raise DataError(f"{path}: {what} is {got}, the config gives {want}")
+
+
 def evaluate_run_dir(run_dir):
     """Recompute the metrics of a finished run from its stored artifacts.
 
@@ -160,6 +174,7 @@ def evaluate_run_dir(run_dir):
         tasks.append(load_dataset(path))
         if tasks[t].task_id != t:
             raise DataError(f"{path}: holds task {tasks[t].task_id}, expected {t}")
+        _check_dataset_shape(path, tasks[t], cfg)
     n_tasks = len(tasks)
     K = fed.num_clients
     partitions, streams = partitions_and_streams(cfg, data_seed, tasks)

@@ -149,6 +149,12 @@ class TaskDataset:
         return self.train_x.shape[0]
 
 
+def split_sizes(samples_per_class: int) -> tuple[int, int]:
+    """Per-class (train, test) row counts of the 80/20 split."""
+    n_test = max(1, samples_per_class // 5)
+    return samples_per_class - n_test, n_test
+
+
 def make_base_dataset(num_classes: int, input_dim: int, samples_per_class: int,
                       class_separation: float, seed: int) -> TaskDataset:
     """Isotropic Gaussian clusters with means on a sphere.
@@ -181,8 +187,7 @@ def make_base_dataset(num_classes: int, input_dim: int, samples_per_class: int,
         dirs = raw.T / np.linalg.norm(raw.T, axis=1, keepdims=True)
     means = class_separation * dirs
 
-    n_test = max(1, samples_per_class // 5)
-    n_train = samples_per_class - n_test
+    n_train, n_test = split_sizes(samples_per_class)
     train_parts, test_parts = [], []
     for c in range(num_classes):
         pts = means[c] + rng.standard_normal((samples_per_class, input_dim))

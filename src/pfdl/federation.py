@@ -251,21 +251,30 @@ def run_task(cfg: ExperimentConfig, states, shard_data, task_pos: int,
 # ------------------------------------------------------------ evaluation
 
 
+def _inference_indices(mode: Mode, state: client.ClientState, task_m: int) -> list[int]:
+    """The pool indices the mode's inference rule reads for task m, in
+    pool order; empty when the client cannot score the task."""
+    if not state.pool:
+        return []
+    if mode.bind == BIND_MATCH:
+        return list(range(len(state.pool)))
+    if mode.bind == BIND_ONE:
+        return [0]
+    idx = state.task_bindings.get(task_m)
+    return [] if idx is None else [idx]
+
+
 def _client_task_probs(mode: Mode, state: client.ClientState, X: np.ndarray,
                        task_m: int, memo: OutputMemo | None = None, keys=()):
     """The mode's inference rule: (probs, uniform-fallback count), or
     (None, 0) when the client cannot score this task at all. With a memo,
     keys[i] is state.pool[i]'s memo key on X."""
-    if not state.pool:
+    read = _inference_indices(mode, state, task_m)
+    if not read:
         return None, 0
     if mode.bind == BIND_MATCH:
         return ensemble_probs_matrix(state.pool, X, memo, keys)
-    if mode.bind == BIND_ONE:
-        idx = 0
-    else:
-        idx = state.task_bindings.get(task_m)
-        if idx is None:
-            return None, 0
+    (idx,) = read
     if memo is None:
         return model_outputs(state.pool[idx], X)[1], 0
     return memo.outputs(state.pool[idx], X, keys[idx])[1], 0
@@ -276,24 +285,36 @@ def _evaluate_after_task(cfg: ExperimentConfig, states, tasks, streams,
                          memo: OutputMemo) -> None:
     """Fill row n of every client's accuracy grid (tasks 0..n), reading
     model outputs through the run's memo; entries of models that no pool
-    holds any more are dropped first."""
+    holds any more are dropped first.
+
+    A cell's accuracy and fallback count depend only on the models the
+    inference rule reads and on the dataset, so clients holding
+    bit-identical copies of those models share one computation, keyed by
+    (their digests in pool order, dataset index). The key holds the
+    dataset, not the stream position: with shuffled streams, clients at
+    the same position see different datasets.
+    """
     fed = cfg.federation
     mode = MODE_TABLE[fed.mode]
     digests = [[model_digest(model) for model in st.pool] for st in states]
     memo.retain({g for pool in digests for g in pool})
+    cells = {}  # key -> (accuracy, fallbacks), or None when nothing is read
     fallbacks = 0
     for st, pool_digests in zip(states, digests):
         k = st.client_id
         for m in range(n + 1):
             d = streams[k][m]
             ds = tasks[d]
-            probs, fb = _client_task_probs(mode, st, ds.test_x, m, memo,
-                                           [(g, d) for g in pool_digests])
-            if probs is None:
+            key = (tuple(pool_digests[i] for i in _inference_indices(mode, st, m)), d)
+            if key not in cells:
+                probs, fb = _client_task_probs(mode, st, ds.test_x, m, memo,
+                                               [(g, d) for g in pool_digests])
+                cells[key] = (None if probs is None
+                              else (accuracy_and_ce(probs, ds.test_y)[0], fb))
+            if cells[key] is None:
                 continue
+            acc_grid[k, n, m], fb = cells[key]
             fallbacks += fb
-            acc, _ = accuracy_and_ce(probs, ds.test_y)
-            acc_grid[k, n, m] = acc
             w_grid[k, n, m] = ds.test_y.shape[0]
     events.emit({"type": "eval", "task": n, "mode": fed.mode,
                  "uniform_fallbacks": int(fallbacks)})

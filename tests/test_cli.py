@@ -143,6 +143,26 @@ def test_eval_rejects_a_huge_dataset_row_count(three_task_run, capsys):
     assert "truncated file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data_override, message", [
+    ({"input_dim": 8}, "feature width is 8, the config gives 6"),
+    ({"num_classes": 4}, "num_classes is 4, the config gives 3"),
+    ({"samples_per_class": 50}, "train rows is 120, the config gives 96"),
+], ids=["feature_width", "num_classes", "row_counts"])
+def test_eval_rejects_a_dataset_of_another_shape(three_task_run, tmp_path, capsys,
+                                                 data_override, message):
+    # a well-formed task_01.bin generated from another data config
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(dict(
+        THREE_TASKS, data=dict(THREE_TASKS["data"], **data_override))))
+    assert cli.main(["gen-data", "--config", str(other),
+                     "--out", str(tmp_path / "other")]) == 0
+    path = three_task_run / "data" / "task_01.bin"
+    path.write_bytes((tmp_path / "other" / "data" / "task_01.bin").read_bytes())
+    capsys.readouterr()
+    assert cli.main(["eval", str(three_task_run)]) == 3
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
 def test_eval_rejects_a_model_of_another_arch(tiny_config, tmp_path, capsys):
     run_dir = tmp_path / "run"
     cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)])

@@ -285,15 +285,19 @@ def test_divergent_round_raises_and_closes_the_event_log(tmp_path, monkeypatch):
 
 
 def _memo_free_grid(cfg, states, tasks, streams, n):
+    """Row n of every client's accuracy grid and the eval's fallback count,
+    scored client by client with neither the output memo nor shared cells."""
     mode = federation.MODE_TABLE[cfg.federation.mode]
     grid = np.full((len(states), n + 1, n + 1), np.nan)
+    fallbacks = 0
     for st in states:
         for m in range(n + 1):
             ds = tasks[streams[st.client_id][m]]
-            probs, _ = federation._client_task_probs(mode, st, ds.test_x, m)
+            probs, fb = federation._client_task_probs(mode, st, ds.test_x, m)
             if probs is not None:
                 grid[st.client_id, n, m] = evaluation.accuracy_and_ce(probs, ds.test_y)[0]
-    return grid
+                fallbacks += fb
+    return grid, fallbacks
 
 
 @pytest.mark.parametrize("mode", ["pfeddil", "fedavg", "disjoint"])
@@ -316,7 +320,7 @@ def test_memo_sees_a_model_changed_in_place(mode):
         model.params[...] = nn.init_model(cfg.arch(), [5, 5]).params
     federation._evaluate_after_task(cfg, states, tasks, streams, n, grid,
                                     w_grid, EventLog(), memo)
-    want = _memo_free_grid(cfg, states, tasks, streams, n)
+    want, _ = _memo_free_grid(cfg, states, tasks, streams, n)
     assert np.array_equal(grid[:, n], want[:, n], equal_nan=True)
     assert not np.array_equal(grid[0, n], before[0, n])
     assert np.array_equal(grid[1, n], before[1, n])
@@ -339,6 +343,69 @@ def test_memo_holds_only_models_some_pool_holds(monkeypatch):
     assert memo_digests and memo_digests <= live[-1]
     # the run changed models that an earlier eval had scored
     assert set().union(*live[:-1]) - live[-1]
+
+
+THREE_DOMAINS = replace(SMALL_DATA, rotation_degrees=(0.0, 120.0, 240.0))
+
+
+@pytest.mark.parametrize("stream_mode", ["synchronized", "shuffled"])
+@pytest.mark.parametrize("mode", federation.MODES)
+def test_shared_cells_equal_per_client_scoring(monkeypatch, mode, stream_mode):
+    cfg = replace(small_cfg(mode=mode),
+                  data=replace(THREE_DOMAINS, stream_mode=stream_mode))
+    evaluate = federation._evaluate_after_task
+    checked, crossed = [], []
+
+    def checking(cfg, states, tasks, streams, n, acc_grid, w_grid, events, memo):
+        evaluate(cfg, states, tasks, streams, n, acc_grid, w_grid, events, memo)
+        want, fallbacks = _memo_free_grid(cfg, states, tasks, streams, n)
+        assert np.array_equal(acc_grid[:, n, :n + 1], want[:, n], equal_nan=True)
+        assert events.records[-1]["uniform_fallbacks"] == fallbacks
+        checked.append(n)
+        # clients with bit-identical pools that see different datasets at
+        # one stream position: a cell keyed by position would mix them up
+        pools = [[evaluation.model_digest(m) for m in st.pool] for st in states]
+        crossed.extend(
+            (a, b, m) for a in range(len(states)) for b in range(a)
+            if pools[a] and pools[a] == pools[b]
+            for m in range(n + 1) if streams[a][m] != streams[b][m])
+
+    monkeypatch.setattr(federation, "_evaluate_after_task", checking)
+    run_experiment(cfg)
+    assert checked == [0, 1, 2]
+    assert bool(crossed) == (stream_mode == "shuffled")
+
+
+@pytest.mark.parametrize("stream_mode", ["synchronized", "shuffled"])
+def test_each_eval_mixes_each_distinct_pool_and_dataset_once(monkeypatch, stream_mode):
+    # lambda 1 adds a model on every task and every client trains in every
+    # round, so after each final broadcast all clients hold the same pool
+    cfg = replace(small_cfg(lam=1.0, active_fraction=1.0),
+                  data=replace(THREE_DOMAINS, stream_mode=stream_mode))
+    ensemble = federation.ensemble_probs_matrix
+    evaluate = federation._evaluate_after_task
+    calls, counts = [], []
+
+    def counting(pool, X, *args):
+        calls.append(len(pool))
+        return ensemble(pool, X, *args)
+
+    def counted(cfg, states, tasks, streams, n, *args):
+        pools = {tuple(evaluation.model_digest(m) for m in st.pool) for st in states}
+        assert len(pools) == 1 and len(*pools) == n + 1
+        cells = {(streams[st.client_id][m], *pools) for st in states
+                 for m in range(n + 1)}
+        before = len(calls)
+        evaluate(cfg, states, tasks, streams, n, *args)
+        counts.append((len(calls) - before, len(cells)))
+
+    monkeypatch.setattr(federation, "ensemble_probs_matrix", counting)
+    monkeypatch.setattr(federation, "_evaluate_after_task", counted)
+    run_experiment(cfg)
+    assert len(counts) == 3
+    assert all(made == cells for made, cells in counts)
+    clients = cfg.federation.num_clients
+    assert sum(made for made, _ in counts) < clients * (1 + 2 + 3)
 
 
 def test_unknown_mode_rejected():
