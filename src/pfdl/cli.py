@@ -134,9 +134,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _check_dataset_shape(path, task, cfg: ExperimentConfig) -> None:
+def _check_dataset(path, task, cfg: ExperimentConfig) -> None:
     """Raise DataError unless a loaded dataset has the feature width, class
-    count and train/test row counts that the config produces."""
+    count and train/test row counts that the config produces, finite
+    features and labels in [0, num_classes)."""
     n_train, n_test = split_sizes(cfg.data.samples_per_class)
     classes = cfg.data.num_classes
     for what, got, want in (("feature width", task.train_x.shape[1], cfg.data.input_dim),
@@ -145,6 +146,13 @@ def _check_dataset_shape(path, task, cfg: ExperimentConfig) -> None:
                             ("test rows", task.test_y.shape[0], classes * n_test)):
         if got != want:
             raise DataError(f"{path}: {what} is {got}, the config gives {want}")
+    for split, x, y in (("train", task.train_x, task.train_y),
+                        ("test", task.test_x, task.test_y)):
+        if not np.isfinite(x).all():
+            raise DataError(f"{path}: a {split} feature is not finite")
+        bad = y[(y < 0) | (y >= classes)]
+        if bad.size:
+            raise DataError(f"{path}: {split} label {bad[0]} is outside [0, {classes})")
 
 
 def evaluate_run_dir(run_dir):
@@ -174,7 +182,7 @@ def evaluate_run_dir(run_dir):
         tasks.append(load_dataset(path))
         if tasks[t].task_id != t:
             raise DataError(f"{path}: holds task {tasks[t].task_id}, expected {t}")
-        _check_dataset_shape(path, tasks[t], cfg)
+        _check_dataset(path, tasks[t], cfg)
     n_tasks = len(tasks)
     K = fed.num_clients
     partitions, streams = partitions_and_streams(cfg, data_seed, tasks)

@@ -2,10 +2,13 @@
 regularization against frozen task-start snapshots, and local SGD rounds.
 
 Snapshot policy: at task start, every pool model except the one bound to
-the new task is frozen as a migration anchor, weighted by its matching
-intensity. A config switch (`km_include_self`) additionally anchors a
-frozen copy of the bound model itself. The anchors are stacked into one
-(A, P) matrix of flat parameter vectors.
+the new task is frozen as a migration anchor a_i, weighted by its matching
+intensity rho_i. A config switch (`km_include_self`) additionally anchors a
+frozen copy of the bound model itself. The pull sum_i rho_i ||w - a_i||^2
+expands to s ||w||^2 - 2 w.abar + c, so the client keeps only the three
+task-start statistics s = sum_i rho_i, abar = sum_i rho_i a_i and
+c = sum_i rho_i ||a_i||^2, and each step costs O(P) whatever the anchor
+count.
 """
 
 from __future__ import annotations
@@ -24,11 +27,16 @@ from .seeding import rng_for
 class ClientState:
     client_id: int
     pool: list[nn.PersonalModel] = field(default_factory=list)
-    pool_snapshots: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    snapshot_rho: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # the migration pull's statistics (s, abar, c); s == 0 means no pull
+    anchor_mass: float = 0.0
+    anchor_sum: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    anchor_sq: float = 0.0
     task_bindings: dict[int, int] = field(default_factory=dict)
     active: bool = True
     rho_history: list[dict] = field(default_factory=list)
+
+    def clear_anchors(self) -> None:
+        self.anchor_mass, self.anchor_sum, self.anchor_sq = 0.0, np.zeros(0), 0.0
 
 
 @dataclass
@@ -52,8 +60,7 @@ def begin_task(state: ClientState, shard_x: np.ndarray, task_id: int, lam: float
     shard_x = np.asarray(shard_x, dtype=np.float64)
     if shard_x.shape[0] == 0:
         state.active = False
-        state.pool_snapshots = np.zeros((0, 0))
-        state.snapshot_rho = np.zeros(0)
+        state.clear_anchors()
         state.rho_history.append({"task": int(task_id), "inactive": True})
         return None
     state.active = True
@@ -69,24 +76,26 @@ def begin_task(state: ClientState, shard_x: np.ndarray, task_id: int, lam: float
 
     # the freshly added model has no intensity entry, so i < len(rho)
     anchored = [i for i in range(len(rho)) if i != bound or km_include_self]
-    state.pool_snapshots = np.array([state.pool[i].params for i in anchored]).reshape(
+    anchors = np.array([state.pool[i].params for i in anchored]).reshape(
         len(anchored), arch.param_count())
-    state.snapshot_rho = rho[anchored]
+    weights = rho[anchored]
+    state.anchor_mass = float(weights.sum())
+    state.anchor_sum = weights @ anchors
+    state.anchor_sq = float(weights @ np.einsum("ij,ij->i", anchors, anchors))
     state.rho_history.append({"task": int(task_id), **report.to_record()})
     return report
 
 
-def migration_loss(diff: np.ndarray, rho: np.ndarray) -> float:
-    """Sum_i rho_i * ||w - w_i||^2, from diff = w - anchors (one row each)."""
-    if diff.shape[0] != rho.shape[0]:
-        raise ValueError("one weight per snapshot required")
-    return float(rho @ np.einsum("ij,ij->i", diff, diff))
+def migration_loss(w: np.ndarray, s: float, abar: np.ndarray, c: float) -> float:
+    """sum_i rho_i ||w - a_i||^2 = s ||w||^2 - 2 w.abar + c."""
+    return float(s * (w @ w) - 2.0 * (w @ abar) + c)
 
 
-def add_migration_grads(grads: np.ndarray, diff: np.ndarray, rho: np.ndarray) -> None:
-    """Accumulate the migration gradient 2 * rho^T (w - anchors) into a flat
-    gradient vector, from diff = w - anchors."""
-    grads += 2.0 * (rho @ diff)
+def add_migration_grads(grads: np.ndarray, w: np.ndarray, s: float,
+                        abar: np.ndarray) -> None:
+    """Accumulate the migration gradient 2 (s w - abar) into a flat
+    gradient vector."""
+    grads += 2.0 * (s * w - abar)
 
 
 def local_train_round(state: ClientState, global_params: nn.PersonalModel | None,
@@ -104,8 +113,10 @@ def local_train_round(state: ClientState, global_params: nn.PersonalModel | None
     pass over [batch; negatives] serves both losses, and all three streams
     hit the shared trunk in a single step.
 
-    Epoch RNG derives from round_entropy + epoch index, so the outcome does
-    not depend on scheduling or on any other client.
+    One generator per round derives from round_entropy, so the outcome
+    does not depend on scheduling or on any other client. Each epoch draws
+    its permutation, then all of its negatives in one call; the batches
+    slice both.
     """
     if not state.active:
         return None
@@ -118,25 +129,27 @@ def local_train_round(state: ClientState, global_params: nn.PersonalModel | None
     n = X.shape[0]
     feat_std = X.std(axis=0)
     w = model.params
-    anchors, rho = state.pool_snapshots, state.snapshot_rho
+    s, abar, c = state.anchor_mass, state.anchor_sum, state.anchor_sq
+    # aux labels [1]*m + [0]*m for the full and the short last batch
+    aux_labels = {m: np.repeat([1.0, 0.0], m)
+                  for m in {min(batch_size, n), n % batch_size or batch_size}}
 
+    rng = rng_for(*round_entropy)
     loss_sum = 0.0
     steps = 0
-    for epoch in range(epochs):
-        rng = rng_for(*round_entropy, epoch)
+    for _ in range(epochs):
         order = rng.permutation(n)
+        Xe, ye = X[order], y[order]
+        Ne = synthesize_negatives(Xe, feat_std, neg_spec, rng, batch_size)
         for start in range(0, n, batch_size):
-            rows = order[start:start + batch_size]
-            Xb = X[rows]
-            Xn = synthesize_negatives(Xb, feat_std, neg_spec, rng)
-            ya = np.zeros(2 * len(rows))
-            ya[:len(rows)] = 1.0
+            stop = start + batch_size
+            Xb = Xe[start:stop]
             grads, step_loss = nn._grads_and_loss(
-                model, np.concatenate([Xb, Xn]), y_cls=y[rows], y_aux=ya)
-            if len(anchors):
-                diff = w - anchors
-                add_migration_grads(grads, diff, rho)
-                step_loss += migration_loss(diff, rho)
+                model, np.concatenate([Xb, Ne[start:stop]]), y_cls=ye[start:stop],
+                y_aux=aux_labels[len(Xb)])
+            if s:
+                add_migration_grads(grads, w, s, abar)
+                step_loss += migration_loss(w, s, abar, c)
             nn.sgd_step(w, grads, lr=lr, weight_decay=weight_decay)
             loss_sum += step_loss
             steps += 1

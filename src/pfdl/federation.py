@@ -161,8 +161,7 @@ def _begin_task(cfg: ExperimentConfig, state: client.ClientState,
                                  fed.max_pool_size, cfg.arch(), init_seed,
                                  km_include_self=fed.km_include_self)
 
-    state.pool_snapshots = np.zeros((0, 0))
-    state.snapshot_rho = np.zeros(0)
+    state.clear_anchors()
     state.active = shard_x.shape[0] > 0
     if not state.active:
         return None

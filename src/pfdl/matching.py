@@ -57,19 +57,31 @@ class MatchingReport:
 
 
 def synthesize_negatives(X_pos: np.ndarray, feat_std: np.ndarray,
-                         spec: NegativeSynthesisSpec, rng: np.random.Generator) -> np.ndarray:
-    """One negative per positive; deterministic given the rng state."""
+                         spec: NegativeSynthesisSpec, rng: np.random.Generator,
+                         batch_size: int) -> np.ndarray:
+    """One negative per positive; deterministic given the rng state.
+
+    The rows form consecutive batches of `batch_size`. In each batch the
+    leading round(permute_fraction * length) rows are permuted and the rest
+    are noised, so slicing the result batch by batch gives every batch the
+    spec's mix. All permutations are drawn first, then all noise.
+    """
     X_pos = np.asarray(X_pos, dtype=np.float64)
     n, d = X_pos.shape
-    n_perm = int(round(spec.permute_fraction * n))
+    permuted = np.zeros(n, dtype=bool)
+    for start in range(0, n, batch_size):
+        length = min(batch_size, n - start)
+        permuted[start:start + int(round(spec.permute_fraction * length))] = True
     out = np.empty_like(X_pos)
-    if n_perm > 0:
+    rows = np.flatnonzero(permuted)
+    if rows.size:
         # an independent coordinate permutation per sample
-        perms = np.argsort(rng.random((n_perm, d)), axis=1)
-        out[:n_perm] = X_pos[np.arange(n_perm)[:, None], perms]
-    if n_perm < n:
-        noise = rng.standard_normal((n - n_perm, d)) * (spec.noise_sigma_scale * feat_std)
-        out[n_perm:] = X_pos[n_perm:] + noise
+        perms = np.argsort(rng.random((rows.size, d)), axis=1)
+        out[rows] = X_pos[rows[:, None], perms]
+    rows = np.flatnonzero(~permuted)
+    if rows.size:
+        noise = rng.standard_normal((rows.size, d)) * (spec.noise_sigma_scale * feat_std)
+        out[rows] = X_pos[rows] + noise
     return out
 
 

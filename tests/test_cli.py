@@ -163,6 +163,33 @@ def test_eval_rejects_a_dataset_of_another_shape(three_task_run, tmp_path, capsy
     assert f"{path}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("split, field, value, message", [
+    ("test", "y", 7, "test label 7 is outside [0, 3)"),
+    ("test", "y", 3, "test label 3 is outside [0, 3)"),
+    ("test", "x", float("nan"), "a test feature is not finite"),
+    ("train", "x", float("inf"), "a train feature is not finite"),
+], ids=["label_7", "label_num_classes", "nan_feature", "inf_feature"])
+def test_eval_rejects_a_dataset_with_bad_values(three_task_run, capsys,
+                                                split, field, value, message):
+    # overwrite the last label or feature of one split of task_01.bin
+    path = three_task_run / "data" / "task_01.bin"
+    raw = bytearray(path.read_bytes())
+    (dim,) = struct.unpack("<I", raw[16:20])
+    (dom_len,) = struct.unpack("<I", raw[28:32])
+    n_train, n_test = struct.unpack("<QQ", raw[32 + dom_len:48 + dom_len])
+    train_x = 48 + dom_len
+    test_x = train_x + n_train * (8 * dim + 4)
+    x_end, y_end = ((train_x + 8 * dim * n_train, test_x) if split == "train"
+                    else (test_x + 8 * dim * n_test, len(raw)))
+    if field == "y":
+        raw[y_end - 4:y_end] = struct.pack("<I", value)
+    else:
+        raw[x_end - 8:x_end] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    assert cli.main(["eval", str(three_task_run)]) == 3
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
 def test_eval_rejects_a_model_of_another_arch(tiny_config, tmp_path, capsys):
     run_dir = tmp_path / "run"
     cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)])

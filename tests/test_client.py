@@ -18,6 +18,28 @@ def fresh_state(cid=0):
     return client.ClientState(client_id=cid)
 
 
+def reference_pull(w, anchors, rho):
+    """The migration pull by its definition, sum_i rho_i ||w - a_i||^2, and
+    its gradient 2 sum_i rho_i (w - a_i), one anchor row at a time."""
+    loss, grad = 0.0, np.zeros_like(w)
+    for r, a in zip(rho, anchors):
+        diff = w - a
+        loss += r * float(diff @ diff)
+        grad += 2.0 * r * diff
+    return loss, grad
+
+
+def assert_pull_covers(st, models, rho):
+    """The client's (s, abar, c) are those of exactly these anchor models
+    with these weights."""
+    anchors = [m.params.copy() for m in models]
+    assert st.anchor_mass == pytest.approx(float(np.sum(rho)), rel=1e-14, abs=0.0)
+    want_sum = sum((r * a for r, a in zip(rho, anchors)), np.zeros(ARCH.param_count()))
+    assert np.allclose(st.anchor_sum, want_sum, rtol=1e-14, atol=1e-15)
+    want_sq = sum(r * float(a @ a) for r, a in zip(rho, anchors))
+    assert st.anchor_sq == pytest.approx(want_sq, rel=1e-14, abs=0.0)
+
+
 # ------------------------------------------------------------- begin_task
 
 
@@ -29,8 +51,7 @@ def test_begin_task_first_task_new_model_no_snapshots():
     assert rep.decision == matching.DECISION_NEW
     assert len(st.pool) == 1
     assert st.task_bindings == {0: 0}
-    assert st.pool_snapshots.shape[0] == 0
-    assert st.snapshot_rho.shape == (0,)
+    assert_pull_covers(st, [], [])
 
 
 def test_begin_task_empty_shard_marks_inactive():
@@ -41,6 +62,7 @@ def test_begin_task_empty_shard_marks_inactive():
     assert not st.active
     assert st.task_bindings == {}
     assert st.rho_history[-1]["inactive"]
+    assert (st.anchor_mass, st.anchor_sum.size, st.anchor_sq) == (0.0, 0, 0.0)
 
 
 def test_begin_task_lambda_zero_reuses_without_snapshots():
@@ -52,8 +74,7 @@ def test_begin_task_lambda_zero_reuses_without_snapshots():
     assert rep.model_index == 0
     assert len(st.pool) == 1
     # the reused model excludes itself from migration anchors
-    assert st.pool_snapshots.shape[0] == 0
-    assert st.snapshot_rho.shape == (0,)
+    assert_pull_covers(st, [], [])
 
 
 def test_begin_task_lambda_one_grows_pool_and_anchors_all_previous():
@@ -66,9 +87,10 @@ def test_begin_task_lambda_one_grows_pool_and_anchors_all_previous():
     assert len(st.pool) == 3
     assert sorted(st.task_bindings.values()) == [0, 1, 2]
     # task 2 anchors the two previous models with their intensities
-    assert len(st.pool_snapshots) == 2
-    assert st.snapshot_rho.shape == (2,)
-    assert np.all((st.snapshot_rho >= 0) & (st.snapshot_rho <= 1))
+    rho = st.rho_history[-1]["rho"]
+    assert len(rho) == 2
+    assert all(0 <= r <= 1 for r in rho)
+    assert_pull_covers(st, st.pool[:2], rho)
 
 
 def test_begin_task_reuse_excludes_self_keeps_others():
@@ -78,11 +100,8 @@ def test_begin_task_reuse_excludes_self_keeps_others():
     client.begin_task(st, X * 3, task_id=1, lam=1.0, max_pool_size=8, arch=ARCH, init_seed=1)
     rep = client.begin_task(st, X, task_id=2, lam=0.0, max_pool_size=8, arch=ARCH, init_seed=2)
     assert rep.decision == matching.DECISION_REUSE
-    bound = rep.model_index
-    assert len(st.pool_snapshots) == 1  # the other model only
-    other = 1 - bound
-    assert np.array_equal(st.pool_snapshots[0], st.pool[other].params)
-    assert st.snapshot_rho[0] == rep.rho[other]
+    other = 1 - rep.model_index
+    assert_pull_covers(st, [st.pool[other]], [rep.rho[other]])  # the other model only
 
 
 def test_begin_task_include_self_switch():
@@ -93,8 +112,7 @@ def test_begin_task_include_self_switch():
     rep = client.begin_task(st, X, task_id=1, lam=0.0, max_pool_size=8, arch=ARCH,
                             init_seed=1, km_include_self=True)
     assert rep.decision == matching.DECISION_REUSE
-    assert len(st.pool_snapshots) == 1  # the bound model's frozen copy
-    assert st.snapshot_rho[0] == rep.rho[0]
+    assert_pull_covers(st, [st.pool[0]], [rep.rho[0]])  # the bound model's frozen copy
 
 
 def test_pool_size_monotone_and_bounded_growth():
@@ -116,7 +134,7 @@ def test_pool_size_monotone_and_bounded_growth():
 def test_migration_loss_zero_for_identical_params():
     w = nn.init_model(ARCH, 0).params
     anchors = w[None, :].copy()
-    assert client.migration_loss(w - anchors, np.array([0.7])) == 0.0
+    assert reference_pull(w, anchors, np.array([0.7]))[0] == 0.0
 
 
 def test_migration_loss_hand_case():
@@ -124,7 +142,25 @@ def test_migration_loss_hand_case():
     w = nn.init_model(ARCH, 0).params
     anchors = w[None, :].copy()
     anchors[0, 0] += 2.0
-    assert abs(client.migration_loss(w - anchors, np.array([0.5])) - 2.0) < 1e-12
+    assert abs(reference_pull(w, anchors, np.array([0.5]))[0] - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("num_anchors", [1, 3, 7])
+@pytest.mark.parametrize("at_anchor", [False, True], ids=["apart", "at_anchor"])
+def test_closed_form_pull_matches_definition(num_anchors, at_anchor):
+    rng = np.random.default_rng(num_anchors)
+    w = nn.init_model(ARCH, 0).params + rng.standard_normal(ARCH.param_count()) * 0.2
+    anchors = w + rng.standard_normal((num_anchors, w.size)) * 0.3
+    if at_anchor:
+        w = anchors[num_anchors // 2].copy()
+    rho = rng.uniform(0.0, 1.0, size=num_anchors)
+    s, abar = float(rho.sum()), rho @ anchors
+    c = float(rho @ np.einsum("ij,ij->i", anchors, anchors))
+    want_loss, want_grad = reference_pull(w, anchors, rho)
+    grad = np.zeros_like(w)
+    client.add_migration_grads(grad, w, s, abar)
+    assert abs(client.migration_loss(w, s, abar, c) - want_loss) <= 1e-13 * (1.0 + c)
+    assert np.max(np.abs(grad - want_grad)) <= 1e-13 * (1.0 + np.max(np.abs(want_grad)))
 
 
 def test_migration_gradient_matches_finite_differences():
@@ -134,9 +170,12 @@ def test_migration_gradient_matches_finite_differences():
 
 
 def test_migration_loss_validates_weights():
+    # statistics of another parameter count are refused, not broadcast
     w = nn.init_model(ARCH, 0).params
     with pytest.raises(ValueError):
-        client.migration_loss(w - w[None, :], np.array([0.5, 0.5]))
+        client.migration_loss(w, 1.0, np.zeros(w.size + 1), 0.0)
+    with pytest.raises(ValueError):
+        client.add_migration_grads(np.zeros_like(w), w, 1.0, np.zeros(w.size + 1))
 
 
 # ------------------------------------------------------------- local rounds
@@ -215,9 +254,12 @@ def test_snapshots_stay_frozen_during_training():
     client.begin_task(st, X, 0, 1.0, 8, ARCH, init_seed=0)
     run_round(st, X, y, task_id=0)
     client.begin_task(st, X + 5.0, 1, 1.0, 8, ARCH, init_seed=1)
-    frozen = st.pool_snapshots[0].copy()
+    rho = st.rho_history[-1]["rho"]
+    assert_pull_covers(st, [st.pool[0]], rho)
+    frozen = st.anchor_sum.copy()
     run_round(st, X + 5.0, y, task_id=1, entropy=(0, 6, 0, 1, 0))
-    assert np.array_equal(frozen, st.pool_snapshots[0])
+    assert np.array_equal(frozen, st.anchor_sum)
+    assert_pull_covers(st, [st.pool[0]], rho)
 
 
 def test_migration_pulls_toward_anchor():
@@ -228,8 +270,8 @@ def test_migration_pulls_toward_anchor():
     client.begin_task(st, X, 0, 1.0, 8, ARCH, init_seed=0)
     run_round(st, X, y)
     client.begin_task(st, X, 1, 1.0, 8, ARCH, init_seed=1)
-    anchor = st.pool_snapshots[0].copy()
-    st.snapshot_rho = np.array([1.0])
+    anchor = st.pool[0].params.copy()
+    st.anchor_mass, st.anchor_sum, st.anchor_sq = 1.0, anchor.copy(), float(anchor @ anchor)
     d0 = np.linalg.norm(st.pool[1].params.copy() - anchor)
     run_round(st, X, y, task_id=1, epochs=5, entropy=(0, 6, 0, 1, 0))
     d1 = np.linalg.norm(st.pool[1].params.copy() - anchor)
@@ -245,8 +287,7 @@ def test_no_anchor_training_identical_to_plain_joint():
 
     st_b = fresh_state()
     client.begin_task(st_b, X, 0, 0.5, 8, ARCH, init_seed=11)
-    st_b.pool_snapshots = np.zeros((0, 0))
-    st_b.snapshot_rho = np.zeros(0)
+    st_b.clear_anchors()
     up_b = run_round(st_b, X, y)
     assert np.array_equal(up_a.parameters.params.copy(),
                           up_b.parameters.params.copy())
@@ -299,18 +340,21 @@ def _reference_pass(model, X, y_cls=None, y_aux=None):
 def _reference_round(model, anchors, rho, X, y, epochs, lr, wd, batch_size, entropy):
     """The two-pass step: a class pass over the batch, an aux pass over
     batch + negatives, the per-anchor, per-layer migration loop and a
-    per-array update. Returns the per-step losses."""
+    per-array update. One generator per round; each epoch draws its
+    permutation, then its negatives. Returns the per-step losses."""
     layers = (*model.trunk, model.cls_head, model.aux_head)
     feat_std = X.std(axis=0)
     losses = []
-    for epoch in range(epochs):
-        rng = rng_for(*entropy, epoch)
+    rng = rng_for(*entropy)
+    for _ in range(epochs):
         order = rng.permutation(len(X))
+        negatives = matching.synthesize_negatives(X[order], feat_std, NegativeSynthesisSpec(),
+                                                  rng, batch_size)
         for start in range(0, len(X), batch_size):
             rows = order[start:start + batch_size]
             Xb = X[rows]
             grads, cls_loss = _reference_pass(model, Xb, y_cls=y[rows])
-            Xn = matching.synthesize_negatives(Xb, feat_std, NegativeSynthesisSpec(), rng)
+            Xn = negatives[start:start + batch_size]
             ya = np.concatenate([np.ones(len(Xb)), np.zeros(len(Xn))])
             aux_grads, aux_loss = _reference_pass(model, np.concatenate([Xb, Xn]), y_aux=ya)
             step_loss = cls_loss + aux_loss
@@ -349,9 +393,10 @@ def test_fused_step_matches_two_pass_reference(num_anchors, n, epochs):
     st = fresh_state()
     st.pool = pool
     st.task_bindings = {0: num_anchors}
-    st.pool_snapshots = np.array([m.params for m in pool[:-1]]).reshape(
+    anchor_rows = np.array([m.params for m in pool[:-1]]).reshape(
         num_anchors, ARCH.param_count())
-    st.snapshot_rho = rho
+    st.anchor_mass, st.anchor_sum = float(rho.sum()), rho @ anchor_rows
+    st.anchor_sq = float(rho @ np.einsum("ij,ij->i", anchor_rows, anchor_rows))
 
     reference = nn.clone_model(pool[-1])
     anchors = [nn.clone_model(m) for m in pool[:-1]]
@@ -362,3 +407,30 @@ def test_fused_step_matches_two_pass_reference(num_anchors, n, epochs):
     assert len(want) == epochs * -(-n // 16)
     assert abs(up.train_loss - np.mean(want)) <= 1e-12
     assert np.max(np.abs(up.parameters.params - reference.params)) <= 1e-12
+
+
+def test_each_batch_keeps_the_negative_mix(monkeypatch):
+    # 83 rows in batches of 32: 32, 32 and 19 rows, of which the leading
+    # 16, 16 and round(9.5) = 10 negatives are permuted and the rest noised
+    X, y = shard(10, n=83)
+    st = fresh_state()
+    client.begin_task(st, X, 0, 0.5, 8, ARCH, init_seed=0)
+    batches = []
+
+    def record(model, Z, y_cls, y_aux):
+        m = len(y_cls)
+        assert np.array_equal(y_aux, np.r_[np.ones(m), np.zeros(m)])
+        batches.append((Z[:m].copy(), Z[m:].copy()))
+        return np.zeros_like(model.params), 0.0
+
+    monkeypatch.setattr(nn, "_grads_and_loss", record)
+    client.local_train_round(st, None, X, y, task_id=0, epochs=1, lr=0.05,
+                             weight_decay=0.0, batch_size=32,
+                             neg_spec=NegativeSynthesisSpec(), round_entropy=(3,))
+    assert [len(pos) for pos, _ in batches] == [32, 32, 19]
+    for (pos, neg), n_perm in zip(batches, [16, 16, 10]):
+        for i in range(len(pos)):
+            if i < n_perm:
+                assert np.array_equal(np.sort(neg[i]), np.sort(pos[i]))
+            else:
+                assert not np.any(neg[i] == pos[i])

@@ -119,8 +119,8 @@ def test_negative_synthesis_shapes_and_determinism():
     X = rng.standard_normal((12, 5))
     std = X.std(axis=0)
     spec = matching.NegativeSynthesisSpec()
-    a = matching.synthesize_negatives(X, std, spec, np.random.default_rng(7))
-    b = matching.synthesize_negatives(X, std, spec, np.random.default_rng(7))
+    a = matching.synthesize_negatives(X, std, spec, np.random.default_rng(7), len(X))
+    b = matching.synthesize_negatives(X, std, spec, np.random.default_rng(7), len(X))
     assert a.shape == X.shape
     assert np.array_equal(a, b)
 
@@ -129,7 +129,7 @@ def test_negative_synthesis_pure_permutation_keeps_values():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((8, 5))
     spec = matching.NegativeSynthesisSpec(permute_fraction=1.0)
-    neg = matching.synthesize_negatives(X, X.std(axis=0), spec, rng)
+    neg = matching.synthesize_negatives(X, X.std(axis=0), spec, rng, len(X))
     for i in range(8):
         assert np.allclose(np.sort(neg[i]), np.sort(X[i]))
 
@@ -138,7 +138,7 @@ def test_negative_synthesis_pure_noise_displaces():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((8, 5))
     spec = matching.NegativeSynthesisSpec(permute_fraction=0.0, noise_sigma_scale=1.5)
-    neg = matching.synthesize_negatives(X, X.std(axis=0), spec, rng)
+    neg = matching.synthesize_negatives(X, X.std(axis=0), spec, rng, len(X))
     assert not np.allclose(neg, X)
 
 
