@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,12 +40,13 @@ GRADCHECK_TOLERANCE = 1e-4
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_config()
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, federation=replace(cfg.federation, seed=args.seed))
+        cfg = _with(cfg, seed=args.seed)
     return cfg
 
 
-def _with(cfg: ExperimentConfig, **fed_overrides) -> ExperimentConfig:
-    return replace(cfg, federation=replace(cfg.federation, **fed_overrides))
+def _with(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
+    """cfg with top-level config keys replaced, validated like a file."""
+    return parse_config({**cfg.to_dict(), **overrides})
 
 
 # ------------------------------------------------------------- commands
@@ -119,7 +119,8 @@ def cmd_compare(args) -> int:
     sweep = []
     for lam in LAMBDA_SWEEP:
         for seed in seeds:
-            res = run_experiment(_with(cfg, mode="pfeddil", lam=lam, seed=seed))
+            res = run_experiment(_with(cfg, mode="pfeddil", seed=seed,
+                                       **{"lambda": lam}))
             sweep.append([f"{lam:.2f}", seed,
                           f"{res.metrics.avg_final:.6f}",
                           f"{res.metrics.mean_forgetting():.6f}",
@@ -134,18 +135,23 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _check_dataset(path, task, cfg: ExperimentConfig) -> None:
+def _check_dataset(path, task, cfg: ExperimentConfig, data_seed: int) -> None:
     """Raise DataError unless a loaded dataset has the feature width, class
-    count and train/test row counts that the config produces, finite
-    features and labels in [0, num_classes)."""
+    count, train/test row counts and domain block that the config gives
+    its task, the run's base seed, finite features and labels in
+    [0, num_classes)."""
     n_train, n_test = split_sizes(cfg.data.samples_per_class)
     classes = cfg.data.num_classes
+    domain = cfg.data.domains()[task.task_id].to_dict()
     for what, got, want in (("feature width", task.train_x.shape[1], cfg.data.input_dim),
                             ("num_classes", task.num_classes, classes),
                             ("train rows", task.n_train, classes * n_train),
-                            ("test rows", task.test_y.shape[0], classes * n_test)):
+                            ("test rows", task.test_y.shape[0], classes * n_test),
+                            ("domain", task.domain, domain)):
         if got != want:
             raise DataError(f"{path}: {what} is {got}, the config gives {want}")
+    if task.seed != data_seed:
+        raise DataError(f"{path}: base seed is {task.seed}, the manifest gives {data_seed}")
     for split, x, y in (("train", task.train_x, task.train_y),
                         ("test", task.test_x, task.test_y)):
         if not np.isfinite(x).all():
@@ -182,7 +188,7 @@ def evaluate_run_dir(run_dir):
         tasks.append(load_dataset(path))
         if tasks[t].task_id != t:
             raise DataError(f"{path}: holds task {tasks[t].task_id}, expected {t}")
-        _check_dataset(path, tasks[t], cfg)
+        _check_dataset(path, tasks[t], cfg, data_seed)
     n_tasks = len(tasks)
     K = fed.num_clients
     partitions, streams = partitions_and_streams(cfg, data_seed, tasks)

@@ -1,11 +1,12 @@
 """Synthetic domain-shifted classification tasks.
 
 A base dataset is a set of isotropic unit-variance Gaussian clusters whose
-means sit on a sphere of radius `class_separation`. A domain is a feature
-transformation (labels never change): a rotation followed, when the noise
-level is positive, by additive Gaussian noise. Rotation by an angle acts
-as a Givens rotation on each consecutive coordinate pair, so 180 degrees
-maps x to -x exactly.
+means sit on a sphere of radius `class_separation`. A domain is one frozen
+`Domain(degrees, noise_sigma)` record: it rotates the features by
+`degrees`, then, when noise_sigma is positive, adds Gaussian noise; labels
+never change. The rotation acts as a Givens rotation on each consecutive
+coordinate pair, so 180 degrees maps x to -x exactly. Datasets carry the
+record's JSON form (`Domain.to_dict`), which their files store.
 """
 
 from __future__ import annotations
@@ -38,38 +39,30 @@ class DataConfig:
     stream_mode: str = STREAM_SYNCHRONIZED
     seed: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "input_dim": self.input_dim,
-            "samples_per_class": self.samples_per_class,
-            "class_separation": self.class_separation,
-            "rotation_degrees": list(self.rotation_degrees),
-            "domain_noise_sigma": self.domain_noise_sigma,
-            "stream_mode": self.stream_mode,
-            "seed": self.seed,
-        }
+    def domains(self) -> list[Domain]:
+        """One Domain per task, in rotation_degrees order."""
+        return [Domain(d, self.domain_noise_sigma) for d in self.rotation_degrees]
 
 
 # ---------------------------------------------------------------- domains
 
 
 @dataclass(frozen=True)
-class Rotation:
-    angle: float  # radians
+class Domain:
+    """A rotation by `degrees`, then N(0, noise_sigma^2) noise when
+    noise_sigma > 0."""
 
+    degrees: float = 0.0
+    noise_sigma: float = 0.0
 
-@dataclass(frozen=True)
-class Noise:
-    sigma: float
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """Ordered composition of Rotation and Noise steps."""
-
-    steps: tuple = ()
-    name: str = "identity"
+    def to_dict(self) -> dict:
+        """The JSON block stored in dataset files and the data manifest."""
+        name = f"rot{self.degrees:g}"
+        steps = [{"kind": "rotation", "angle": float(np.deg2rad(self.degrees))}]
+        if self.noise_sigma > 0:
+            name += f"+noise{self.noise_sigma:g}"
+            steps.append({"kind": "noise", "sigma": float(self.noise_sigma)})
+        return {"name": name, "steps": steps}
 
 
 def rotation_matrix(dim: int, angle: float) -> np.ndarray:
@@ -84,59 +77,13 @@ def rotation_matrix(dim: int, angle: float) -> np.ndarray:
     return R
 
 
-def _apply_steps(X: np.ndarray, steps, rng: np.random.Generator) -> np.ndarray:
-    out = np.array(X, dtype=np.float64, copy=True)
-    for step in steps:
-        if isinstance(step, Rotation):
-            out = out @ rotation_matrix(out.shape[1], step.angle).T
-        elif isinstance(step, Noise):
-            if step.sigma < 0:
-                raise ValueError("noise sigma must be non-negative")
-            out = out + rng.standard_normal(out.shape) * step.sigma
-        else:
-            raise ValueError(f"unknown domain step {step!r}")
-    return out
-
-
-def domain_to_dict(domain: DomainSpec) -> dict:
-    steps = [{"kind": "rotation", "angle": s.angle} if isinstance(s, Rotation)
-             else {"kind": "noise", "sigma": s.sigma} for s in domain.steps]
-    return {"name": domain.name, "steps": steps}
-
-
-def domain_from_dict(obj: dict) -> DomainSpec:
-    steps = []
-    for s in obj["steps"]:
-        kind = s["kind"]
-        if kind == "rotation":
-            steps.append(Rotation(angle=float(s["angle"])))
-        elif kind == "noise":
-            steps.append(Noise(sigma=float(s["sigma"])))
-        else:
-            raise ValueError(f"unknown domain step kind {kind!r}")
-    return DomainSpec(steps=tuple(steps), name=str(obj["name"]))
-
-
-def make_rotation_domains(degrees, noise_sigma: float) -> list[DomainSpec]:
-    """The default benchmark's domain family: rotations plus noise."""
-    domains = []
-    for deg in degrees:
-        steps: list = [Rotation(angle=float(np.deg2rad(deg)))]
-        name = f"rot{deg:g}"
-        if noise_sigma > 0:
-            steps.append(Noise(sigma=float(noise_sigma)))
-            name += f"+noise{noise_sigma:g}"
-        domains.append(DomainSpec(steps=tuple(steps), name=name))
-    return domains
-
-
 # ---------------------------------------------------------------- datasets
 
 
 @dataclass
 class TaskDataset:
     task_id: int
-    domain: DomainSpec
+    domain: dict  # a Domain's JSON block
     num_classes: int
     train_x: np.ndarray
     train_y: np.ndarray
@@ -172,7 +119,7 @@ def make_base_dataset(num_classes: int, input_dim: int, samples_per_class: int,
         seed: non-negative integer seed.
 
     Returns:
-        A TaskDataset for the identity domain with task_id 0.
+        A TaskDataset for the unshifted Domain() with task_id 0.
     """
     if num_classes < 2:
         raise ValueError("num_classes must be at least 2")
@@ -197,21 +144,30 @@ def make_base_dataset(num_classes: int, input_dim: int, samples_per_class: int,
     test_x = np.concatenate(test_parts)
     train_y = np.repeat(np.arange(num_classes), n_train)
     test_y = np.repeat(np.arange(num_classes), n_test)
-    return TaskDataset(task_id=0, domain=DomainSpec(), num_classes=num_classes,
+    return TaskDataset(task_id=0, domain=Domain().to_dict(), num_classes=num_classes,
                        train_x=train_x, train_y=train_y,
                        test_x=test_x, test_y=test_y, seed=int(seed))
 
 
-def apply_domain(base: TaskDataset, domain: DomainSpec, task_id: int) -> TaskDataset:
+def apply_domain(base: TaskDataset, domain: Domain, task_id: int) -> TaskDataset:
     """Transform a base dataset into one task's domain.
 
-    Labels are untouched. Per-sample noise, if any step draws it, comes
-    from a task-scoped RNG so each task sees fresh but reproducible noise.
+    Labels are untouched. The noise, train rows first, comes from a
+    task-scoped RNG, so each task sees fresh but reproducible noise.
     """
     rng = rng_for(base.seed, TAG_DOMAIN, task_id)
-    train_x = _apply_steps(base.train_x, domain.steps, rng)
-    test_x = _apply_steps(base.test_x, domain.steps, rng)
-    return TaskDataset(task_id=int(task_id), domain=domain, num_classes=base.num_classes,
+    R = rotation_matrix(base.train_x.shape[1], float(np.deg2rad(domain.degrees)))
+
+    def shift(X: np.ndarray) -> np.ndarray:
+        out = X @ R.T
+        if domain.noise_sigma > 0:
+            out = out + rng.standard_normal(out.shape) * domain.noise_sigma
+        return out
+
+    train_x = shift(base.train_x)
+    test_x = shift(base.test_x)
+    return TaskDataset(task_id=int(task_id), domain=domain.to_dict(),
+                       num_classes=base.num_classes,
                        train_x=train_x, train_y=base.train_y.copy(),
                        test_x=test_x, test_y=base.test_y.copy(), seed=base.seed)
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import __version__, client, nn
 from .data import (DataConfig, HeterogeneityConfig, apply_domain,
-                   build_task_stream, dirichlet_partition, domain_to_dict,
-                   make_base_dataset, make_rotation_domains)
+                   build_task_stream, dirichlet_partition, make_base_dataset)
 from .errors import ConfigError, InvariantError
 from .evaluation import (MetricsMatrix, OutputMemo, accuracy_and_ce,
                          build_metrics, ensemble_probs_matrix, model_digest,
@@ -96,26 +95,8 @@ class ExperimentConfig:
                            num_classes=self.data.num_classes)
 
     def to_dict(self) -> dict:
-        fed = self.federation
-        return {
-            "mode": fed.mode,
-            "seed": fed.seed,
-            "clients": fed.num_clients,
-            "active_fraction": fed.active_fraction,
-            "rounds_per_task": fed.rounds_per_task,
-            "local_epochs": fed.local_epochs,
-            "batch_size": fed.batch_size,
-            "lr": fed.lr,
-            "weight_decay": fed.weight_decay,
-            "lambda": fed.lam,
-            "alpha": fed.alpha,
-            "max_pool_size": fed.max_pool_size,
-            "km_include_self": fed.km_include_self,
-            "data": self.data.to_dict(),
-            "arch": {"hidden_dims": [int(h) for h in self.hidden_dims]},
-            "negatives": {"noise_sigma_scale": self.negatives.noise_sigma_scale,
-                          "permute_fraction": self.negatives.permute_fraction},
-        }
+        from .config import config_to_dict  # config.py imports this module
+        return config_to_dict(self)
 
 
 def sample_clients(num_clients: int, active_fraction: float,
@@ -367,9 +348,7 @@ def build_datasets(cfg: ExperimentConfig):
     base = make_base_dataset(cfg.data.num_classes, cfg.data.input_dim,
                              cfg.data.samples_per_class,
                              cfg.data.class_separation, data_seed)
-    domains = make_rotation_domains(cfg.data.rotation_degrees,
-                                    cfg.data.domain_noise_sigma)
-    tasks = [apply_domain(base, dom, t) for t, dom in enumerate(domains)]
+    tasks = [apply_domain(base, dom, t) for t, dom in enumerate(cfg.data.domains())]
     return int(data_seed), tasks, *partitions_and_streams(cfg, data_seed, tasks)
 
 
@@ -394,7 +373,7 @@ def data_manifest_dict(cfg: ExperimentConfig, data_seed: int, tasks) -> dict:
         "samples_per_class": cfg.data.samples_per_class,
         "class_separation": cfg.data.class_separation,
         "stream_mode": cfg.data.stream_mode,
-        "domains": [domain_to_dict(t.domain) for t in tasks],
+        "domains": [t.domain for t in tasks],
         "train_per_task": int(tasks[0].n_train),
         "test_per_task": int(tasks[0].test_y.shape[0]),
         "files": [f"data/task_{t.task_id:02d}.bin" for t in tasks],

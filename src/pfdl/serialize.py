@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn
 from .client import ClientState
-from .data import TaskDataset, domain_from_dict, domain_to_dict
+from .data import TaskDataset
 from .errors import DataError
 
 MODEL_MAGIC = b"PFDL"
@@ -88,7 +88,7 @@ def save_dataset(path, task: TaskDataset) -> None:
     with open(path, "wb") as fh:
         fh.write(DATA_MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
-        dom = json.dumps(domain_to_dict(task.domain)).encode()
+        dom = json.dumps(task.domain).encode()
         fh.write(struct.pack("<IIIq", task.task_id, task.num_classes,
                              task.train_x.shape[1], int(task.seed)))
         fh.write(struct.pack("<I", len(dom)))
@@ -107,8 +107,8 @@ def load_dataset(path) -> TaskDataset:
         task_id, num_classes, dim, seed = struct.unpack("<IIIq", _read_exact(fh, 20, ctx))
         (dom_len,) = struct.unpack("<I", _read_exact(fh, 4, ctx))
         try:
-            domain = domain_from_dict(json.loads(_read_exact(fh, dom_len, ctx)))
-        except (json.JSONDecodeError, KeyError, ValueError) as e:
+            domain = json.loads(_read_exact(fh, dom_len, ctx))
+        except ValueError as e:  # bad JSON or bad UTF-8
             raise DataError(f"{ctx}: bad domain block ({e})") from e
         n_train, n_test = struct.unpack("<QQ", _read_exact(fh, 16, ctx))
         train_x = _read_f64(fh, (n_train, dim), ctx)
@@ -144,7 +144,9 @@ def save_client_state(dir_path, state: ClientState) -> tuple[Path, Path]:
 
 
 def load_client_state(path) -> ClientState:
-    """Rebuild a client at a task boundary (snapshots are not persisted)."""
+    """Rebuild a client at a task boundary. The migration pull statistics
+    (s, abar, c) are not stored: the next `begin_task` rebuilds them from
+    the pool."""
     ctx = str(path)
     with io.BytesIO(Path(path).read_bytes()) as fh:
         _check_header(fh, STATE_MAGIC, ctx)

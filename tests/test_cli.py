@@ -163,6 +163,28 @@ def test_eval_rejects_a_dataset_of_another_shape(three_task_run, tmp_path, capsy
     assert f"{path}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("other, message", [
+    ({"data": dict(THREE_TASKS["data"], rotation_degrees=[0, 45, 180])},
+     "domain is {'name': 'rot45+noise0.3', 'steps': [{'kind': 'rotation', "
+     "'angle': 0.7853981633974483}, {'kind': 'noise', 'sigma': 0.3}]}, "
+     "the config gives {'name': 'rot90+noise0.3', 'steps': [{'kind': 'rotation', "
+     "'angle': 1.5707963267948966}, {'kind': 'noise', 'sigma': 0.3}]}"),
+    ({"seed": 5}, "base seed is 5, the manifest gives 0"),
+], ids=["domain", "seed"])
+def test_eval_rejects_a_dataset_of_another_domain_or_seed(three_task_run, tmp_path,
+                                                          capsys, other, message):
+    # same shapes, so only the domain block or the header seed tells
+    cfg = tmp_path / "other.json"
+    cfg.write_text(json.dumps(dict(THREE_TASKS, **other)))
+    assert cli.main(["gen-data", "--config", str(cfg),
+                     "--out", str(tmp_path / "other")]) == 0
+    path = three_task_run / "data" / "task_01.bin"
+    path.write_bytes((tmp_path / "other" / "data" / "task_01.bin").read_bytes())
+    capsys.readouterr()
+    assert cli.main(["eval", str(three_task_run)]) == 3
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("split, field, value, message", [
     ("test", "y", 7, "test label 7 is outside [0, 3)"),
     ("test", "y", 3, "test label 3 is outside [0, 3)"),
@@ -255,6 +277,27 @@ def test_missing_config_is_config_error(tmp_path, capsys):
                      "--out", str(tmp_path / "o")])
     assert code == 2
     assert "error[config]:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"lr": NaN}', "lr: expected a finite number, got nan"),
+    ('{"seed": 9223372036854775808}',
+     "seed: must be at most 9223372036854775807, got 9223372036854775808"),
+], ids=["nan_lr", "seed_2_63"])
+def test_run_rejects_an_unusable_number(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY)[:-1] + ", " + doc[1:])
+    code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error[config]: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "gen-data"])
+def test_seed_flag_is_validated_like_the_config(tiny_config, tmp_path, capsys, command):
+    code = cli.main([command, "--config", str(tiny_config), "--seed", "-1",
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == "error[config]: seed: must be at least 0, got -1\n"
 
 
 def test_invalid_json_reports_position(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -57,26 +59,22 @@ def test_base_dataset_validation():
 
 def test_identity_domain_is_noop():
     t = tiny_task()
-    out = data.apply_domain(t, data.DomainSpec(), task_id=1)
+    out = data.apply_domain(t, data.Domain(), task_id=1)
     assert np.array_equal(out.train_x, t.train_x)
     assert np.array_equal(out.train_y, t.train_y)
 
 
 def test_rotation_runs_and_inverts():
     t = tiny_task()
-    ang = np.deg2rad(60)
-    rot = data.DomainSpec(steps=(data.Rotation(ang),), name="rot60")
-    back = data.DomainSpec(steps=(data.Rotation(ang), data.Rotation(-ang)), name="there-and-back")
-    out = data.apply_domain(t, back, task_id=1)
-    assert np.max(np.abs(out.train_x - t.train_x)) < 1e-12
-    moved = data.apply_domain(t, rot, task_id=1)
+    moved = data.apply_domain(t, data.Domain(60), task_id=1)
     assert not np.allclose(moved.train_x, t.train_x)
+    back = data.apply_domain(moved, data.Domain(-60), task_id=1)
+    assert np.max(np.abs(back.train_x - t.train_x)) < 1e-12
 
 
 def test_rotation_preserves_norms():
     t = tiny_task()
-    rot = data.DomainSpec(steps=(data.Rotation(1.234),), name="r")
-    out = data.apply_domain(t, rot, task_id=2)
+    out = data.apply_domain(t, data.Domain(70.7), task_id=2)
     n0 = np.linalg.norm(t.train_x, axis=1)
     n1 = np.linalg.norm(out.train_x, axis=1)
     assert np.max(np.abs(n0 - n1)) < 1e-9
@@ -84,22 +82,20 @@ def test_rotation_preserves_norms():
 
 def test_rotation_180_negates_even_dims():
     t = tiny_task(dim=6)
-    rot = data.DomainSpec(steps=(data.Rotation(np.pi),), name="rot180")
-    out = data.apply_domain(t, rot, task_id=1)
+    out = data.apply_domain(t, data.Domain(180), task_id=1)
     assert np.max(np.abs(out.train_x + t.train_x)) < 1e-9
 
 
 def test_labels_never_change():
     t = tiny_task()
-    spec = data.DomainSpec(steps=(data.Rotation(0.3), data.Noise(0.5)), name="mix")
-    out = data.apply_domain(t, spec, task_id=3)
+    out = data.apply_domain(t, data.Domain(17, 0.5), task_id=3)
     assert np.array_equal(out.train_y, t.train_y)
     assert np.array_equal(out.test_y, t.test_y)
 
 
 def test_noise_is_task_scoped_and_reproducible():
     t = tiny_task()
-    spec = data.DomainSpec(steps=(data.Noise(0.4),), name="n")
+    spec = data.Domain(0, 0.4)
     a = data.apply_domain(t, spec, task_id=1)
     b = data.apply_domain(t, spec, task_id=1)
     c = data.apply_domain(t, spec, task_id=2)
@@ -107,23 +103,40 @@ def test_noise_is_task_scoped_and_reproducible():
     assert not np.allclose(a.train_x, c.train_x)
 
 
-def test_domain_dict_roundtrip():
-    spec = data.DomainSpec(
-        steps=(data.Rotation(0.5), data.Noise(0.1), data.Rotation(-1.25)),
-        name="all-kinds")
-    back = data.domain_from_dict(data.domain_to_dict(spec))
-    assert back == spec
-    with pytest.raises(ValueError, match="permute"):
-        data.domain_from_dict({"name": "p", "steps": [{"kind": "permute", "perm": [1, 0]}]})
+def test_data_config_domains():
+    doms = data.DataConfig().domains()
+    assert doms == [data.Domain(d, 0.3) for d in (0.0, 60.0, 120.0, 180.0)]
+    clean = data.DataConfig(rotation_degrees=(0.0, 90.0), domain_noise_sigma=0.0)
+    assert [len(d.to_dict()["steps"]) for d in clean.domains()] == [1, 1]
 
 
-def test_make_rotation_domains():
-    doms = data.make_rotation_domains([0, 60, 120, 180], 0.3)
-    assert len(doms) == 4
-    assert doms[0].steps[0].angle == 0.0
-    assert isinstance(doms[0].steps[1], data.Noise)
-    clean = data.make_rotation_domains([0, 90], 0.0)
-    assert len(clean[0].steps) == 1
+# the JSON that dataset files and the data manifest store, as written by
+# the step-list domain format that the Domain record replaced
+DEFAULT_DOMAINS_JSON = (
+    '[{"name": "rot0+noise0.3", "steps": [{"kind": "rotation", "angle": 0.0}, '
+    '{"kind": "noise", "sigma": 0.3}]}, '
+    '{"name": "rot60+noise0.3", "steps": [{"kind": "rotation", "angle": 1.0471975511965976}, '
+    '{"kind": "noise", "sigma": 0.3}]}, '
+    '{"name": "rot120+noise0.3", "steps": [{"kind": "rotation", "angle": 2.0943951023931953}, '
+    '{"kind": "noise", "sigma": 0.3}]}, '
+    '{"name": "rot180+noise0.3", "steps": [{"kind": "rotation", "angle": 3.141592653589793}, '
+    '{"kind": "noise", "sigma": 0.3}]}]')
+RECURRING_DOMAINS_JSON = (
+    '[{"name": "rot0", "steps": [{"kind": "rotation", "angle": 0.0}]}, '
+    '{"name": "rot90", "steps": [{"kind": "rotation", "angle": 1.5707963267948966}]}, '
+    '{"name": "rot180", "steps": [{"kind": "rotation", "angle": 3.141592653589793}]}, '
+    '{"name": "rot270", "steps": [{"kind": "rotation", "angle": 4.71238898038469}]}, '
+    '{"name": "rot0", "steps": [{"kind": "rotation", "angle": 0.0}]}]')
+
+
+def test_domain_json_is_pinned():
+    default = [d.to_dict() for d in data.DataConfig().domains()]
+    assert json.dumps(default) == DEFAULT_DOMAINS_JSON
+    recurring = data.DataConfig(rotation_degrees=(0.0, 90.0, 180.0, 270.0, 0.0),
+                                domain_noise_sigma=0.0)
+    assert json.dumps([d.to_dict() for d in recurring.domains()]) == RECURRING_DOMAINS_JSON
+    t = data.apply_domain(tiny_task(), data.Domain(90), task_id=1)
+    assert json.dumps(t.domain) == json.dumps(json.loads(RECURRING_DOMAINS_JSON)[1])
 
 
 # ------------------------------------------------------------- partition
@@ -184,20 +197,20 @@ def test_largest_remainder_exact():
 
 
 def test_stream_synchronized_default_order():
-    doms = data.make_rotation_domains([0, 60, 120, 180], 0.3)
+    doms = data.DataConfig().domains()
     streams = data.build_task_stream(doms, 6, "synchronized", seed=0)
     assert streams == [[0, 1, 2, 3]] * 6
 
 
 def test_stream_shuffled_covers_domains_once():
-    doms = data.make_rotation_domains([0, 60, 120, 180], 0.3)
+    doms = data.DataConfig().domains()
     streams = data.build_task_stream(doms, 50, "shuffled", seed=1)
     for order in streams:
         assert sorted(order) == [0, 1, 2, 3]
 
 
 def test_stream_shuffled_hits_all_permutations():
-    doms = data.make_rotation_domains([0, 60, 120, 180], 0.3)
+    doms = data.DataConfig().domains()
     seen = set()
     for seed in range(10):
         for order in data.build_task_stream(doms, 100, "shuffled", seed=seed):

@@ -175,8 +175,7 @@ def test_train_auxiliary_separates_tasks():
     # blobs from one domain as positives: scores there must clearly beat
     # scores on the same blobs rotated half a turn
     base = data.make_base_dataset(3, 6, 120, 4.0, seed=5)
-    rot = data.DomainSpec(steps=(data.Rotation(np.pi),), name="rot180")
-    far = data.apply_domain(base, rot, task_id=1)
+    far = data.apply_domain(base, data.Domain(180), task_id=1)
     arch = nn.ArchSpec(input_dim=6, hidden_dims=(16, 8), num_classes=3)
     m = nn.init_model(arch, 0)
     train_round(m, base.train_x, base.train_y, epochs=40, seed=2)

@@ -1,11 +1,12 @@
 import io
+import struct
 
 import numpy as np
 import pytest
 
 from pfdl import nn, serialize
 from pfdl.client import ClientState
-from pfdl.data import DomainSpec, Noise, Rotation, apply_domain, make_base_dataset
+from pfdl.data import Domain, apply_domain, make_base_dataset
 from pfdl.errors import DataError
 
 
@@ -106,7 +107,7 @@ def test_invalid_arch_header_rejected(field):
 
 def test_dataset_roundtrip(tmp_path):
     base = make_base_dataset(3, 6, 30, 2.0, seed=5)
-    dom = DomainSpec(steps=(Rotation(angle=1.0), Noise(sigma=0.2)), name="rot+noise")
+    dom = Domain(57.3, 0.2)
     task = apply_domain(base, dom, task_id=2)
     path = tmp_path / "task.bin"
     serialize.save_dataset(path, task)
@@ -114,7 +115,7 @@ def test_dataset_roundtrip(tmp_path):
     assert back.task_id == 2
     assert back.num_classes == 3
     assert back.seed == 5
-    assert back.domain.name == "rot+noise"
+    assert back.domain == task.domain == dom.to_dict()
     assert np.array_equal(back.train_x, task.train_x)
     assert np.array_equal(back.train_y, task.train_y)
     assert np.array_equal(back.test_x, task.test_x)
@@ -128,6 +129,21 @@ def test_dataset_magic(tmp_path):
     assert path.read_bytes()[:4] == b"PFDD"
     with open(path, "rb") as fh, pytest.raises(DataError):
         serialize.read_model(fh)  # wrong reader for this magic
+
+
+@pytest.mark.parametrize("offset, byte", [(-1, b" "), (0, b"\xff")],
+                         ids=["json", "utf8"])
+def test_bad_domain_block_is_data_error(tmp_path, offset, byte):
+    # the block's closing brace blanked, or its first byte not UTF-8
+    path = tmp_path / "t.bin"
+    serialize.save_dataset(path, make_base_dataset(2, 3, 10, 1.0, seed=0))
+    raw = bytearray(path.read_bytes())
+    (dom_len,) = struct.unpack("<I", raw[28:32])
+    at = 32 + offset % dom_len
+    raw[at:at + 1] = byte
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="bad domain block"):
+        serialize.load_dataset(path)
 
 
 # ------------------------------------------------------------- states
