@@ -12,7 +12,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -21,15 +20,12 @@ import numpy as np
 from .config import default_config, load_config, parse_config
 from .data import split_sizes
 from .errors import ConfigError, DataError, PfdlError
-from .evaluation import OutputMemo, build_metrics
-from .federation import (MODES, ExperimentConfig,
-                         _evaluate_after_task, _global_objective,
-                         build_datasets, partitions_and_streams,
-                         physical_param_count, run_experiment,
+from .federation import (MODES, ExperimentConfig, build_datasets,
+                         partitions_and_streams, run_experiment, score_run,
                          write_data_artifacts)
 from .gradcheck import run_migration_gradcheck, run_nn_gradcheck
-from .persist import (SUMMARY_COLUMNS, EventLog, read_manifest, summary_row,
-                      write_metrics_files, write_summary_csv)
+from .persist import (EventLog, read_manifest, summary_row, write_metrics_files,
+                      write_summary_csv)
 from .serialize import load_client_state, load_dataset
 
 LAMBDA_SWEEP = (0.0, 0.2, 0.5, 0.8, 1.0)
@@ -63,7 +59,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+    # --seed is checked like the config's seed key
+    seed = 0 if args.seed is None else parse_config({"seed": args.seed}).federation.seed
     nn_err = run_nn_gradcheck(GRADCHECK_CASES, seed=seed)
     mig_err = run_migration_gradcheck(GRADCHECK_CASES, seed=seed)
     print(f"joint-loss gradients:     max relative error {nn_err:.3e} "
@@ -106,31 +103,20 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    for mode in modes:
-        for seed in seeds:
-            res = run_experiment(_with(cfg, mode=mode, seed=seed))
-            rows.append(summary_row(mode, seed, res.metrics,
-                                    float(np.mean(res.pool_sizes)),
-                                    res.param_count_total))
-            print(f"mode={mode} seed={seed} avg_final={res.metrics.avg_final:.4f}")
-    write_summary_csv(out / "compare.csv", rows)
-
-    sweep = []
-    for lam in LAMBDA_SWEEP:
-        for seed in seeds:
-            res = run_experiment(_with(cfg, mode="pfeddil", seed=seed,
-                                       **{"lambda": lam}))
-            sweep.append([f"{lam:.2f}", seed,
-                          f"{res.metrics.avg_final:.6f}",
-                          f"{res.metrics.mean_forgetting():.6f}",
-                          f"{float(np.mean(res.pool_sizes)):.6f}",
-                          res.param_count_total])
-            print(f"lambda={lam:.2f} seed={seed} avg_final={res.metrics.avg_final:.4f}")
-    with open(out / "lambda_sweep.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lambda"] + SUMMARY_COLUMNS[1:])
-        w.writerows(sweep)
+    grids = (("compare.csv", "mode", [(mode, {"mode": mode}) for mode in modes]),
+             ("lambda_sweep.csv", "lambda",
+              [(f"{lam:.2f}", {"mode": "pfeddil", "lambda": lam}) for lam in LAMBDA_SWEEP]))
+    for name, column, cells in grids:
+        rows = []
+        for label, overrides in cells:
+            for seed in seeds:
+                res = run_experiment(_with(cfg, seed=seed, **overrides))
+                rows.append(summary_row(label, seed, res.metrics,
+                                        float(np.mean(res.pool_sizes)),
+                                        res.param_count_total))
+                print(f"{column}={label} seed={seed} "
+                      f"avg_final={res.metrics.avg_final:.4f}")
+        write_summary_csv(out / name, rows, column)
     print(f"wrote {out / 'compare.csv'} and {out / 'lambda_sweep.csv'}")
     return 0
 
@@ -166,8 +152,8 @@ def evaluate_run_dir(run_dir):
 
     Datasets come from the run's data files, data/task_TT.bin for each
     configured domain; partitions and streams are re-derived from the
-    config (they are deterministic); the accuracy grid is rebuilt from the
-    per-task client-state checkpoints.
+    config (they are deterministic); `score_run` rebuilds the accuracy
+    grid from the per-task client-state checkpoints.
 
     Returns (config, metrics, pool_sizes, param_count_total).
     """
@@ -177,7 +163,6 @@ def evaluate_run_dir(run_dir):
         raise DataError(f"{run_dir}: no manifest.json here (not a run directory?)")
     manifest = read_manifest(manifest_path)
     cfg = parse_config(manifest["config"])
-    fed = cfg.federation
     data_seed = int(manifest["seeds"]["data"])
 
     tasks = []
@@ -189,20 +174,15 @@ def evaluate_run_dir(run_dir):
         if tasks[t].task_id != t:
             raise DataError(f"{path}: holds task {tasks[t].task_id}, expected {t}")
         _check_dataset(path, tasks[t], cfg, data_seed)
-    n_tasks = len(tasks)
-    K = fed.num_clients
     partitions, streams = partitions_and_streams(cfg, data_seed, tasks)
     arch = cfg.arch()
 
-    acc_grid = np.full((K, n_tasks, n_tasks), np.nan)
-    w_grid = np.zeros((K, n_tasks, n_tasks))
-    events = EventLog()
-    memo = OutputMemo()
-    states = None
-    for tpos in range(n_tasks):
+    states = []  # one task's clients at a time, refilled in place
+
+    def load_task(tpos: int):
         ckpt = run_dir / "checkpoints" / f"task_{tpos:02d}"
-        states = []
-        for k in range(K):
+        states.clear()
+        for k in range(cfg.federation.num_clients):
             path = ckpt / f"client_{k:03d}.state"
             if not path.exists():
                 raise DataError(f"{path}: missing checkpoint")
@@ -210,13 +190,9 @@ def evaluate_run_dir(run_dir):
             if any(m.arch != arch for m in states[-1].pool):
                 raise DataError(f"{path}: a pool model's architecture differs "
                                 f"from the config's {arch}")
-        _evaluate_after_task(cfg, states, tasks, streams, tpos,
-                             acc_grid, w_grid, events, memo)
+        return states
 
-    objective = _global_objective(cfg, states, tasks, streams, partitions)
-    metrics = build_metrics(acc_grid, w_grid, global_objective=objective)
-    pool_sizes = [len(st.pool) for st in states]
-    return cfg, metrics, pool_sizes, physical_param_count(states, fed.mode)
+    return cfg, *score_run(cfg, tasks, streams, partitions, load_task, EventLog())
 
 
 def cmd_eval(args) -> int:

@@ -322,20 +322,38 @@ def _global_objective(cfg: ExperimentConfig, states, tasks, streams,
     return num / den if den else None
 
 
-def physical_param_count(states, mode: str) -> int:
-    """Total stored parameters. Sharing clients hold the trunk and aux
-    head once, plus one class head per pool entry."""
-    total = 0
+def score_run(cfg: ExperimentConfig, tasks, streams, partitions,
+              states_after, events: EventLog):
+    """Score a run: for each task n in order, fill row n of the accuracy
+    grid from states_after(n), the client states after task n; then score
+    the global objective on the last states. `run_experiment` trains the
+    task in states_after, `pfdl eval` loads its checkpoints there. Scoring
+    only reads the states, so states_after may refill one list in place.
+
+    Returns (metrics, pool sizes, stored parameter count). A sharing
+    client stores the trunk and aux head once, plus one class head per
+    pool entry.
+    """
+    n_tasks = len(tasks)
+    K = cfg.federation.num_clients
+    acc_grid = np.full((K, n_tasks, n_tasks), np.nan)
+    w_grid = np.zeros((K, n_tasks, n_tasks))
+    memo = OutputMemo()
+    for n in range(n_tasks):
+        states = states_after(n)
+        _evaluate_after_task(cfg, states, tasks, streams, n, acc_grid, w_grid,
+                             events, memo)
+    objective = _global_objective(cfg, states, tasks, streams, partitions)
+    metrics = build_metrics(acc_grid, w_grid, global_objective=objective)
+    sharing = MODE_TABLE[cfg.federation.mode].sharing
+    param_count = 0
     for st in states:
-        if not st.pool:
-            continue
-        arch = st.pool[0].arch
-        if MODE_TABLE[mode].sharing:
+        if st.pool:
+            arch = st.pool[0].arch
             lo, hi = arch.cls_head_span()
-            total += arch.param_count() - (hi - lo) + (hi - lo) * len(st.pool)
-        else:
-            total += arch.param_count() * len(st.pool)
-    return total
+            per_entry = hi - lo if sharing else arch.param_count()
+            param_count += arch.param_count() - per_entry + per_entry * len(st.pool)
+    return metrics, [len(st.pool) for st in states], param_count
 
 
 # ------------------------------------------------------------ experiment
@@ -405,7 +423,8 @@ class RunResult:
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> RunResult:
     """One full incremental run: every task in order, T rounds each,
-    evaluation after every task, artifacts to out_dir when given.
+    scored by `score_run` after every task, artifacts to out_dir when
+    given.
 
     The manifest declaring every output path is written before the first
     training round. Clients train one after another; `threads` is kept
@@ -438,12 +457,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
                        {"experiment": fed.seed, "data": data_seed}, outputs)
 
     states = [client.ClientState(client_id=k) for k in range(K)]
-    acc_grid = np.full((K, n_tasks, n_tasks), np.nan)
-    w_grid = np.zeros((K, n_tasks, n_tasks))
-    memo = OutputMemo()
 
     with EventLog(out / "events.jsonl" if out is not None else None) as events:
-        for tpos in range(n_tasks):
+        def train(tpos: int):
             shard_data = []
             for k in range(K):
                 d = streams[k][tpos]
@@ -458,22 +474,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
                         events.emit({"type": "matching", "client": k,
                                      "task": tpos, **report.to_record()})
                 run_task(cfg, states, shard_data, tpos, events)
-
-            _evaluate_after_task(cfg, states, tasks, streams, tpos,
-                                 acc_grid, w_grid, events, memo)
             if out is not None:
                 ckpt = out / "checkpoints" / f"task_{tpos:02d}"
                 for st in states:
                     save_client_state(ckpt, st)
+            return states
 
-        objective = _global_objective(cfg, states, tasks, streams, partitions)
-        metrics = build_metrics(acc_grid, w_grid, global_objective=objective)
-        pool_sizes = [len(st.pool) for st in states]
-        pc_total = physical_param_count(states, fed.mode)
+        metrics, pool_sizes, pc_total = score_run(cfg, tasks, streams, partitions,
+                                                  train, events)
         events.emit({"type": "summary", "mode": fed.mode, "seed": fed.seed,
                      "avg_final": metrics.avg_final,
                      "mean_forgetting": metrics.mean_forgetting(),
-                     "global_objective": objective,
+                     "global_objective": metrics.global_objective,
                      "pool_sizes": pool_sizes,
                      "param_count_total": pc_total})
     if out is not None:

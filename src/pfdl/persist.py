@@ -60,28 +60,28 @@ SUMMARY_COLUMNS = ["mode", "seed", "avg_final", "mean_forgetting",
                    "pool_size_mean", "param_count_total"]
 
 
-def write_metrics_csv(path, mode: str, seed: int, metrics,
-                      client_weighting: str = "test_size") -> None:
+def write_metrics_csv(path, mode: str, seed: int, metrics) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(METRICS_COLUMNS)
         N = metrics.num_tasks
         for n in range(N):
             for m in range(n + 1):
-                w.writerow([mode, seed, client_weighting, n, m,
+                w.writerow([mode, seed, "test_size", n, m,
                             f"{metrics.acc[n, m]:.6f}"])
 
 
-def summary_row(mode: str, seed: int, metrics, pool_size_mean: float,
+def summary_row(label: str, seed: int, metrics, pool_size_mean: float,
                 param_count_total: int) -> list:
-    return [mode, seed, f"{metrics.avg_final:.6f}", f"{metrics.mean_forgetting():.6f}",
+    return [label, seed, f"{metrics.avg_final:.6f}", f"{metrics.mean_forgetting():.6f}",
             f"{pool_size_mean:.6f}", param_count_total]
 
 
-def write_summary_csv(path, rows: list[list]) -> None:
+def write_summary_csv(path, rows: list[list], first: str = "mode") -> None:
+    """SUMMARY_COLUMNS under the header `first` for the label column."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(SUMMARY_COLUMNS)
+        w.writerow([first, *SUMMARY_COLUMNS[1:]])
         w.writerows(rows)
 
 

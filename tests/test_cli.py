@@ -105,6 +105,15 @@ def test_eval_rejects_trailing_bytes(tiny_config, tmp_path, capsys):
     assert "trailing bytes" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_missing_checkpoint(tiny_config, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
+    path = run_dir / "checkpoints" / "task_01" / "client_001.state"
+    path.unlink()
+    assert cli.main(["eval", str(run_dir)]) == 3
+    assert capsys.readouterr().err == f"error[data]: {path}: missing checkpoint\n"
+
+
 THREE_TASKS = dict(TINY, data=dict(TINY["data"], rotation_degrees=[0, 90, 180]))
 
 
@@ -313,6 +322,11 @@ def test_gradcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "max relative error" in out
+
+
+def test_gradcheck_seed_is_validated_like_the_config(capsys):
+    assert cli.main(["gradcheck", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error[config]: seed: must be at least 0, got -1\n"
 
 
 def test_gen_data_writes_datasets_and_manifest(tiny_config, tmp_path):

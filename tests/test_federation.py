@@ -266,6 +266,16 @@ def test_sharing_param_count_is_trunk_plus_heads():
     assert res.param_count_total == expect
 
 
+@pytest.mark.parametrize("mode", [m for m in federation.MODES
+                                  if not federation.MODE_TABLE[m].sharing])
+def test_param_count_is_pool_models_times_params(mode):
+    # the other four modes store every pool model whole
+    res = run_experiment(small_cfg(mode=mode))
+    stored = sum(len(st.pool) for st in res.states)
+    assert stored > 0
+    assert res.param_count_total == stored * res.config.arch().param_count()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergent_round_raises_and_closes_the_event_log(tmp_path, monkeypatch):
     handles = []
