@@ -91,9 +91,10 @@ def _parse_seeds(raw: str | None, fallback: int) -> list[int]:
         seeds = [int(s.strip()) for s in raw.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"seeds: expected a CSV list of integers, got {raw!r}")
-    if not seeds or any(s < 0 for s in seeds):
+    if not seeds:
         raise ConfigError(f"seeds: expected non-negative integers, got {raw!r}")
-    return seeds
+    # each seed is checked like the config's seed key, before any run starts
+    return [parse_config({"seed": s}).federation.seed for s in seeds]
 
 
 def cmd_compare(args) -> int:
@@ -161,9 +162,14 @@ def evaluate_run_dir(run_dir):
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"{run_dir}: no manifest.json here (not a run directory?)")
-    manifest = read_manifest(manifest_path)
-    cfg = parse_config(manifest["config"])
-    data_seed = int(manifest["seeds"]["data"])
+    try:
+        manifest = read_manifest(manifest_path)
+        config, data_seed = manifest["config"], manifest["seeds"]["data"]
+    except (ValueError, LookupError, TypeError) as e:  # bad JSON, a missing field
+        raise DataError(f"{manifest_path}: not a run manifest ({e!r})") from e
+    if not isinstance(config, dict) or type(data_seed) is not int:
+        raise DataError(f"{manifest_path}: expected a config object and an integer seeds.data")
+    cfg = parse_config(config)  # a config that parses but is invalid stays exit 2
 
     tasks = []
     for t in range(len(cfg.data.rotation_degrees)):
@@ -187,6 +193,8 @@ def evaluate_run_dir(run_dir):
             if not path.exists():
                 raise DataError(f"{path}: missing checkpoint")
             states.append(load_client_state(path))
+            if states[-1].client_id != k:
+                raise DataError(f"{path}: holds client {states[-1].client_id}, expected {k}")
             if any(m.arch != arch for m in states[-1].pool):
                 raise DataError(f"{path}: a pool model's architecture differs "
                                 f"from the config's {arch}")

@@ -31,12 +31,9 @@ class ClientState:
     anchor_mass: float = 0.0
     anchor_sum: np.ndarray = field(default_factory=lambda: np.zeros(0))
     anchor_sq: float = 0.0
+    # task -> bound pool index; a client trains exactly the tasks it bound
     task_bindings: dict[int, int] = field(default_factory=dict)
-    active: bool = True
     rho_history: list[dict] = field(default_factory=list)
-
-    def clear_anchors(self) -> None:
-        self.anchor_mass, self.anchor_sum, self.anchor_sq = 0.0, np.zeros(0), 0.0
 
 
 @dataclass
@@ -55,15 +52,12 @@ def begin_task(state: ClientState, shard_x: np.ndarray, task_id: int, lam: float
     Empty shard: the client sits the task out (no binding, no training).
     Otherwise computes matching intensities, reuses or initializes a model,
     binds it to the task, and freezes the migration anchors. Returns the
-    MatchingReport, or None for an inactive client.
+    MatchingReport, or None when the client sits the task out.
     """
     shard_x = np.asarray(shard_x, dtype=np.float64)
     if shard_x.shape[0] == 0:
-        state.active = False
-        state.clear_anchors()
         state.rho_history.append({"task": int(task_id), "inactive": True})
         return None
-    state.active = True
 
     rho = matching_intensity(state.pool, shard_x)
     report = select_strategy(rho, lam, len(state.pool), max_pool_size)
@@ -118,9 +112,10 @@ def local_train_round(state: ClientState, global_params: nn.PersonalModel | None
     its permutation, then all of its negatives in one call; the batches
     slice both.
     """
-    if not state.active:
+    bound = state.task_bindings.get(int(task_id))
+    if bound is None:
         return None
-    model = state.pool[state.task_bindings[int(task_id)]]
+    model = state.pool[bound]
     if global_params is not None:
         nn.copy_into(model, global_params)
 

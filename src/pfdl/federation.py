@@ -142,9 +142,7 @@ def _begin_task(cfg: ExperimentConfig, state: client.ClientState,
                                  fed.max_pool_size, cfg.arch(), init_seed,
                                  km_include_self=fed.km_include_self)
 
-    state.clear_anchors()
-    state.active = shard_x.shape[0] > 0
-    if not state.active:
+    if shard_x.shape[0] == 0:
         return None
     arch = cfg.arch()
     if mode.sharing and state.pool:
@@ -216,7 +214,7 @@ def run_task(cfg: ExperimentConfig, states, shard_data, task_pos: int,
     if global_model is not None:
         lo, hi = cfg.arch().cls_head_span()
         for st in states:
-            if st.active and task_pos in st.task_bindings:
+            if task_pos in st.task_bindings:
                 bound = st.pool[st.task_bindings[task_pos]]
                 nn.copy_into(bound, global_model)
                 if MODE_TABLE[fed.mode].sharing:

@@ -124,8 +124,8 @@ def load_dataset(path) -> TaskDataset:
 
 
 def save_client_state(dir_path, state: ClientState) -> tuple[Path, Path]:
-    """Pool, bindings and activity as one binary record; the matching
-    history goes to a JSON sidecar. Returns (state path, sidecar path)."""
+    """Pool and bindings as one binary record; the matching history goes
+    to a JSON sidecar that no loader reads. Returns (state, sidecar) paths."""
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
     path = dir_path / f"client_{state.client_id:03d}.state"
@@ -144,9 +144,9 @@ def save_client_state(dir_path, state: ClientState) -> tuple[Path, Path]:
 
 
 def load_client_state(path) -> ClientState:
-    """Rebuild a client at a task boundary. The migration pull statistics
-    (s, abar, c) are not stored: the next `begin_task` rebuilds them from
-    the pool."""
+    """Rebuild a client's pool and bindings at a task boundary; the
+    `.rho.json` history is not read. The next `begin_task` rebuilds the
+    migration pull statistics (s, abar, c) from the pool."""
     ctx = str(path)
     with io.BytesIO(Path(path).read_bytes()) as fh:
         _check_header(fh, STATE_MAGIC, ctx)
@@ -159,8 +159,4 @@ def load_client_state(path) -> ClientState:
         pool = [read_model(fh, ctx) for _ in range(pool_size)]
         if fh.read(1):
             raise DataError(f"{ctx}: trailing bytes after the last model")
-    state = ClientState(client_id=client_id, pool=pool, task_bindings=bindings)
-    sidecar = Path(path).with_suffix(".rho.json")
-    if sidecar.exists():
-        state.rho_history = json.loads(sidecar.read_text())
-    return state
+    return ClientState(client_id=client_id, pool=pool, task_bindings=bindings)

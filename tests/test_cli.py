@@ -114,6 +114,68 @@ def test_eval_rejects_a_missing_checkpoint(tiny_config, tmp_path, capsys):
     assert capsys.readouterr().err == f"error[data]: {path}: missing checkpoint\n"
 
 
+def test_eval_does_not_read_the_matching_sidecars(tiny_config, tmp_path):
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
+    sidecars = sorted(run_dir.glob("checkpoints/task_*/client_*.rho.json"))
+    assert len(sidecars) == 6
+    for path in sidecars:
+        path.write_text('{"broken')
+    assert cli.main(["eval", str(run_dir)]) == 0
+    for name in ("metrics.csv", "summary.csv", "metrics.json"):
+        assert (run_dir / name).read_bytes() == (run_dir / "eval" / name).read_bytes()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text[:len(text) // 2],
+    lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "seeds"}),
+    lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "config"}),
+], ids=["invalid_json", "no_seeds", "no_config"])
+def test_eval_rejects_a_bad_manifest(tiny_config, tmp_path, capsys, edit):
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
+    path = run_dir / "manifest.json"
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert cli.main(["eval", str(run_dir)]) == 3
+    assert capsys.readouterr().err.startswith(f"error[data]: {path}: ")
+
+
+def test_eval_keeps_exit_2_for_an_invalid_manifest_config(tiny_config, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["lr"] = -1.0
+    path.write_text(json.dumps(manifest))
+    assert cli.main(["eval", str(run_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error[config]: lr: ")
+
+
+def _set_client_id_7(path):
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = struct.pack("<I", 7)  # the stored client id
+    path.write_bytes(bytes(raw))
+
+
+def _copy_client_2_over(path):
+    path.write_bytes(path.with_name("client_002.state").read_bytes())
+
+
+@pytest.mark.parametrize("tamper, stored", [(_set_client_id_7, 7), (_copy_client_2_over, 2)],
+                         ids=["id_7", "swapped_file"])
+def test_eval_rejects_a_checkpoint_of_another_client(tiny_config, tmp_path, capsys,
+                                                     tamper, stored):
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
+    path = run_dir / "checkpoints" / "task_01" / "client_001.state"
+    tamper(path)
+    capsys.readouterr()
+    assert cli.main(["eval", str(run_dir)]) == 3
+    assert capsys.readouterr().err == (f"error[data]: {path}: holds client {stored}, "
+                                       f"expected 1\n")
+
+
 THREE_TASKS = dict(TINY, data=dict(TINY["data"], rotation_degrees=[0, 90, 180]))
 
 
@@ -366,3 +428,13 @@ def test_compare_rejects_unknown_mode(tiny_config, tmp_path, capsys):
                      "--out", str(tmp_path / "c"), "--modes", "pfeddil,magic"])
     assert code == 2
     assert "magic" in capsys.readouterr().err
+
+
+def test_compare_checks_every_seed_before_the_first_run(tiny_config, tmp_path, capsys):
+    code = cli.main(["compare", "--config", str(tiny_config), "--out", str(tmp_path / "c"),
+                     "--modes", "fedavg", "--seeds", "0,9223372036854775808"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert "seed=0" not in out
+    assert err == ("error[config]: seed: must be at most 9223372036854775807, "
+                   "got 9223372036854775808\n")

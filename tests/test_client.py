@@ -59,10 +59,9 @@ def test_begin_task_empty_shard_marks_inactive():
     rep = client.begin_task(st, np.zeros((0, 5)), task_id=0, lam=0.5,
                             max_pool_size=8, arch=ARCH, init_seed=1)
     assert rep is None
-    assert not st.active
     assert st.task_bindings == {}
     assert st.rho_history[-1]["inactive"]
-    assert (st.anchor_mass, st.anchor_sum.size, st.anchor_sq) == (0.0, 0, 0.0)
+    assert run_round(st, *shard(), task_id=0) is None
 
 
 def test_begin_task_lambda_zero_reuses_without_snapshots():
@@ -287,7 +286,7 @@ def test_no_anchor_training_identical_to_plain_joint():
 
     st_b = fresh_state()
     client.begin_task(st_b, X, 0, 0.5, 8, ARCH, init_seed=11)
-    st_b.clear_anchors()
+    st_b.anchor_mass, st_b.anchor_sum, st_b.anchor_sq = 0.0, np.zeros(0), 0.0
     up_b = run_round(st_b, X, y)
     assert np.array_equal(up_a.parameters.params.copy(),
                           up_b.parameters.params.copy())

@@ -176,7 +176,7 @@ def test_all_inactive_round_warns_and_carries_on():
     cfg = small_cfg(num_clients=1, active_fraction=1.0, rounds_per_task=3)
     state = ClientState(client_id=0)
     federation._begin_task(cfg, state, np.zeros((0, 6)), 0)
-    assert state.active is False
+    assert state.task_bindings == {}
     events = EventLog()
     assert run_task(cfg, [state], [(np.zeros((0, 6)), np.zeros(0, dtype=int))],
                     0, events) is None
@@ -199,7 +199,7 @@ def test_final_global_broadcast_to_all_bound_models():
         federation._begin_task(cfg, states[k], shard_data[k][0], 0)
     global_model = run_task(cfg, states, shard_data, 0, EventLog())
     for st in states:
-        if st.active:
+        if 0 in st.task_bindings:
             assert np.array_equal(st.pool[0].params, global_model.params)
 
 
@@ -226,7 +226,7 @@ def test_source_only_frozen_after_first_task():
 def test_disjoint_stores_one_model_per_domain():
     res = run_experiment(small_cfg(mode="disjoint"))
     for st in res.states:
-        if st.active:
+        if 1 in st.task_bindings:
             assert len(st.pool) == 2
             assert sorted(st.task_bindings) == [0, 1]
             assert len(set(st.task_bindings.values())) == 2
