@@ -195,6 +195,11 @@ def evaluate_run_dir(run_dir):
             states.append(load_client_state(path))
             if states[-1].client_id != k:
                 raise DataError(f"{path}: holds client {states[-1].client_id}, expected {k}")
+            # bindings are made at the task being trained, never later
+            last = max(states[-1].task_bindings, default=0)
+            if last > tpos:
+                raise DataError(f"{path}: binds task {last}, but a checkpoint "
+                                f"after task {tpos} holds tasks 0..{tpos} only")
             if any(m.arch != arch for m in states[-1].pool):
                 raise DataError(f"{path}: a pool model's architecture differs "
                                 f"from the config's {arch}")

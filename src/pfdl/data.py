@@ -176,22 +176,8 @@ def apply_domain(base: TaskDataset, domain: Domain, task_id: int) -> TaskDataset
 
 
 @dataclass
-class HeterogeneityConfig:
-    alpha: float
-    num_clients: int
-    seed: object  # int or tuple of ints
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.num_clients < 1:
-            raise ValueError("num_clients must be at least 1")
-
-
-@dataclass
 class ClientShard:
-    client_id: int
-    task_id: int
+    # a plain array would do, but perfbench's predicted_steps reads .indices
     indices: np.ndarray  # into the task's train arrays
 
 
@@ -206,7 +192,8 @@ def _largest_remainder(p: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-def dirichlet_partition(task: TaskDataset, cfg: HeterogeneityConfig) -> list[ClientShard]:
+def dirichlet_partition(task: TaskDataset, alpha: float, num_clients: int,
+                        seed) -> list[ClientShard]:
     """Split one task's train set across clients, Dirichlet(alpha) per class.
 
     For each class a proportion vector p ~ Dir(alpha * 1_K) is drawn and the
@@ -215,27 +202,26 @@ def dirichlet_partition(task: TaskDataset, cfg: HeterogeneityConfig) -> list[Cli
 
     Args:
         task: the dataset to split.
-        cfg: alpha, client count and partition seed.
+        alpha: concentration, > 0 (the config bounds it).
+        num_clients: shard count, >= 1 (the config bounds it).
+        seed: partition seed, an int or a tuple of ints.
 
     Returns:
         One ClientShard per client (possibly with zero indices).
     """
-    seed = cfg.seed if isinstance(cfg.seed, (tuple, list)) else (cfg.seed,)
+    seed = seed if isinstance(seed, (tuple, list)) else (seed,)
     rng = rng_for(*seed, TAG_PARTITION)
-    per_client: list[list[np.ndarray]] = [[] for _ in range(cfg.num_clients)]
+    per_client: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
     for c in range(task.num_classes):
         idx = np.flatnonzero(task.train_y == c)
-        p = rng.dirichlet(np.full(cfg.num_clients, cfg.alpha))
+        p = rng.dirichlet(np.full(num_clients, alpha))
         counts = _largest_remainder(p, idx.size)
         start = 0
-        for k in range(cfg.num_clients):
+        for k in range(num_clients):
             per_client[k].append(idx[start:start + counts[k]])
             start += counts[k]
-    shards = []
-    for k in range(cfg.num_clients):
-        indices = np.sort(np.concatenate(per_client[k])) if per_client[k] else np.zeros(0, dtype=int)
-        shards.append(ClientShard(client_id=k, task_id=task.task_id, indices=indices))
-    return shards
+    return [ClientShard(np.sort(np.concatenate(parts)) if parts else np.zeros(0, dtype=int))
+            for parts in per_client]
 
 
 # ---------------------------------------------------------------- streams

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, client, nn
-from .data import (DataConfig, HeterogeneityConfig, apply_domain,
-                   build_task_stream, dirichlet_partition, make_base_dataset)
+from .data import (DataConfig, apply_domain, build_task_stream,
+                   dirichlet_partition, make_base_dataset)
 from .errors import ConfigError, InvariantError
 from .evaluation import (MetricsMatrix, OutputMemo, accuracy_and_ce,
                          build_metrics, ensemble_probs_matrix, model_digest,
@@ -372,10 +372,9 @@ def partitions_and_streams(cfg: ExperimentConfig, data_seed: int, tasks):
     """Per-task client shards and per-client task orders; both are
     deterministic in the config, the data seed and the task count."""
     fed = cfg.federation
-    partitions = [dirichlet_partition(
-        t, HeterogeneityConfig(fed.alpha, fed.num_clients,
-                               seed=(data_seed, t.task_id)))
-        for t in tasks]
+    partitions = [dirichlet_partition(t, fed.alpha, fed.num_clients,
+                                      (data_seed, t.task_id))
+                  for t in tasks]
     streams = build_task_stream(tasks, fed.num_clients,
                                 cfg.data.stream_mode, data_seed)
     return partitions, streams
@@ -410,13 +409,10 @@ def write_data_artifacts(out: Path, cfg: ExperimentConfig, data_seed: int,
 
 @dataclass
 class RunResult:
-    config: ExperimentConfig
     metrics: MetricsMatrix
-    events: EventLog
     states: list
     pool_sizes: list[int]
     param_count_total: int
-    out_dir: Path | None = None
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> RunResult:
@@ -488,6 +484,5 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
                      "param_count_total": pc_total})
     if out is not None:
         write_metrics_files(out, fed.mode, fed.seed, metrics, pool_sizes, pc_total)
-    return RunResult(config=cfg, metrics=metrics, events=events, states=states,
-                     pool_sizes=pool_sizes, param_count_total=pc_total,
-                     out_dir=out)
+    return RunResult(metrics=metrics, states=states, pool_sizes=pool_sizes,
+                     param_count_total=pc_total)

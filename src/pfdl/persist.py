@@ -28,18 +28,16 @@ def sha256_hex(data) -> str:
 
 
 class EventLog:
-    """Append-only JSONL log, optionally mirrored to a file.
+    """Append-only JSONL log written to `path`; without a path it discards
+    every record.
 
     As a context manager it closes the file on exit, exceptions included.
     """
 
     def __init__(self, path=None):
-        self.path = Path(path) if path is not None else None
-        self.records: list[dict] = []
-        self._fh = open(self.path, "w") if self.path is not None else None
+        self._fh = open(path, "w") if path is not None else None
 
     def emit(self, record: dict) -> None:
-        self.records.append(record)
         if self._fh is not None:
             self._fh.write(json.dumps(record) + "\n")
 

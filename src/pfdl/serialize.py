@@ -146,7 +146,8 @@ def save_client_state(dir_path, state: ClientState) -> tuple[Path, Path]:
 def load_client_state(path) -> ClientState:
     """Rebuild a client's pool and bindings at a task boundary; the
     `.rho.json` history is not read. The next `begin_task` rebuilds the
-    migration pull statistics (s, abar, c) from the pool."""
+    migration pull statistics (s, abar, c) from the pool. A task bound
+    twice, or bound to an index outside the pool, is a DataError."""
     ctx = str(path)
     with io.BytesIO(Path(path).read_bytes()) as fh:
         _check_header(fh, STATE_MAGIC, ctx)
@@ -155,6 +156,11 @@ def load_client_state(path) -> ClientState:
         bindings = {}
         for _ in range(n_bind):
             t, idx = struct.unpack("<II", _read_exact(fh, 8, ctx))
+            if t in bindings:
+                raise DataError(f"{ctx}: task {t} is bound twice")
+            if idx >= pool_size:
+                raise DataError(f"{ctx}: task {t} is bound to pool index {idx}, "
+                                f"but the pool holds {pool_size} models")
             bindings[t] = idx
         pool = [read_model(fh, ctx) for _ in range(pool_size)]
         if fh.read(1):

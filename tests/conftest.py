@@ -1,16 +1,18 @@
+import json
+
 import pytest
 
 from pfdl import federation
 
 
 @pytest.fixture()
-def global_trajectory(monkeypatch):
+def global_trajectory(monkeypatch, tmp_path_factory):
     """run(cfg) -> (RunResult, trajectory), the trajectory holding one
     (task, round, global params or None) per round.
 
-    Every aggregate is recorded and matched to the round events in order:
-    a round with updates has a train loss, and a round without any carries
-    the task's previous global forward.
+    Every aggregate is recorded and matched to the round events of the
+    run's events.jsonl in order: a round with updates has a train loss,
+    and a round without any carries the task's previous global forward.
     """
     aggregate = federation.aggregate
 
@@ -23,11 +25,13 @@ def global_trajectory(monkeypatch):
             return out
 
         monkeypatch.setattr(federation, "aggregate", recording)
-        res = federation.run_experiment(cfg)
+        out = tmp_path_factory.mktemp("run")
+        res = federation.run_experiment(cfg, out_dir=out)
 
         results = iter(aggregated)
         trajectory, task, current = [], None, None
-        for r in res.events.records:
+        for line in (out / "events.jsonl").read_text().splitlines():
+            r = json.loads(line)
             if r["type"] != "round":
                 continue
             if r["task"] != task:

@@ -196,7 +196,7 @@ def test_8_dirichlet_partitions_are_exact_and_skewed():
     t0 = time.monotonic()
     task = data.make_base_dataset(5, 4, 200, 3.0, seed=0)
     for alpha in (0.1, 1.0, 10.0):
-        shards = data.dirichlet_partition(task, data.HeterogeneityConfig(alpha, 8, seed=1))
+        shards = data.dirichlet_partition(task, alpha, 8, seed=1)
         merged = np.concatenate([s.indices for s in shards])
         assert len(merged) == task.n_train
         assert len(np.unique(merged)) == task.n_train
@@ -206,7 +206,7 @@ def test_8_dirichlet_partitions_are_exact_and_skewed():
     for alpha in (0.1, 10.0):
         shares = []
         for seed in range(100):
-            shards = data.dirichlet_partition(conc, data.HeterogeneityConfig(alpha, 2, seed=seed))
+            shards = data.dirichlet_partition(conc, alpha, 2, seed=seed)
             for c in range(5):
                 counts = [(conc.train_y[s.indices] == c).sum() for s in shards]
                 shares.append(max(counts) / sum(counts))

@@ -176,6 +176,28 @@ def test_eval_rejects_a_checkpoint_of_another_client(tiny_config, tmp_path, caps
                                        f"expected 1\n")
 
 
+@pytest.mark.parametrize("offset, value, message", [
+    (32, 9, "task 1 is bound to pool index 9, but the pool holds 2 models"),
+    (28, 9, "binds task 9, but a checkpoint after task 1 holds tasks 0..1 only"),
+    (28, 0, "task 0 is bound twice"),
+], ids=["index_9", "task_9", "duplicate_task"])
+def test_eval_rejects_a_bad_binding(tmp_path, capsys, offset, value, message):
+    # a disjoint client after task 1 binds task 0 to model 0 and task 1 to
+    # model 1; the second (task, pool index) pair sits at bytes 28..36
+    cfg = tmp_path / "disjoint.json"
+    cfg.write_text(json.dumps(dict(TINY, mode="disjoint")))
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    path = run_dir / "checkpoints" / "task_01" / "client_001.state"
+    assert load_client_state(path).task_bindings == {0: 0, 1: 1}
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 4] = struct.pack("<I", value)
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert cli.main(["eval", str(run_dir)]) == 3
+    assert capsys.readouterr().err == f"error[data]: {path}: {message}\n"
+
+
 THREE_TASKS = dict(TINY, data=dict(TINY["data"], rotation_degrees=[0, 90, 180]))
 
 

@@ -145,7 +145,7 @@ def test_domain_json_is_pinned():
 @pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
 def test_partition_complete_and_disjoint(alpha):
     t = tiny_task(spc=55)
-    shards = data.dirichlet_partition(t, data.HeterogeneityConfig(alpha, 5, seed=7))
+    shards = data.dirichlet_partition(t, alpha, 5, seed=7)
     all_idx = np.concatenate([s.indices for s in shards])
     assert len(all_idx) == t.n_train
     assert len(np.unique(all_idx)) == t.n_train
@@ -153,16 +153,16 @@ def test_partition_complete_and_disjoint(alpha):
 
 def test_partition_single_client_gets_everything():
     t = tiny_task()
-    shards = data.dirichlet_partition(t, data.HeterogeneityConfig(1.0, 1, seed=0))
+    shards = data.dirichlet_partition(t, 1.0, 1, seed=0)
     assert len(shards) == 1
     assert np.array_equal(np.sort(shards[0].indices), np.arange(t.n_train))
 
 
 def test_partition_deterministic_in_seed():
     t = tiny_task()
-    a = data.dirichlet_partition(t, data.HeterogeneityConfig(0.5, 4, seed=3))
-    b = data.dirichlet_partition(t, data.HeterogeneityConfig(0.5, 4, seed=3))
-    c = data.dirichlet_partition(t, data.HeterogeneityConfig(0.5, 4, seed=4))
+    a = data.dirichlet_partition(t, 0.5, 4, seed=3)
+    b = data.dirichlet_partition(t, 0.5, 4, seed=3)
+    c = data.dirichlet_partition(t, 0.5, 4, seed=4)
     for x, y in zip(a, b):
         assert np.array_equal(x.indices, y.indices)
     assert any(not np.array_equal(x.indices, y.indices) for x, y in zip(a, c))
@@ -175,7 +175,7 @@ def test_partition_concentration_statistic():
     for alpha, check in ((0.1, lambda m: m > 0.9), (10.0, lambda m: m < 0.65)):
         shares = []
         for seed in range(100):
-            shards = data.dirichlet_partition(t, data.HeterogeneityConfig(alpha, 2, seed=seed))
+            shards = data.dirichlet_partition(t, alpha, 2, seed=seed)
             for c in range(5):
                 counts = [(t.train_y[s.indices] == c).sum() for s in shards]
                 shares.append(max(counts) / sum(counts))

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,10 @@ ARCH = nn.ArchSpec(input_dim=4, hidden_dims=(6,), num_classes=3)
 
 SMALL_DATA = DataConfig(num_classes=3, input_dim=6, samples_per_class=60,
                         rotation_degrees=(0.0, 120.0), domain_noise_sigma=0.1)
+
+
+def read_events(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 def small_cfg(mode="pfeddil", seed=3, **fed_kw):
@@ -148,10 +153,10 @@ def test_aggregate_conserves_sample_weight():
 # ------------------------------------------------------------- run_task
 
 
-def test_run_task_emits_one_round_record_per_round():
+def test_run_task_emits_one_round_record_per_round(tmp_path):
     cfg = small_cfg(rounds_per_task=6)
-    res = run_experiment(cfg)
-    rounds = [r for r in res.events.records if r["type"] == "round"]
+    run_experiment(cfg, out_dir=tmp_path)
+    rounds = [r for r in read_events(tmp_path / "events.jsonl") if r["type"] == "round"]
     assert len(rounds) == 6 * 2  # two domains
     for t in (0, 1):
         assert [r["round"] for r in rounds if r["task"] == t] == list(range(6))
@@ -172,18 +177,19 @@ def test_run_task_single_client_equals_its_update():
     assert np.array_equal(global_model.params, state.pool[0].params)
 
 
-def test_all_inactive_round_warns_and_carries_on():
+def test_all_inactive_round_warns_and_carries_on(tmp_path):
     cfg = small_cfg(num_clients=1, active_fraction=1.0, rounds_per_task=3)
     state = ClientState(client_id=0)
     federation._begin_task(cfg, state, np.zeros((0, 6)), 0)
     assert state.task_bindings == {}
-    events = EventLog()
-    assert run_task(cfg, [state], [(np.zeros((0, 6)), np.zeros(0, dtype=int))],
-                    0, events) is None
-    warnings = [r for r in events.records if r["type"] == "warning"]
+    with EventLog(tmp_path / "events.jsonl") as events:
+        assert run_task(cfg, [state], [(np.zeros((0, 6)), np.zeros(0, dtype=int))],
+                        0, events) is None
+    records = read_events(tmp_path / "events.jsonl")
+    warnings = [r for r in records if r["type"] == "warning"]
     assert len(warnings) == 3
     assert all(w["reason"] == "no_active_clients_sampled" for w in warnings)
-    for r in [r for r in events.records if r["type"] == "round"]:
+    for r in [r for r in records if r["type"] == "round"]:
         assert r["train_loss_mean"] is None
         assert r["global_param_norm"] is None
 
@@ -216,9 +222,9 @@ def test_lambda_zero_matches_fedavg_trajectories(global_trajectory):
     assert res.pool_sizes == [1, 1, 1]
 
 
-def test_source_only_frozen_after_first_task():
-    res = run_experiment(small_cfg(mode="source_only"))
-    rounds = [r for r in res.events.records if r["type"] == "round"]
+def test_source_only_frozen_after_first_task(tmp_path):
+    res = run_experiment(small_cfg(mode="source_only"), out_dir=tmp_path)
+    rounds = [r for r in read_events(tmp_path / "events.jsonl") if r["type"] == "round"]
     assert {r["task"] for r in rounds} == {0}  # no training past the first task
     assert all(len(st.pool) <= 1 for st in res.states)
 
@@ -257,8 +263,9 @@ def test_sharing_entries_share_trunk_and_aux_values(tmp_path):
 
 
 def test_sharing_param_count_is_trunk_plus_heads():
-    res = run_experiment(small_cfg(mode="sharing"))
-    arch = res.config.arch()
+    cfg = small_cfg(mode="sharing")
+    res = run_experiment(cfg)
+    arch = cfg.arch()
     trunk_aux = arch.param_count() - (arch.num_classes * arch.hidden_dims[-1]
                                       + arch.num_classes)
     head = arch.num_classes * arch.hidden_dims[-1] + arch.num_classes
@@ -270,10 +277,11 @@ def test_sharing_param_count_is_trunk_plus_heads():
                                   if not federation.MODE_TABLE[m].sharing])
 def test_param_count_is_pool_models_times_params(mode):
     # the other four modes store every pool model whole
-    res = run_experiment(small_cfg(mode=mode))
+    cfg = small_cfg(mode=mode)
+    res = run_experiment(cfg)
     stored = sum(len(st.pool) for st in res.states)
     assert stored > 0
-    assert res.param_count_total == stored * res.config.arch().param_count()
+    assert res.param_count_total == stored * cfg.arch().param_count()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -360,17 +368,19 @@ THREE_DOMAINS = replace(SMALL_DATA, rotation_degrees=(0.0, 120.0, 240.0))
 
 @pytest.mark.parametrize("stream_mode", ["synchronized", "shuffled"])
 @pytest.mark.parametrize("mode", federation.MODES)
-def test_shared_cells_equal_per_client_scoring(monkeypatch, mode, stream_mode):
+def test_shared_cells_equal_per_client_scoring(monkeypatch, tmp_path, mode, stream_mode):
     cfg = replace(small_cfg(mode=mode),
                   data=replace(THREE_DOMAINS, stream_mode=stream_mode))
     evaluate = federation._evaluate_after_task
     checked, crossed = [], []
 
     def checking(cfg, states, tasks, streams, n, acc_grid, w_grid, events, memo):
-        evaluate(cfg, states, tasks, streams, n, acc_grid, w_grid, events, memo)
+        path = tmp_path / f"eval_{n}.jsonl"
+        with EventLog(path) as log:
+            evaluate(cfg, states, tasks, streams, n, acc_grid, w_grid, log, memo)
         want, fallbacks = _memo_free_grid(cfg, states, tasks, streams, n)
         assert np.array_equal(acc_grid[:, n, :n + 1], want[:, n], equal_nan=True)
-        assert events.records[-1]["uniform_fallbacks"] == fallbacks
+        assert read_events(path)[-1]["uniform_fallbacks"] == fallbacks
         checked.append(n)
         # clients with bit-identical pools that see different datasets at
         # one stream position: a cell keyed by position would mix them up
