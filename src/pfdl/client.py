@@ -105,7 +105,8 @@ def local_train_round(state: ClientState, global_params: nn.PersonalModel | None
     task batch, BCE on the batch plus equally many synthesized negatives,
     and the knowledge-migration pull toward the frozen anchors. One trunk
     pass over [batch; negatives] serves both losses, and all three streams
-    hit the shared trunk in a single step.
+    hit the shared trunk in a single step. The rows go straight into a
+    workspace reused by every step of that batch size.
 
     One generator per round derives from round_entropy, so the outcome
     does not depend on scheduling or on any other client. Each epoch draws
@@ -125,9 +126,11 @@ def local_train_round(state: ClientState, global_params: nn.PersonalModel | None
     feat_std = X.std(axis=0)
     w = model.params
     s, abar, c = state.anchor_mass, state.anchor_sum, state.anchor_sq
-    # aux labels [1]*m + [0]*m for the full and the short last batch
-    aux_labels = {m: np.repeat([1.0, 0.0], m)
-                  for m in {min(batch_size, n), n % batch_size or batch_size}}
+    # for the full and the short last batch of m rows: a workspace over
+    # [batch; negatives] and the aux labels [1]*m + [0]*m
+    sizes = {min(batch_size, n), n % batch_size or batch_size}
+    spaces = {m: nn.Workspace(model.arch, 2 * m) for m in sizes}
+    aux_labels = {m: np.repeat([1.0, 0.0], m) for m in sizes}
 
     rng = rng_for(*round_entropy)
     loss_sum = 0.0
@@ -137,11 +140,13 @@ def local_train_round(state: ClientState, global_params: nn.PersonalModel | None
         Xe, ye = X[order], y[order]
         Ne = synthesize_negatives(Xe, feat_std, neg_spec, rng, batch_size)
         for start in range(0, n, batch_size):
-            stop = start + batch_size
-            Xb = Xe[start:stop]
-            grads, step_loss = nn._grads_and_loss(
-                model, np.concatenate([Xb, Ne[start:stop]]), y_cls=ye[start:stop],
-                y_aux=aux_labels[len(Xb)])
+            stop = min(start + batch_size, n)
+            m = stop - start
+            ws = spaces[m]
+            ws.x[:m] = Xe[start:stop]
+            ws.x[m:] = Ne[start:stop]
+            grads, step_loss = nn._grads_and_loss(model, ws, y_cls=ye[start:stop],
+                                                  y_aux=aux_labels[m])
             if s:
                 add_migration_grads(grads, w, s, abar)
                 step_loss += migration_loss(w, s, abar, c)

@@ -6,14 +6,19 @@ membership. The trunk arrays are stored exactly once, so an update coming
 through either head's loss is visible to both forward passes.
 
 All parameters of a model live in one contiguous float64 vector, laid out
-layer by layer (trunk layers, then cls head, then aux head; each layer's
-weights row-major, then its bias). The per-layer arrays are reshaped views
-into that vector, and gradients are flat vectors in the same layout, so
-copying, averaging, updating and serializing a model are each one vector
-operation.
+layer by layer (trunk layers, then cls head, then aux head). Each layer is
+one row-major (in_dim + 1, out_dim) block [Wᵀ; b]: the transposed weights,
+then the bias as the last row. `weights`, an (out_dim, in_dim) view, and
+`bias` are views of the block. Gradients are flat vectors in the same
+layout, so copying, averaging and updating a model are each one vector
+operation; checkpoints keep their own order (see serialize.py).
 
-Weight matrices are (out_dim, in_dim); a batch X of shape (n, in_dim)
-flows as X @ W.T + b.
+In a training pass, activations carry a trailing ones column, so a batch
+of shape (n, in_dim + 1) flows through a layer as one product with its
+block, and the layer's weight and bias gradient is one product too. The
+buffers for a pass live in a `Workspace`, which the training loop reuses
+across steps. Scoring needs no buffers: a batch X of shape (n, in_dim)
+flows as X @ Wᵀ + b, reading the contiguous block[:-1].
 """
 
 from __future__ import annotations
@@ -60,25 +65,37 @@ class ArchSpec:
         return sum(o * i + o for o, i in self.layer_dims())
 
     def cls_head_span(self) -> tuple[int, int]:
-        """[lo, hi) of the cls head's weights and bias in the flat vector."""
+        """[lo, hi) of the cls head's block in the flat vector."""
         lo = sum(o * i + o for o, i in self.layer_dims()[:-2])
         return lo, lo + self.num_classes * (self.hidden_dims[-1] + 1)
 
 
-@dataclass
 class LayerParams:
-    """One affine layer: weights (out, in) and bias (out,)."""
+    """One affine layer: the contiguous (in + 1, out) block [Wᵀ; b] of the
+    flat vector, with weights (out, in) and bias (out,) as views of it."""
 
-    weights: np.ndarray
-    bias: np.ndarray
+    def __init__(self, block: np.ndarray):
+        self.block = block
+        self.weights = block[:-1].T
+        self.bias = block[-1]
+
+
+def _layer_blocks(arch: ArchSpec, flat: np.ndarray) -> list[LayerParams]:
+    layers = []
+    lo = 0
+    for out_dim, in_dim in arch.layer_dims():
+        hi = lo + (in_dim + 1) * out_dim
+        layers.append(LayerParams(flat[lo:hi].reshape(in_dim + 1, out_dim)))
+        lo = hi
+    return layers
 
 
 class PersonalModel:
     """Shared trunk plus classification and auxiliary heads.
 
-    `params` is the flat parameter vector; `trunk`, `cls_head` and
-    `aux_head` are views into it. A given vector of the right size is
-    wrapped, not copied.
+    `params` is the flat parameter vector; `layers` (trunk layers, then
+    `cls_head` and `aux_head`) are views into it. A given vector of the
+    right size is wrapped, not copied.
     """
 
     def __init__(self, arch: ArchSpec, params: np.ndarray | None = None):
@@ -89,15 +106,29 @@ class PersonalModel:
             raise ValueError(f"expected a contiguous float64 vector of {size} parameters")
         self.arch = arch
         self.params = params
-        layers = []
-        lo = 0
-        for out_dim, in_dim in arch.layer_dims():
-            mid = lo + out_dim * in_dim
-            layers.append(LayerParams(params[lo:mid].reshape(out_dim, in_dim),
-                                      params[mid:mid + out_dim]))
-            lo = mid + out_dim
-        self.trunk = layers[:-2]
-        self.cls_head, self.aux_head = layers[-2:]
+        self.layers = _layer_blocks(arch, params)
+        self.trunk = self.layers[:-2]
+        self.cls_head, self.aux_head = self.layers[-2:]
+
+
+class Workspace:
+    """Buffers for passes over exactly `rows` rows of one architecture.
+
+    `acts[0]` is the input and `acts[i]` the i-th trunk layer's output,
+    each with a trailing ones column, so a layer's forward is one product
+    with its [Wᵀ; b] block; `x` is the input without that column, for the
+    caller to fill. `zs` holds the trunk's pre-activations and `grads` one
+    flat gradient in the model's layout, with `grad_blocks` its per-layer
+    views.
+    """
+
+    def __init__(self, arch: ArchSpec, rows: int):
+        self.rows = rows
+        self.acts = [np.ones((rows, d + 1)) for d in (arch.input_dim, *arch.hidden_dims)]
+        self.x = self.acts[0][:, :-1]
+        self.zs = [np.empty((rows, h)) for h in arch.hidden_dims]
+        self.grads = np.empty(arch.param_count())
+        self.grad_blocks = [layer.block for layer in _layer_blocks(arch, self.grads)]
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -113,7 +144,7 @@ def init_model(arch: ArchSpec, seed) -> PersonalModel:
     """
     rng = np.random.default_rng(seed)
     model = PersonalModel(arch)
-    for layer in (*model.trunk, model.cls_head, model.aux_head):
+    for layer in model.layers:
         layer.weights[...] = glorot_uniform(rng, *layer.weights.shape)
     return model
 
@@ -143,17 +174,6 @@ def softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _trunk_forward(model: PersonalModel, X: np.ndarray):
-    """Returns (activations, pre-activations); activations[0] is X."""
-    acts = [X]
-    zs = []
-    for layer in model.trunk:
-        z = acts[-1] @ layer.weights.T + layer.bias
-        zs.append(z)
-        acts.append(np.maximum(z, 0.0))
-    return acts, zs
-
-
 def _as_batch(model: PersonalModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -165,15 +185,30 @@ def _as_batch(model: PersonalModel, X) -> np.ndarray:
     return X
 
 
+def _loaded(model: PersonalModel, X) -> Workspace:
+    """A fresh workspace holding the rows of X."""
+    X = _as_batch(model, X)
+    ws = Workspace(model.arch, X.shape[0])
+    ws.x[...] = X
+    return ws
+
+
+def _hidden(model: PersonalModel, X) -> np.ndarray:
+    """The last trunk layer's output on the rows of X, for scoring."""
+    h = _as_batch(model, X)
+    for layer in model.trunk:
+        h = h @ layer.block[:-1]
+        h += layer.block[-1]
+        np.maximum(h, 0.0, out=h)
+    return h
+
+
 def heads(model: PersonalModel, X) -> tuple[np.ndarray, np.ndarray]:
     """Class logits, shape (n, C), and the auxiliary head's sigmoid
     scores, shape (n,), from one trunk pass."""
-    X = _as_batch(model, X)
-    acts, _ = _trunk_forward(model, X)
-    h = acts[-1]
-    logits = h @ model.cls_head.weights.T + model.cls_head.bias
-    v = h @ model.aux_head.weights.T + model.aux_head.bias
-    return logits, sigmoid(v.ravel())
+    h = _hidden(model, X)
+    cls, aux = model.cls_head.block, model.aux_head.block
+    return h @ cls[:-1] + cls[-1], sigmoid((h @ aux[:-1] + aux[-1]).ravel())
 
 
 def aux_scores(model: PersonalModel, X) -> np.ndarray:
@@ -195,18 +230,18 @@ def _mean_bce(scores: np.ndarray, y: np.ndarray) -> float:
     return float((-(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))).sum() / len(y))
 
 
-def _grads_and_loss(model: PersonalModel, X, y_cls, y_aux):
-    """One forward and one backward pass of the joint loss; returns (flat
-    gradient, mean loss).
+def _grads_and_loss(model: PersonalModel, ws: Workspace, y_cls, y_aux):
+    """One forward and one backward pass of the joint loss over the rows
+    in ws.x; returns (ws.grads, mean loss).
 
-    y_cls labels the leading rows of X and y_aux labels every row, so a
-    single trunk pass over [batch; negatives] serves both losses: mean CE
-    over the labelled rows plus mean BCE over all rows. The trunk receives
-    the sum of both streams; each head only sees its own loss. The
-    gradient has the model's flat layout.
+    y_cls labels the leading rows and y_aux labels every row, so a single
+    trunk pass over [batch; negatives] serves both losses: mean CE over
+    the labelled rows plus mean BCE over all rows. The trunk receives the
+    sum of both streams; each head only sees its own loss. Each layer's
+    weight and bias gradient is one product into its block of ws.grads,
+    which the next pass over ws overwrites.
     """
-    X = _as_batch(model, X)
-    N = X.shape[0]
+    N = ws.rows
     if N == 0:
         raise ValueError("empty batch")
     y = np.asarray(y_cls, dtype=np.int64)
@@ -215,50 +250,55 @@ def _grads_and_loss(model: PersonalModel, X, y_cls, y_aux):
     ya = np.asarray(y_aux, dtype=np.float64)
     if ya.shape != (N,):
         raise ValueError("y_aux must have one label per row")
-    acts, zs = _trunk_forward(model, X)
-    h = acts[-1]
+    acts, zs, g = ws.acts, ws.zs, ws.grad_blocks
+    for layer, a, z, a_next in zip(model.trunk, acts, zs, acts[1:]):
+        np.dot(a, layer.block, out=z)
+        np.maximum(z, 0.0, out=a_next[:, :-1])
+    h1 = acts[-1]  # the last hidden layer, with its ones column
     cls_head, aux_head = model.cls_head, model.aux_head
 
-    s = sigmoid((h @ aux_head.weights.T + aux_head.bias).ravel())
+    s = sigmoid((h1 @ aux_head.block).ravel())
     loss = _mean_bce(s, ya)
     delta_a = (s - ya) / N
-    aux_grads = [delta_a @ h, delta_a.sum(keepdims=True)]
+    np.dot(h1.T, delta_a[:, None], out=g[-1])
     d_h = np.outer(delta_a, aux_head.weights)
 
     n = len(y)
-    hc = h[:n]
-    ce, delta = _cross_entropy(hc @ cls_head.weights.T + cls_head.bias, y)
+    hc = h1[:n]
+    ce, delta = _cross_entropy(hc @ cls_head.block, y)
     loss += ce
     delta[np.arange(n), y] -= 1.0
     delta /= n
-    cls_grads = [(delta.T @ hc).ravel(), delta.sum(axis=0)]
+    np.dot(hc.T, delta, out=g[-2])
     d_h[:n] += delta @ cls_head.weights
 
-    trunk_grads = []
     delta = d_h
     for i in reversed(range(len(model.trunk))):
-        dz = delta * (zs[i] > 0)
-        trunk_grads[:0] = [(dz.T @ acts[i]).ravel(), dz.sum(axis=0)]
+        delta *= zs[i] > 0
+        np.dot(acts[i].T, delta, out=g[i])
         if i > 0:
-            delta = dz @ model.trunk[i].weights
-    return np.concatenate(trunk_grads + cls_grads + aux_grads), loss
+            delta = delta @ model.trunk[i].weights
+    return ws.grads, loss
 
 
 def backward(model: PersonalModel, X, y_cls, y_aux) -> np.ndarray:
-    return _grads_and_loss(model, X, y_cls=y_cls, y_aux=y_aux)[0]
+    """The joint loss's flat gradient over the rows of X, in a new array."""
+    return _grads_and_loss(model, _loaded(model, X), y_cls=y_cls, y_aux=y_aux)[0]
 
 
 def batch_loss(model: PersonalModel, X, y_cls, y_aux) -> float:
     """Mean joint loss over a batch: mean CE over the rows y_cls labels
     (the leading ones) + mean BCE over all rows."""
-    return _grads_and_loss(model, X, y_cls=y_cls, y_aux=y_aux)[1]
+    return _grads_and_loss(model, _loaded(model, X), y_cls=y_cls, y_aux=y_aux)[1]
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float, weight_decay: float = 0.0) -> None:
     """Decoupled step on flat vectors: p <- p - lr * (g + weight_decay * p),
-    in place."""
+    in place, in that arithmetic order. grads is overwritten."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     if weight_decay < 0:
         raise ValueError("weight_decay must be non-negative")
-    params -= lr * (grads + weight_decay * params)
+    grads += weight_decay * params
+    grads *= lr
+    params -= grads

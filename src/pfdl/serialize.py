@@ -1,8 +1,11 @@
 """Versioned binary persistence.
 
 Model checkpoints: magic "PFDL", format version u32, the architecture,
-then the model's flat parameter vector (layer arrays in trunk, cls_head,
-aux_head order, each row-major) as float64 little-endian. Dataset files
+then the parameters as float64 little-endian, layer by layer (trunk,
+cls_head, aux_head), each layer's (out, in) weights row-major, then its
+bias. This on-disk order is unchanged since format version 1 and differs
+from the in-memory [Wᵀ; b] blocks of nn.PersonalModel, so the writer and
+the reader transpose each layer's weights. Dataset files
 ("PFDD") and client-state files ("PFDS") follow the same header
 discipline. Readers load a file whole, validate magic and version, and
 raise DataError with file context on any mismatch or truncation; a count
@@ -67,7 +70,8 @@ def write_model(fh, model: nn.PersonalModel) -> None:
     arch = model.arch
     fh.write(struct.pack("<III", arch.input_dim, arch.num_classes, len(arch.hidden_dims)))
     fh.write(struct.pack(f"<{len(arch.hidden_dims)}I", *arch.hidden_dims))
-    _write_f64(fh, model.params)
+    _write_f64(fh, np.concatenate([a.ravel() for layer in model.layers
+                                   for a in (layer.weights, layer.bias)]))
 
 
 def read_model(fh, ctx: str = "checkpoint") -> nn.PersonalModel:
@@ -78,7 +82,14 @@ def read_model(fh, ctx: str = "checkpoint") -> nn.PersonalModel:
         arch = nn.ArchSpec(input_dim=input_dim, hidden_dims=hidden, num_classes=num_classes)
     except ValueError as e:
         raise DataError(f"{ctx}: bad model header ({e})") from e
-    return nn.PersonalModel(arch, _read_f64(fh, (arch.param_count(),), ctx))
+    flat = _read_f64(fh, (arch.param_count(),), ctx)
+    model = nn.PersonalModel(arch)
+    lo = 0
+    for layer in model.layers:
+        for a in (layer.weights, layer.bias):
+            a[...] = flat[lo:lo + a.size].reshape(a.shape)
+            lo += a.size
+    return model
 
 
 # ---------------------------------------------------------------- datasets

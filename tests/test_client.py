@@ -416,10 +416,12 @@ def test_each_batch_keeps_the_negative_mix(monkeypatch):
     client.begin_task(st, X, 0, 0.5, 8, ARCH, init_seed=0)
     batches = []
 
-    def record(model, Z, y_cls, y_aux):
+    def record(model, ws, y_cls, y_aux):
         m = len(y_cls)
+        assert ws.rows == 2 * m
         assert np.array_equal(y_aux, np.r_[np.ones(m), np.zeros(m)])
-        batches.append((Z[:m].copy(), Z[m:].copy()))
+        assert np.all(ws.acts[0][:, -1] == 1.0)
+        batches.append((ws.x[:m].copy(), ws.x[m:].copy()))
         return np.zeros_like(model.params), 0.0
 
     monkeypatch.setattr(nn, "_grads_and_loss", record)

@@ -48,18 +48,27 @@ def test_param_count_example():
     assert nn.init_model(arch, 0).params.size == 32
 
 
-def test_flat_layout_is_layer_order():
-    # trunk layers, cls head, aux head; each weights row-major then bias
+def test_flat_layout_is_one_block_per_layer():
+    # trunk layers, cls head, aux head; each a C-contiguous (in + 1, out)
+    # block [W^T; b] of the flat vector, which the blocks tile in order
     m = nn.init_model(small_arch(), 3)
-    layers = (*m.trunk, m.cls_head, m.aux_head)
-    parts = [a.ravel() for layer in layers for a in (layer.weights, layer.bias)]
-    assert np.array_equal(np.concatenate(parts), m.params)
-    for layer in layers:
-        assert np.shares_memory(layer.weights, m.params)
-        assert np.shares_memory(layer.bias, m.params)
+    lo = 0
+    for layer, (out_dim, in_dim) in zip(m.layers, m.arch.layer_dims()):
+        block = layer.block
+        assert block.shape == (in_dim + 1, out_dim)
+        assert block.flags.c_contiguous
+        assert np.shares_memory(block, m.params)
+        assert np.array_equal(block.ravel(), m.params[lo:lo + block.size])
+        lo += block.size
+        assert layer.weights.shape == (out_dim, in_dim)
+        assert np.array_equal(layer.weights, block[:-1].T)
+        assert np.shares_memory(layer.weights, block)
+        assert np.array_equal(layer.bias, block[-1])
+        assert np.shares_memory(layer.bias, block)
+    assert lo == m.params.size
+    assert m.layers == [*m.trunk, m.cls_head, m.aux_head]
     lo, hi = m.arch.cls_head_span()
-    assert np.array_equal(m.params[lo:hi], np.concatenate(
-        [m.cls_head.weights.ravel(), m.cls_head.bias]))
+    assert np.array_equal(m.params[lo:hi], m.cls_head.block.ravel())
     with pytest.raises(ValueError):
         nn.PersonalModel(small_arch(), np.zeros(m.params.size + 1))
 
@@ -121,8 +130,8 @@ def test_forward_dimension_mismatch():
 
 def two_pass_heads(model, X):
     """Class logits and aux scores, each from its own trunk pass."""
-    h_cls = nn._trunk_forward(model, X)[0][-1]
-    h_aux = nn._trunk_forward(model, X)[0][-1]
+    h_cls = nn._hidden(model, X)
+    h_aux = nn._hidden(model, X)
     logits = h_cls @ model.cls_head.weights.T + model.cls_head.bias
     v = h_aux @ model.aux_head.weights.T + model.aux_head.bias
     return logits, nn.sigmoid(v.ravel())
@@ -284,11 +293,14 @@ def test_joint_equals_cls_plus_aux_entrywise():
     rng = np.random.default_rng(5)
     model = nn.init_model(small_arch(), 3)
     X, y, ya = random_batch(rng, model, 8)
-    gj, loss = nn._grads_and_loss(model, X, y_cls=y[:5], y_aux=ya)
+    ws = nn.Workspace(model.arch, 8)
+    ws.x[...] = X
+    gj, loss = nn._grads_and_loss(model, ws, y_cls=y[:5], y_aux=ya)
     gc, lc = _reference_pass(model, X[:5], y_cls=y[:5])
     ga, la = _reference_pass(model, X, y_aux=ya)
-    want = np.concatenate([(c + a).ravel() for layer_c, layer_a in zip(gc, ga)
-                           for c, a in zip(layer_c, layer_a)])
+    # each layer's block is [W^T; b]
+    want = np.concatenate([np.vstack([(wc + wa).T, bc + ba]).ravel()
+                           for (wc, bc), (wa, ba) in zip(gc, ga)])
     assert np.allclose(gj, want, atol=1e-15)
     assert abs(loss - (lc + la)) < 1e-14
 
@@ -298,6 +310,40 @@ def test_backward_empty_batch_raises():
     with pytest.raises(ValueError):
         nn.backward(model, np.zeros((0, 4)), y_cls=np.zeros(0, dtype=int),
                     y_aux=np.zeros(0))
+
+
+def test_reused_workspaces_match_fresh_ones():
+    # one workspace per batch size, reused over full and short batches as
+    # a local round does: no stale rows and no lost ones column, so every
+    # pass equals the same pass in a fresh workspace bit for bit
+    rng = np.random.default_rng(12)
+    model = nn.init_model(small_arch(), 6)
+    model.params += rng.standard_normal(model.params.size) * 0.3
+    spaces = {m: nn.Workspace(model.arch, 2 * m) for m in (8, 3)}
+    for m in (8, 3, 8, 3, 8):
+        X, y, _ = random_batch(rng, model, 2 * m)
+        ya = np.repeat([1.0, 0.0], m)
+        ws = spaces[m]
+        ws.x[...] = X
+        got, got_loss = nn._grads_and_loss(model, ws, y_cls=y[:m], y_aux=ya)
+        assert got is ws.grads
+        assert np.all(ws.acts[0][:, -1] == 1.0)
+        want, want_loss = nn._grads_and_loss(model, nn._loaded(model, X), y_cls=y[:m],
+                                             y_aux=ya)
+        assert got.tobytes() == want.tobytes()
+        assert got_loss == want_loss
+        nn.sgd_step(model.params, got, lr=0.1)
+
+
+def test_backward_result_survives_later_calls():
+    rng = np.random.default_rng(13)
+    model = nn.init_model(small_arch(), 4)
+    X, y, ya = random_batch(rng, model, 7)
+    g1 = nn.backward(model, X, y_cls=y, y_aux=ya)
+    kept = g1.copy()
+    g2 = nn.backward(model, X[:5], y_cls=y[:5], y_aux=1.0 - ya[:5])
+    assert not np.shares_memory(g1, g2)
+    assert np.array_equal(g1, kept)
 
 
 def test_backward_deterministic():
@@ -340,6 +386,20 @@ def test_sgd_descends_quadratic():
     g[0] = p0  # flat entry 0 is trunk[0].weights[0, 0]
     nn.sgd_step(m.params, g, lr=0.1)
     assert 0.5 * m.trunk[0].weights[0, 0] ** 2 < 0.5 * p0**2
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4, 0.3])
+def test_sgd_step_in_place_equals_the_formula_bitwise(weight_decay):
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        params = rng.standard_normal(257) * rng.uniform(0.1, 10.0)
+        grads = rng.standard_normal(257) * rng.uniform(0.1, 10.0)
+        lr = float(rng.uniform(1e-3, 1.0))
+        want = params - lr * (grads + weight_decay * params)
+        buffer = params
+        nn.sgd_step(params, grads, lr=lr, weight_decay=weight_decay)
+        assert params is buffer
+        assert params.tobytes() == want.tobytes()
 
 
 def test_sgd_validates_hyperparameters():

@@ -32,6 +32,33 @@ def test_model_roundtrip_bitwise():
         assert buf.read() == b""
 
 
+def test_model_bytes_keep_the_on_disk_layer_order():
+    # on disk: per layer, the (out, in) weights row-major, then the bias,
+    # whatever the in-memory layout
+    arch = nn.ArchSpec(input_dim=2, hidden_dims=(3,), num_classes=2)
+    shapes = [(3, 2), (3,), (2, 3), (2,), (1, 3), (1,)]
+    arrays = []
+    start = 1.0
+    for shape in shapes:
+        arrays.append(np.arange(start, start + np.prod(shape)).reshape(shape))
+        start += np.prod(shape)
+    m = nn.PersonalModel(arch)
+    for layer, weights, bias in zip(m.layers, arrays[::2], arrays[1::2]):
+        layer.weights[...] = weights
+        layer.bias[...] = bias
+    buf = io.BytesIO()
+    serialize.write_model(buf, m)
+    want = np.concatenate([a.ravel() for a in arrays]).astype("<f8").tobytes()
+    header = 4 + 4 + 12 + 4 * len(arch.hidden_dims)
+    assert buf.getvalue()[header:] == want
+    buf.seek(0)
+    back = serialize.read_model(buf)
+    assert back.params.tobytes() == m.params.tobytes()
+    for layer, weights, bias in zip(back.layers, arrays[::2], arrays[1::2]):
+        assert np.array_equal(layer.weights, weights)
+        assert np.array_equal(layer.bias, bias)
+
+
 def test_model_bytes_start_with_magic_and_version():
     buf = io.BytesIO()
     serialize.write_model(buf, random_model(0))
