@@ -18,15 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import default_config, load_config, parse_config
-from .data import split_sizes
 from .errors import ConfigError, DataError, PfdlError
 from .federation import (MODES, ExperimentConfig, build_datasets,
-                         partitions_and_streams, run_experiment, score_run,
-                         write_data_artifacts)
+                         partitions_and_streams, run_experiment, score_run)
 from .gradcheck import run_migration_gradcheck, run_nn_gradcheck
-from .persist import (EventLog, read_manifest, summary_row, write_metrics_files,
+from .persist import (EventLog, make_out_dir, read_datasets, read_run_manifest,
+                      state_file, summary_row, write_data, write_metrics_files,
                       write_summary_csv)
-from .serialize import load_client_state, load_dataset
+from .serialize import load_client_state
 
 LAMBDA_SWEEP = (0.0, 0.2, 0.5, 0.8, 1.0)
 GRADCHECK_CASES = 100
@@ -101,8 +100,7 @@ def cmd_compare(args) -> int:
     cfg = _load(args)
     modes = _parse_modes(args.modes)
     seeds = _parse_seeds(args.seeds, cfg.federation.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(args.out)
 
     grids = (("compare.csv", "mode", [(mode, {"mode": mode}) for mode in modes]),
              ("lambda_sweep.csv", "lambda",
@@ -122,74 +120,26 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _check_dataset(path, task, cfg: ExperimentConfig, data_seed: int) -> None:
-    """Raise DataError unless a loaded dataset has the feature width, class
-    count, train/test row counts and domain block that the config gives
-    its task, the run's base seed, finite features and labels in
-    [0, num_classes)."""
-    n_train, n_test = split_sizes(cfg.data.samples_per_class)
-    classes = cfg.data.num_classes
-    domain = cfg.data.domains()[task.task_id].to_dict()
-    for what, got, want in (("feature width", task.train_x.shape[1], cfg.data.input_dim),
-                            ("num_classes", task.num_classes, classes),
-                            ("train rows", task.n_train, classes * n_train),
-                            ("test rows", task.test_y.shape[0], classes * n_test),
-                            ("domain", task.domain, domain)):
-        if got != want:
-            raise DataError(f"{path}: {what} is {got}, the config gives {want}")
-    if task.seed != data_seed:
-        raise DataError(f"{path}: base seed is {task.seed}, the manifest gives {data_seed}")
-    for split, x, y in (("train", task.train_x, task.train_y),
-                        ("test", task.test_x, task.test_y)):
-        if not np.isfinite(x).all():
-            raise DataError(f"{path}: a {split} feature is not finite")
-        bad = y[(y < 0) | (y >= classes)]
-        if bad.size:
-            raise DataError(f"{path}: {split} label {bad[0]} is outside [0, {classes})")
-
-
 def evaluate_run_dir(run_dir):
-    """Recompute the metrics of a finished run from its stored artifacts.
-
-    Datasets come from the run's data files, data/task_TT.bin for each
-    configured domain; partitions and streams are re-derived from the
-    config (they are deterministic); `score_run` rebuilds the accuracy
-    grid from the per-task client-state checkpoints.
-
-    Returns (config, metrics, pool_sizes, param_count_total).
+    """Recompute the metrics of a finished run from its stored artifacts:
+    `persist` reads the manifest and the checked datasets, partitions and
+    streams are re-derived from the config (they are deterministic), and
+    `score_run` scores the per-task client-state checkpoints, checked here
+    as they load. Returns (config, metrics, pool_sizes, param_count_total).
     """
     run_dir = Path(run_dir)
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"{run_dir}: no manifest.json here (not a run directory?)")
-    try:
-        manifest = read_manifest(manifest_path)
-        config, data_seed = manifest["config"], manifest["seeds"]["data"]
-    except (ValueError, LookupError, TypeError) as e:  # bad JSON, a missing field
-        raise DataError(f"{manifest_path}: not a run manifest ({e!r})") from e
-    if not isinstance(config, dict) or type(data_seed) is not int:
-        raise DataError(f"{manifest_path}: expected a config object and an integer seeds.data")
+    config, data_seed = read_run_manifest(run_dir)
     cfg = parse_config(config)  # a config that parses but is invalid stays exit 2
-
-    tasks = []
-    for t in range(len(cfg.data.rotation_degrees)):
-        path = run_dir / "data" / f"task_{t:02d}.bin"
-        if not path.exists():
-            raise DataError(f"{path}: missing task dataset")
-        tasks.append(load_dataset(path))
-        if tasks[t].task_id != t:
-            raise DataError(f"{path}: holds task {tasks[t].task_id}, expected {t}")
-        _check_dataset(path, tasks[t], cfg, data_seed)
+    tasks = read_datasets(run_dir, cfg, data_seed)
     partitions, streams = partitions_and_streams(cfg, data_seed, tasks)
     arch = cfg.arch()
 
     states = []  # one task's clients at a time, refilled in place
 
     def load_task(tpos: int):
-        ckpt = run_dir / "checkpoints" / f"task_{tpos:02d}"
         states.clear()
         for k in range(cfg.federation.num_clients):
-            path = ckpt / f"client_{k:03d}.state"
+            path = run_dir / state_file(tpos, k)
             if not path.exists():
                 raise DataError(f"{path}: missing checkpoint")
             states.append(load_client_state(path))
@@ -210,8 +160,7 @@ def evaluate_run_dir(run_dir):
 
 def cmd_eval(args) -> int:
     cfg, metrics, pool_sizes, pc_total = evaluate_run_dir(args.rundir)
-    out = Path(args.out) if args.out else Path(args.rundir) / "eval"
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(args.out or Path(args.rundir) / "eval")
     fed = cfg.federation
     write_metrics_files(out, fed.mode, fed.seed, metrics, pool_sizes, pc_total)
     print(f"mode={fed.mode} seed={fed.seed} avg_final={metrics.avg_final:.4f} "
@@ -222,11 +171,10 @@ def cmd_eval(args) -> int:
 def cmd_gen_data(args) -> int:
     cfg = _load(args)
     data_seed, tasks, _, _ = build_datasets(cfg)
-    out = Path(args.out)
-    manifest = write_data_artifacts(out, cfg, data_seed, tasks)
+    manifest = write_data(args.out, cfg, data_seed, tasks)
     print(f"wrote {len(manifest['files'])} task datasets "
           f"({manifest['train_per_task']} train / {manifest['test_per_task']} test rows each) "
-          f"to {out / 'data'}")
+          f"to {Path(args.out) / 'data'}")
     return 0
 
 

@@ -10,13 +10,11 @@ MODE_TABLE holds one `Mode` record per mode.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import __version__, client, nn
+from . import client, nn
 from .data import (DataConfig, apply_domain, build_task_stream,
                    dirichlet_partition, make_base_dataset)
 from .errors import ConfigError, InvariantError
@@ -24,10 +22,9 @@ from .evaluation import (MetricsMatrix, OutputMemo, accuracy_and_ce,
                          build_metrics, ensemble_probs_matrix, model_digest,
                          model_outputs)
 from .matching import NegativeSynthesisSpec
-from .persist import (EventLog, canonical_json, sha256_hex, write_manifest,
-                      write_metrics_files)
+from .persist import EventLog, start_run, state_file, write_metrics_files
 from .seeding import TAG_INIT, TAG_SAMPLE, TAG_TRAIN, rng_for
-from .serialize import save_client_state, save_dataset
+from .serialize import save_client_state
 
 BIND_MATCH = "match"
 BIND_ONE = "one"
@@ -380,33 +377,6 @@ def partitions_and_streams(cfg: ExperimentConfig, data_seed: int, tasks):
     return partitions, streams
 
 
-def data_manifest_dict(cfg: ExperimentConfig, data_seed: int, tasks) -> dict:
-    return {
-        "base_seed": int(data_seed),
-        "num_classes": cfg.data.num_classes,
-        "input_dim": cfg.data.input_dim,
-        "samples_per_class": cfg.data.samples_per_class,
-        "class_separation": cfg.data.class_separation,
-        "stream_mode": cfg.data.stream_mode,
-        "domains": [t.domain for t in tasks],
-        "train_per_task": int(tasks[0].n_train),
-        "test_per_task": int(tasks[0].test_y.shape[0]),
-        "files": [f"data/task_{t.task_id:02d}.bin" for t in tasks],
-    }
-
-
-def write_data_artifacts(out: Path, cfg: ExperimentConfig, data_seed: int,
-                         tasks) -> dict:
-    """Emit the task datasets and their JSON manifest; returns the dict."""
-    manifest = data_manifest_dict(cfg, data_seed, tasks)
-    (out / "data").mkdir(parents=True, exist_ok=True)
-    for t in tasks:
-        save_dataset(out / "data" / f"task_{t.task_id:02d}.bin", t)
-    (out / "data" / "data_manifest.json").write_text(
-        json.dumps(manifest, indent=1) + "\n")
-    return manifest
-
-
 @dataclass
 class RunResult:
     metrics: MetricsMatrix
@@ -432,23 +402,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
     if mode is None:
         raise ConfigError(f"unknown mode {fed.mode!r} (choose from {', '.join(MODES)})")
     data_seed, tasks, partitions, streams = build_datasets(cfg)
-    n_tasks = len(tasks)
     K = fed.num_clients
 
-    out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        manifest = write_data_artifacts(out, cfg, data_seed, tasks)
-        outputs = ["manifest.json", "events.jsonl", "metrics.csv",
-                   "metrics.json", "summary.csv", "data/data_manifest.json",
-                   *manifest["files"]]
-        for tpos in range(n_tasks):
-            for k in range(K):
-                outputs.append(f"checkpoints/task_{tpos:02d}/client_{k:03d}.state")
-                outputs.append(f"checkpoints/task_{tpos:02d}/client_{k:03d}.rho.json")
-        write_manifest(out / "manifest.json", cfg.to_dict(),
-                       sha256_hex(canonical_json(manifest)), __version__,
-                       {"experiment": fed.seed, "data": data_seed}, outputs)
+    out = None if out_dir is None else start_run(out_dir, cfg, data_seed, tasks)
 
     states = [client.ClientState(client_id=k) for k in range(K)]
 
@@ -469,9 +425,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
                                      "task": tpos, **report.to_record()})
                 run_task(cfg, states, shard_data, tpos, events)
             if out is not None:
-                ckpt = out / "checkpoints" / f"task_{tpos:02d}"
                 for st in states:
-                    save_client_state(ckpt, st)
+                    save_client_state(out / state_file(tpos, st.client_id), st)
             return states
 
         metrics, pool_sizes, pc_total = score_run(cfg, tasks, streams, partitions,

@@ -1,4 +1,5 @@
-"""Run artifacts: manifest, JSONL event log, metrics CSVs.
+"""The run directory: its layout, the writer and reader of its data and
+manifest, the JSONL event log and the metrics CSV/JSON files.
 
 Event records and CSV rows contain no timestamps and use fixed field
 orders, so two runs of the same configuration produce byte-identical
@@ -16,6 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
+from .data import split_sizes
+from .errors import ConfigError, DataError
+from .serialize import SIDECAR_SUFFIX, load_dataset, save_dataset
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -25,6 +31,124 @@ def sha256_hex(data) -> str:
     if isinstance(data, str):
         data = data.encode()
     return hashlib.sha256(data).hexdigest()
+
+
+def dataset_file(t: int) -> str:
+    return f"data/task_{t:02d}.bin"
+
+
+def state_file(tpos: int, k: int) -> str:
+    """Client k's checkpoint after the task at stream position tpos."""
+    return f"checkpoints/task_{tpos:02d}/client_{k:03d}.state"
+
+
+def make_out_dir(path) -> Path:
+    """Create an output directory and its parents; a path that cannot be
+    one (an existing file, say) is a ConfigError naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot create the output directory ({e.strerror})") from e
+    return path
+
+
+def write_data(out, cfg, data_seed: int, tasks) -> dict:
+    """The task datasets and data/data_manifest.json; returns the manifest."""
+    manifest = {
+        "base_seed": int(data_seed),
+        "num_classes": cfg.data.num_classes,
+        "input_dim": cfg.data.input_dim,
+        "samples_per_class": cfg.data.samples_per_class,
+        "class_separation": cfg.data.class_separation,
+        "stream_mode": cfg.data.stream_mode,
+        "domains": [t.domain for t in tasks],
+        "train_per_task": int(tasks[0].n_train),
+        "test_per_task": int(tasks[0].test_y.shape[0]),
+        "files": [dataset_file(t.task_id) for t in tasks],
+    }
+    out = make_out_dir(out)
+    make_out_dir(out / "data")
+    for t, name in zip(tasks, manifest["files"]):
+        save_dataset(out / name, t)
+    (out / "data" / "data_manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    return manifest
+
+
+def start_run(out, cfg, data_seed: int, tasks) -> Path:
+    """Write the run's data, then manifest.json, which declares every
+    output path of the run; returns out as a Path."""
+    data_manifest = write_data(out, cfg, data_seed, tasks)
+    states = [state_file(tpos, k) for tpos in range(len(tasks))
+              for k in range(cfg.federation.num_clients)]
+    outputs = ["manifest.json", "events.jsonl", "metrics.csv", "metrics.json",
+               "summary.csv", "data/data_manifest.json", *data_manifest["files"],
+               *states, *(str(Path(s).with_suffix(SIDECAR_SUFFIX)) for s in states)]
+    config = cfg.to_dict()
+    doc = {
+        "config": config,
+        "config_hash": sha256_hex(canonical_json(config)),
+        "data_manifest_hash": sha256_hex(canonical_json(data_manifest)),
+        "code_version": __version__,
+        "seeds": {"experiment": cfg.federation.seed, "data": data_seed},
+        "outputs": sorted(outputs),
+        "created_unix": time.time(),
+    }
+    out = Path(out)
+    (out / "manifest.json").write_text(json.dumps(doc, indent=1) + "\n")
+    return out
+
+
+def read_run_manifest(run_dir) -> tuple[dict, int]:
+    """The config dict and the data seed of a run directory's manifest;
+    a missing or malformed manifest is a DataError."""
+    path = Path(run_dir) / "manifest.json"
+    if not path.exists():
+        raise DataError(f"{path.parent}: no manifest.json here (not a run directory?)")
+    try:
+        manifest = json.loads(path.read_text())
+        config, data_seed = manifest["config"], manifest["seeds"]["data"]
+    except (ValueError, LookupError, TypeError) as e:  # bad JSON, a missing field
+        raise DataError(f"{path}: not a run manifest ({e!r})") from e
+    if not isinstance(config, dict) or type(data_seed) is not int:
+        raise DataError(f"{path}: expected a config object and an integer seeds.data")
+    return config, data_seed
+
+
+def read_datasets(run_dir, cfg, data_seed: int) -> list:
+    """The run's task datasets, one per configured domain. DataError unless
+    each file exists, holds its own task, and has the feature width, class
+    count, train/test row counts and domain block that the config gives
+    the task, the manifest's data seed, finite features and labels in
+    [0, num_classes)."""
+    n_train, n_test = split_sizes(cfg.data.samples_per_class)
+    classes = cfg.data.num_classes
+    tasks = []
+    for t, domain in enumerate(cfg.data.domains()):
+        path = Path(run_dir) / dataset_file(t)
+        if not path.exists():
+            raise DataError(f"{path}: missing task dataset")
+        task = load_dataset(path)
+        if task.task_id != t:
+            raise DataError(f"{path}: holds task {task.task_id}, expected {t}")
+        for what, got, want in (("feature width", task.train_x.shape[1], cfg.data.input_dim),
+                                ("num_classes", task.num_classes, classes),
+                                ("train rows", task.n_train, classes * n_train),
+                                ("test rows", task.test_y.shape[0], classes * n_test),
+                                ("domain", task.domain, domain.to_dict())):
+            if got != want:
+                raise DataError(f"{path}: {what} is {got}, the config gives {want}")
+        if task.seed != data_seed:
+            raise DataError(f"{path}: base seed is {task.seed}, the manifest gives {data_seed}")
+        for split, x, y in (("train", task.train_x, task.train_y),
+                            ("test", task.test_x, task.test_y)):
+            if not np.isfinite(x).all():
+                raise DataError(f"{path}: a {split} feature is not finite")
+            bad = y[(y < 0) | (y >= classes)]
+            if bad.size:
+                raise DataError(f"{path}: {split} label {bad[0]} is outside [0, {classes})")
+        tasks.append(task)
+    return tasks
 
 
 class EventLog:
@@ -109,21 +233,3 @@ def write_metrics_files(out, mode: str, seed: int, metrics, pool_sizes,
                       [summary_row(mode, seed, metrics, float(np.mean(pool_sizes)),
                                    param_count_total)])
     write_metrics_json(out / "metrics.json", metrics, pool_sizes, param_count_total)
-
-
-def write_manifest(path, config_dict: dict, data_manifest_hash: str, code_version: str,
-                   seeds: dict, outputs: list[str]) -> None:
-    doc = {
-        "config": config_dict,
-        "config_hash": sha256_hex(canonical_json(config_dict)),
-        "data_manifest_hash": data_manifest_hash,
-        "code_version": code_version,
-        "seeds": seeds,
-        "outputs": sorted(outputs),
-        "created_unix": time.time(),
-    }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
-
-
-def read_manifest(path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -31,6 +31,7 @@ MODEL_MAGIC = b"PFDL"
 DATA_MAGIC = b"PFDD"
 STATE_MAGIC = b"PFDS"
 FORMAT_VERSION = 1
+SIDECAR_SUFFIX = ".rho.json"  # the matching history beside a .state file
 
 
 def _read_exact(fh, n: int, ctx: str) -> bytes:
@@ -134,13 +135,12 @@ def load_dataset(path) -> TaskDataset:
 # ---------------------------------------------------------------- client states
 
 
-def save_client_state(dir_path, state: ClientState) -> tuple[Path, Path]:
-    """Pool and bindings as one binary record; the matching history goes
-    to a JSON sidecar that no loader reads. Returns (state, sidecar) paths."""
-    dir_path = Path(dir_path)
-    dir_path.mkdir(parents=True, exist_ok=True)
-    path = dir_path / f"client_{state.client_id:03d}.state"
-    sidecar = path.with_suffix(".rho.json")
+def save_client_state(path, state: ClientState) -> tuple[Path, Path]:
+    """Pool and bindings as one binary record at path; the matching history
+    goes to a JSON sidecar that no loader reads. Returns (state, sidecar)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    sidecar = path.with_suffix(SIDECAR_SUFFIX)
     with open(path, "wb") as fh:
         fh.write(STATE_MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
@@ -156,7 +156,7 @@ def save_client_state(dir_path, state: ClientState) -> tuple[Path, Path]:
 
 def load_client_state(path) -> ClientState:
     """Rebuild a client's pool and bindings at a task boundary; the
-    `.rho.json` history is not read. The next `begin_task` rebuilds the
+    sidecar's history is not read. The next `begin_task` rebuilds the
     migration pull statistics (s, abar, c) from the pool. A task bound
     twice, or bound to an index outside the pool, is a DataError."""
     ctx = str(path)

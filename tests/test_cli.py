@@ -312,7 +312,7 @@ def test_eval_rejects_a_model_of_another_arch(tiny_config, tmp_path, capsys):
     state = load_client_state(path)
     other = nn.ArchSpec(input_dim=6, hidden_dims=(6, 10), num_classes=3)
     state.pool = [nn.init_model(other, 0) for _ in state.pool]
-    save_client_state(path.parent, state)
+    save_client_state(path, state)
     assert cli.main(["eval", str(run_dir)]) == 3
     assert "architecture differs" in capsys.readouterr().err
 
@@ -422,6 +422,29 @@ def test_gen_data_writes_datasets_and_manifest(tiny_config, tmp_path):
     man = json.loads((out / "data" / "data_manifest.json").read_text())
     assert man["files"] == ["data/task_00.bin", "data/task_01.bin"]
     assert len(man["domains"]) == 2
+    # the same files, byte for byte, as a run of the same config writes
+    assert cli.main(["run", "--config", str(tiny_config),
+                     "--out", str(tmp_path / "run")]) == 0
+    for name in files:
+        assert ((out / "data" / name).read_bytes()
+                == (tmp_path / "run" / "data" / name).read_bytes())
+
+
+@pytest.mark.parametrize("command", ["run", "gen-data", "eval", "compare"])
+def test_out_naming_a_file_is_config_error(tiny_config, tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    if command == "eval":
+        run_dir = tmp_path / "run"
+        assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
+        argv = ["eval", str(run_dir)]
+    else:
+        argv = [command, "--config", str(tiny_config)]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[config]: {taken}: cannot create the output directory")
+    assert taken.read_text() == "not a directory"
 
 
 def test_compare_one_summary_row_per_mode_and_seed(tiny_config, tmp_path):

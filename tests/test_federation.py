@@ -10,7 +10,7 @@ from pfdl.data import DataConfig
 from pfdl.errors import ConfigError, InvariantError
 from pfdl.federation import (ExperimentConfig, FederationConfig, aggregate,
                              run_experiment, run_task, sample_clients)
-from pfdl.persist import EventLog
+from pfdl.persist import EventLog, canonical_json, sha256_hex
 from pfdl.seeding import rng_for
 from pfdl.serialize import load_client_state
 
@@ -440,13 +440,11 @@ def test_run_writes_everything_the_manifest_declares(tmp_path):
     cfg = small_cfg(rounds_per_task=2, local_epochs=1)
     out = tmp_path / "run"
     run_experiment(cfg, out_dir=out)
-    from pfdl.persist import read_manifest
-    man = read_manifest(out / "manifest.json")
-    declared = set(man["outputs"])
+    man = json.loads((out / "manifest.json").read_text())
     on_disk = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
-    assert on_disk == declared
+    assert man["outputs"] == sorted(on_disk)
     assert man["config"]["mode"] == "pfeddil"
-    assert man["config_hash"]
+    assert man["config_hash"] == sha256_hex(canonical_json(cfg.to_dict()))
     assert man["data_manifest_hash"]
     assert man["seeds"] == {"experiment": 3, "data": 3}
 

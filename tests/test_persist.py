@@ -3,7 +3,9 @@ import json
 import numpy as np
 
 from pfdl import persist
+from pfdl.data import DataConfig
 from pfdl.evaluation import build_metrics
+from pfdl.federation import ExperimentConfig, FederationConfig, build_datasets
 
 
 def small_metrics():
@@ -47,13 +49,15 @@ def test_summary_row_formatting():
     assert row[4] == "2.500000" and row[5] == 1136
 
 
+
 def test_manifest_roundtrip_and_config_hash(tmp_path):
-    path = tmp_path / "manifest.json"
-    cfg = {"mode": "fedavg", "seed": 1}
-    persist.write_manifest(path, cfg, data_manifest_hash="abc",
-                           code_version="0.1.0", seeds={"experiment": 1},
-                           outputs=["b.csv", "a.csv"])
-    doc = persist.read_manifest(path)
-    assert doc["config"] == cfg
-    assert doc["outputs"] == ["a.csv", "b.csv"]
-    assert doc["config_hash"] == persist.sha256_hex(persist.canonical_json(cfg))
+    cfg = ExperimentConfig(federation=FederationConfig(num_clients=2, mode="fedavg", seed=1),
+                           data=DataConfig(num_classes=3, input_dim=4, samples_per_class=20,
+                                           rotation_degrees=(0.0, 90.0)),
+                           hidden_dims=(5,))
+    data_seed, tasks, _, _ = build_datasets(cfg)
+    out = persist.start_run(tmp_path / "run", cfg, data_seed, tasks)
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["outputs"] == sorted(doc["outputs"])
+    assert doc["config_hash"] == persist.sha256_hex(persist.canonical_json(cfg.to_dict()))
+    assert persist.read_run_manifest(out) == (cfg.to_dict(), data_seed)

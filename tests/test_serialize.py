@@ -183,7 +183,7 @@ def test_client_state_roundtrip(tmp_path):
     state.task_bindings = {0: 0, 1: 2, 2: 1}
     state.rho_history = [{"task": 0, "decision": "new_model"},
                          {"task": 1, "rho": [0.5, 0.25]}]
-    path, sidecar = serialize.save_client_state(tmp_path, state)
+    path, sidecar = serialize.save_client_state(tmp_path / "client_004.state", state)
     assert path.read_bytes()[:4] == b"PFDS"
     assert json.loads(sidecar.read_text()) == state.rho_history
     back = serialize.load_client_state(path)
@@ -197,7 +197,7 @@ def test_client_state_roundtrip(tmp_path):
 
 def test_huge_pool_size_is_truncation(tmp_path):
     state = ClientState(client_id=0, pool=[random_model(0)], task_bindings={0: 0})
-    path, _ = serialize.save_client_state(tmp_path, state)
+    path, _ = serialize.save_client_state(tmp_path / "client_000.state", state)
     raw = bytearray(path.read_bytes())
     raw[12:16] = b"\xff" * 4  # pool size 2**32 - 1
     path.write_bytes(bytes(raw))
@@ -207,7 +207,7 @@ def test_huge_pool_size_is_truncation(tmp_path):
 
 def test_client_state_without_sidecar(tmp_path):
     state = ClientState(client_id=0, pool=[random_model(0)], task_bindings={0: 0})
-    path, sidecar = serialize.save_client_state(tmp_path, state)
+    path, sidecar = serialize.save_client_state(tmp_path / "client_000.state", state)
     sidecar.unlink()
     back = serialize.load_client_state(path)
     assert back.rho_history == []
