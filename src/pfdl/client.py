@@ -9,6 +9,12 @@ expands to s ||w||^2 - 2 w.abar + c, so the client keeps only the three
 task-start statistics s = sum_i rho_i, abar = sum_i rho_i a_i and
 c = sum_i rho_i ||a_i||^2, and each step costs O(P) whatever the anchor
 count.
+
+A local round trains all of a round's sampled clients at once: each bound
+model takes one slot of an `nn.Workspace`, and each step is one stacked
+pass over the slots still training. The per-client parts of a step (the
+batch rows, the migration pull and the SGD update) stay per client, so a
+client's update does not depend on which clients share its round.
 """
 
 from __future__ import annotations
@@ -92,68 +98,113 @@ def add_migration_grads(grads: np.ndarray, w: np.ndarray, s: float,
     grads += 2.0 * (s * w - abar)
 
 
-def local_train_round(state: ClientState, global_params: nn.PersonalModel | None,
-                      shard_x: np.ndarray, shard_y: np.ndarray, task_id: int,
-                      epochs: int, lr: float, weight_decay: float, batch_size: int,
-                      neg_spec: NegativeSynthesisSpec,
-                      round_entropy: tuple[int, ...]) -> LocalUpdate | None:
-    """One communication round of local training.
+class _Lane:
+    """One client of a lockstep round: its bound model, its shard, its
+    generator and the epoch it is in."""
 
-    The bound model first adopts the broadcast global parameters (if any;
+    def __init__(self, pos: int, state: ClientState, model: nn.PersonalModel,
+                 X: np.ndarray, y: np.ndarray, epochs: int, batch_size: int,
+                 neg_spec: NegativeSynthesisSpec, entropy):
+        self.pos, self.state, self.model = pos, state, model
+        self.X, self.y = X, y
+        self.feat_std = X.std(axis=0)
+        self.batch_size, self.neg_spec = batch_size, neg_spec
+        self.batches = -(-X.shape[0] // batch_size)
+        self.steps = epochs * self.batches
+        self.rng = rng_for(*entropy)
+        self.epoch = None  # (X, y, negatives) in the epoch's order
+        self.batch_len = 0  # the rows of the batch in the workspace
+        self.loss_sum = 0.0
+
+    def load(self, ws: nn.Workspace, k: int, step: int) -> None:
+        """Write this step's batch and its negatives into slot k of ws. An
+        epoch's first batch draws its permutation, then all of its
+        negatives in one call; the batches slice both."""
+        b = step % self.batches
+        if b == 0:
+            order = self.rng.permutation(self.X.shape[0])
+            Xe = self.X[order]
+            self.epoch = Xe, self.y[order], synthesize_negatives(
+                Xe, self.feat_std, self.neg_spec, self.rng, self.batch_size)
+        Xe, ye, Ne = self.epoch
+        start = b * self.batch_size
+        stop = min(start + self.batch_size, Xe.shape[0])
+        m = stop - start
+        if m != self.batch_len:
+            self.batch_len = m
+            ws.set_rows(k, m, 2 * m)
+            ws.y_aux[k, :m] = 1.0
+            ws.y_aux[k, m:] = 0.0
+        ws.x[k, :m] = Xe[start:stop]
+        ws.x[k, m:2 * m] = Ne[start:stop]
+        ws.y[k, :m] = ye[start:stop]
+
+    def step(self, w: np.ndarray, grads: np.ndarray, loss: float, lr: float,
+             weight_decay: float) -> None:
+        """Add the migration pull to the pass's gradient and loss, then
+        update w, the client's row of the workspace parameters."""
+        st = self.state
+        if st.anchor_mass:
+            add_migration_grads(grads, w, st.anchor_mass, st.anchor_sum)
+            loss += migration_loss(w, st.anchor_mass, st.anchor_sum, st.anchor_sq)
+        nn.sgd_step(w, grads, lr=lr, weight_decay=weight_decay)
+        self.loss_sum += loss
+
+
+def local_train_round(states, global_params: nn.PersonalModel | None, shards, task_id: int,
+                      epochs: int, lr: float, weight_decay: float, batch_size: int,
+                      neg_spec: NegativeSynthesisSpec, entropies) -> list[LocalUpdate | None]:
+    """One communication round of local training for the round's sampled
+    clients: states[i] trains on shards[i] = (X, y) with the generator of
+    entropies[i]. Returns one LocalUpdate per client, None for a client
+    that has no model bound to the task or an empty shard.
+
+    Each bound model first adopts the broadcast global parameters (if any;
     the first round of a task starts from the strategy-selected state).
     Then `epochs` epochs of minibatch SGD on the joint objective: CE on the
     task batch, BCE on the batch plus equally many synthesized negatives,
     and the knowledge-migration pull toward the frozen anchors. One trunk
     pass over [batch; negatives] serves both losses, and all three streams
-    hit the shared trunk in a single step. The rows go straight into a
-    workspace reused by every step of that batch size.
+    hit the shared trunk in a single step.
 
-    One generator per round derives from round_entropy, so the outcome
-    does not depend on scheduling or on any other client. Each epoch draws
-    its permutation, then all of its negatives in one call; the batches
-    slice both.
+    The clients train in lockstep: one workspace slot each, and one
+    stacked pass per step over the clients still training. Slots are
+    sorted by step count, descending, ties by client id, so those clients
+    are always a prefix of the slots. Every slot has 2 * batch_size rows;
+    a short batch's real rows come first and zero rows pad the rest. So a
+    client's arithmetic never depends on the other clients of its round,
+    and as each client draws from its own generator, neither does its
+    outcome.
     """
-    bound = state.task_bindings.get(int(task_id))
-    if bound is None:
-        return None
-    model = state.pool[bound]
-    if global_params is not None:
-        nn.copy_into(model, global_params)
+    updates = [None] * len(states)
+    lanes = []
+    for pos, (state, (X, y), entropy) in enumerate(zip(states, shards, entropies)):
+        bound = state.task_bindings.get(int(task_id))
+        X = np.asarray(X, dtype=np.float64)
+        if bound is not None and X.shape[0]:
+            lanes.append(_Lane(pos, state, state.pool[bound], X, np.asarray(y, dtype=np.int64),
+                               epochs, batch_size, neg_spec, entropy))
+    if not lanes:
+        return updates
+    lanes.sort(key=lambda lane: (-lane.steps, lane.state.client_id))
+    ws = nn.Workspace(lanes[0].model.arch, len(lanes), 2 * batch_size, batch_size)
+    for k, lane in enumerate(lanes):
+        ws.params[k] = (lane.model if global_params is None else global_params).params
 
-    X = np.asarray(shard_x, dtype=np.float64)
-    y = np.asarray(shard_y, dtype=np.int64)
-    n = X.shape[0]
-    feat_std = X.std(axis=0)
-    w = model.params
-    s, abar, c = state.anchor_mass, state.anchor_sum, state.anchor_sq
-    # for the full and the short last batch of m rows: a workspace over
-    # [batch; negatives] and the aux labels [1]*m + [0]*m
-    sizes = {min(batch_size, n), n % batch_size or batch_size}
-    spaces = {m: nn.Workspace(model.arch, 2 * m) for m in sizes}
-    aux_labels = {m: np.repeat([1.0, 0.0], m) for m in sizes}
+    active = len(lanes)
+    for step in range(lanes[0].steps):
+        while lanes[active - 1].steps <= step:
+            active -= 1
+        for k, lane in enumerate(lanes[:active]):
+            lane.load(ws, k, step)
+        grads, losses = nn._grads_and_loss(ws, active)
+        for k, lane in enumerate(lanes[:active]):
+            lane.step(ws.params[k], grads[k], float(losses[k]), lr, weight_decay)
 
-    rng = rng_for(*round_entropy)
-    loss_sum = 0.0
-    steps = 0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        Xe, ye = X[order], y[order]
-        Ne = synthesize_negatives(Xe, feat_std, neg_spec, rng, batch_size)
-        for start in range(0, n, batch_size):
-            stop = min(start + batch_size, n)
-            m = stop - start
-            ws = spaces[m]
-            ws.x[:m] = Xe[start:stop]
-            ws.x[m:] = Ne[start:stop]
-            grads, step_loss = nn._grads_and_loss(model, ws, y_cls=ye[start:stop],
-                                                  y_aux=aux_labels[m])
-            if s:
-                add_migration_grads(grads, w, s, abar)
-                step_loss += migration_loss(w, s, abar, c)
-            nn.sgd_step(w, grads, lr=lr, weight_decay=weight_decay)
-            loss_sum += step_loss
-            steps += 1
-
-    mean_loss = loss_sum / steps if steps else 0.0
-    return LocalUpdate(client_id=state.client_id, parameters=nn.clone_model(model),
-                       num_samples=n, train_loss=mean_loss)
+    for k, lane in enumerate(lanes):
+        np.copyto(lane.model.params, ws.params[k])
+        updates[lane.pos] = LocalUpdate(
+            client_id=lane.state.client_id, parameters=nn.clone_model(lane.model),
+            num_samples=lane.X.shape[0],
+            train_loss=lane.loss_sum / lane.steps if lane.steps else 0.0)
+    return updates

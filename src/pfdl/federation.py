@@ -170,6 +170,9 @@ def run_task(cfg: ExperimentConfig, states, shard_data, task_pos: int,
     when no round had an active client).
     """
     fed = cfg.federation
+    # no batch holds more rows than the task's largest shard, so a larger
+    # batch_size would only pad every client's rows in the lockstep pass
+    batch_size = min(fed.batch_size, max(len(y) for _, y in shard_data) or 1)
     global_model = None  # until the first aggregation
     # a diverging round overflows to inf/nan; the non-finite guards below
     # report it, so NumPy's warnings would only bury that report
@@ -177,13 +180,13 @@ def run_task(cfg: ExperimentConfig, states, shard_data, task_pos: int,
         for rnd in range(fed.rounds_per_task):
             rng = rng_for(fed.seed, TAG_SAMPLE, task_pos, rnd)
             sampled = sample_clients(fed.num_clients, fed.active_fraction, rng)
-            results = [client.local_train_round(
-                states[k], global_model, *shard_data[k], task_id=task_pos,
+            results = client.local_train_round(
+                [states[k] for k in sampled], global_model,
+                [shard_data[k] for k in sampled], task_id=task_pos,
                 epochs=fed.local_epochs, lr=fed.lr,
-                weight_decay=fed.weight_decay, batch_size=fed.batch_size,
+                weight_decay=fed.weight_decay, batch_size=batch_size,
                 neg_spec=cfg.negatives,
-                round_entropy=(fed.seed, TAG_TRAIN, k, task_pos, rnd))
-                for k in sampled]
+                entropies=[(fed.seed, TAG_TRAIN, k, task_pos, rnd) for k in sampled])
             updates = [u for u in results if u is not None]
 
             if updates:
@@ -391,9 +394,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
     given.
 
     The manifest declaring every output path is written before the first
-    training round. Clients train one after another; `threads` is kept
-    only because the benchmark child passes threads=1, and any other
-    value is a ValueError.
+    training round. A round's clients train in lockstep in one thread;
+    `threads` is kept only because the benchmark child passes threads=1,
+    and any other value is a ValueError.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads!r}")

@@ -13,12 +13,16 @@ then the bias as the last row. `weights`, an (out_dim, in_dim) view, and
 layout, so copying, averaging and updating a model are each one vector
 operation; checkpoints keep their own order (see serialize.py).
 
-In a training pass, activations carry a trailing ones column, so a batch
-of shape (n, in_dim + 1) flows through a layer as one product with its
-block, and the layer's weight and bias gradient is one product too. The
-buffers for a pass live in a `Workspace`, which the training loop reuses
-across steps. Scoring needs no buffers: a batch X of shape (n, in_dim)
-flows as X @ Wᵀ + b, reading the contiguous block[:-1].
+Training passes run over a `Workspace` of K slots, one model each: its
+parameters are the rows of a (K, P) stack, and its buffers carry the slot
+axis first, e.g. (K, rows, in_dim + 1) activations with a trailing ones
+column. Each layer's forward, and its weight and bias gradient, is one
+stacked `np.matmul` over the slots, which computes each slot exactly as a
+2-D product would. A slot with fewer real rows than the workspace keeps
+zero rows after them; those add exact zeros to its gradient. `backward`
+and `batch_loss` run the same pass with K = 1. Scoring needs no buffers:
+a batch X of shape (n, in_dim) flows as X @ Wᵀ + b, reading the contiguous
+block[:-1].
 """
 
 from __future__ import annotations
@@ -71,21 +75,24 @@ class ArchSpec:
 
 
 class LayerParams:
-    """One affine layer: the contiguous (in + 1, out) block [Wᵀ; b] of the
-    flat vector, with weights (out, in) and bias (out,) as views of it."""
+    """One affine layer: the contiguous (in + 1, out) block [Wᵀ; b] of a
+    flat vector, or a (K, in + 1, out) stack of them, with weights
+    (..., out, in) and bias (..., out) as views of it."""
 
     def __init__(self, block: np.ndarray):
         self.block = block
-        self.weights = block[:-1].T
-        self.bias = block[-1]
+        self.weights = np.swapaxes(block[..., :-1, :], -1, -2)
+        self.bias = block[..., -1, :]
 
 
 def _layer_blocks(arch: ArchSpec, flat: np.ndarray) -> list[LayerParams]:
+    """Per-layer views of a flat vector, or of every row of a (K, P) stack."""
     layers = []
     lo = 0
     for out_dim, in_dim in arch.layer_dims():
         hi = lo + (in_dim + 1) * out_dim
-        layers.append(LayerParams(flat[lo:hi].reshape(in_dim + 1, out_dim)))
+        layers.append(LayerParams(flat[..., lo:hi].reshape(*flat.shape[:-1], in_dim + 1,
+                                                            out_dim)))
         lo = hi
     return layers
 
@@ -112,23 +119,57 @@ class PersonalModel:
 
 
 class Workspace:
-    """Buffers for passes over exactly `rows` rows of one architecture.
+    """Buffers for lockstep passes of up to `clients` models of one
+    architecture over `rows` rows each, the leading `labelled` of them
+    with class labels.
 
-    `acts[0]` is the input and `acts[i]` the i-th trunk layer's output,
-    each with a trailing ones column, so a layer's forward is one product
-    with its [Wᵀ; b] block; `x` is the input without that column, for the
-    caller to fill. `zs` holds the trunk's pre-activations and `grads` one
-    flat gradient in the model's layout, with `grad_blocks` its per-layer
-    views.
+    Slot k's model is row k of `params`, with `layers` the per-layer views
+    across slots. `acts[0]` is the input and `acts[i]` the i-th trunk
+    layer's output, each with a trailing ones column, so a layer's forward
+    is one product with its [Wᵀ; b] block. The caller fills `x` (the input
+    without that column), the class labels `y` and the aux labels `y_aux`.
+    `zs` holds the trunk's pre-activations, `deltas` the gradients with
+    respect to them, and `grads` one flat gradient per slot, with
+    `grad_blocks` its per-layer views.
+
+    `set_rows` gives a slot fewer real rows. Its later rows are zero in
+    every layer, ones column too, and divide their loss gradients by inf,
+    so they add exact zeros to its gradient.
     """
 
-    def __init__(self, arch: ArchSpec, rows: int):
-        self.rows = rows
-        self.acts = [np.ones((rows, d + 1)) for d in (arch.input_dim, *arch.hidden_dims)]
-        self.x = self.acts[0][:, :-1]
-        self.zs = [np.empty((rows, h)) for h in arch.hidden_dims]
-        self.grads = np.empty(arch.param_count())
+    def __init__(self, arch: ArchSpec, clients: int, rows: int, labelled: int):
+        self.rows, self.labelled = rows, labelled
+        self.params = np.zeros((clients, arch.param_count()))
+        self.layers = _layer_blocks(arch, self.params)
+        self.acts = [np.ones((clients, rows, d + 1))
+                     for d in (arch.input_dim, *arch.hidden_dims)]
+        self.x = self.acts[0][..., :-1]
+        self.zs = [np.empty((clients, rows, h)) for h in arch.hidden_dims]
+        self.deltas = [np.empty_like(z) for z in self.zs]
+        self.grads = np.empty((clients, arch.param_count()))
         self.grad_blocks = [layer.block for layer in _layer_blocks(arch, self.grads)]
+        self.y = np.zeros((clients, labelled), dtype=np.int64)
+        self.y_aux = np.zeros((clients, rows))
+        self.classes = np.arange(arch.num_classes)
+        # per row the loss gradient's divisor: the slot's count of such
+        # rows for a counted row, inf for the rest
+        self.cls_div = np.full((clients, labelled, 1), float(labelled))
+        self.aux_div = np.full((clients, rows), float(rows))
+        self.padded: dict[int, tuple[int, int]] = {}  # slot -> (labelled, rows)
+
+    def set_rows(self, k: int, labelled: int, rows: int) -> None:
+        """Slot k's next passes count its first `rows` rows, the leading
+        `labelled` of them in the class loss."""
+        for a in self.acts:
+            a[k, :rows, -1] = 1.0
+            a[k, rows:] = 0.0
+        self.cls_div[k] = np.inf
+        self.cls_div[k, :labelled] = labelled
+        self.aux_div[k] = np.inf
+        self.aux_div[k, :rows] = rows
+        self.padded.pop(k, None)
+        if labelled < self.labelled or rows < self.rows:
+            self.padded[k] = labelled, rows
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -185,11 +226,24 @@ def _as_batch(model: PersonalModel, X) -> np.ndarray:
     return X
 
 
-def _loaded(model: PersonalModel, X) -> Workspace:
-    """A fresh workspace holding the rows of X."""
+def _loaded(model: PersonalModel, X, y_cls, y_aux) -> Workspace:
+    """A fresh one-slot workspace holding the model, the rows of X and
+    their labels: y_cls labels the leading rows, y_aux every row."""
     X = _as_batch(model, X)
-    ws = Workspace(model.arch, X.shape[0])
-    ws.x[...] = X
+    N = X.shape[0]
+    if N == 0:
+        raise ValueError("empty batch")
+    y = np.asarray(y_cls, dtype=np.int64)
+    if y.ndim != 1 or not 1 <= y.shape[0] <= N:
+        raise ValueError("y_cls must label between one and all leading rows")
+    ya = np.asarray(y_aux, dtype=np.float64)
+    if ya.shape != (N,):
+        raise ValueError("y_aux must have one label per row")
+    ws = Workspace(model.arch, 1, N, y.shape[0])
+    ws.params[0] = model.params
+    ws.x[0] = X
+    ws.y[0] = y
+    ws.y_aux[0] = ya
     return ws
 
 
@@ -216,80 +270,86 @@ def aux_scores(model: PersonalModel, X) -> np.ndarray:
     return heads(model, X)[1]
 
 
-def _cross_entropy(logits: np.ndarray, y: np.ndarray):
-    """Mean CE over the rows of logits, and the softmax probabilities."""
-    m = logits.max(axis=1, keepdims=True)
+def _cross_entropy(logits: np.ndarray, onehot: np.ndarray):
+    """Per-row CE of logits (..., C) against one-hot labels (a boolean
+    array of the same shape), and the softmax probabilities."""
+    m = logits.max(axis=-1, keepdims=True)
     e = np.exp(logits - m)
-    se = e.sum(axis=1, keepdims=True)
-    lse = (m + np.log(se)).ravel()
-    return float((lse - logits[np.arange(len(y)), y]).sum() / len(y)), e / se
+    se = e.sum(axis=-1, keepdims=True)
+    lse = (m + np.log(se))[..., 0]
+    return lse - logits[onehot].reshape(lse.shape), e / se
 
 
-def _mean_bce(scores: np.ndarray, y: np.ndarray) -> float:
+def _bce(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row BCE of sigmoid scores against 0/1 labels."""
     s = np.minimum(np.maximum(scores, BCE_EPS), 1.0 - BCE_EPS)
-    return float((-(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))).sum() / len(y))
+    return -(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))
 
 
-def _grads_and_loss(model: PersonalModel, ws: Workspace, y_cls, y_aux):
-    """One forward and one backward pass of the joint loss over the rows
-    in ws.x; returns (ws.grads, mean loss).
+def _grads_and_loss(ws: Workspace, active: int):
+    """One forward and one backward pass of the joint loss for slots
+    [:active] of ws; returns (ws.grads[:active], each slot's mean loss).
 
-    y_cls labels the leading rows and y_aux labels every row, so a single
-    trunk pass over [batch; negatives] serves both losses: mean CE over
-    the labelled rows plus mean BCE over all rows. The trunk receives the
-    sum of both streams; each head only sees its own loss. Each layer's
-    weight and bias gradient is one product into its block of ws.grads,
-    which the next pass over ws overwrites.
+    A slot's loss is the mean CE over its labelled rows plus the mean BCE
+    over its real rows, so a single trunk pass over [batch; negatives]
+    serves both losses. The trunk receives the sum of both streams; each
+    head only sees its own loss. Each layer's weight and bias gradient is
+    one stacked product into its block of ws.grads, which the next pass
+    over ws overwrites.
     """
-    N = ws.rows
-    if N == 0:
-        raise ValueError("empty batch")
-    y = np.asarray(y_cls, dtype=np.int64)
-    if y.ndim != 1 or not 1 <= y.shape[0] <= N:
-        raise ValueError("y_cls must label between one and all leading rows")
-    ya = np.asarray(y_aux, dtype=np.float64)
-    if ya.shape != (N,):
-        raise ValueError("y_aux must have one label per row")
-    acts, zs, g = ws.acts, ws.zs, ws.grad_blocks
-    for layer, a, z, a_next in zip(model.trunk, acts, zs, acts[1:]):
-        np.dot(a, layer.block, out=z)
-        np.maximum(z, 0.0, out=a_next[:, :-1])
+    a = active
+    acts = [t[:a] for t in ws.acts]
+    zs = [t[:a] for t in ws.zs]
+    deltas = [t[:a] for t in ws.deltas]
+    g = [t[:a] for t in ws.grad_blocks]
+    *trunk, cls_head, aux_head = ws.layers
+    for layer, x, z, x_next in zip(trunk, acts, zs, acts[1:]):
+        np.matmul(x, layer.block[:a], out=z)
+        np.maximum(z, 0.0, out=x_next[..., :-1])
     h1 = acts[-1]  # the last hidden layer, with its ones column
-    cls_head, aux_head = model.cls_head, model.aux_head
+    h1_t = h1.transpose(0, 2, 1)
 
-    s = sigmoid((h1 @ aux_head.block).ravel())
-    loss = _mean_bce(s, ya)
-    delta_a = (s - ya) / N
-    np.dot(h1.T, delta_a[:, None], out=g[-1])
-    d_h = np.outer(delta_a, aux_head.weights)
+    s = sigmoid(np.matmul(h1, aux_head.block[:a])[..., 0])
+    ya = ws.y_aux[:a]
+    bce = _bce(s, ya)
+    delta_a = (s - ya) / ws.aux_div[:a]
+    np.matmul(h1_t, delta_a[..., None], out=g[-1])
+    d_h = np.multiply(delta_a[..., None], aux_head.weights[:a], out=deltas[-1])
 
-    n = len(y)
-    hc = h1[:n]
-    ce, delta = _cross_entropy(hc @ cls_head.block, y)
-    loss += ce
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    np.dot(hc.T, delta, out=g[-2])
-    d_h[:n] += delta @ cls_head.weights
+    L = ws.labelled
+    onehot = ws.y[:a, :, None] == ws.classes
+    ce, delta = _cross_entropy(np.matmul(h1[:, :L], cls_head.block[:a]), onehot)
+    delta[onehot] -= 1.0
+    delta /= ws.cls_div[:a]
+    np.matmul(h1_t[..., :L], delta, out=g[-2])
+    d_h[:, :L] += np.matmul(delta, cls_head.weights[:a])
 
     delta = d_h
-    for i in reversed(range(len(model.trunk))):
+    for i in reversed(range(len(trunk))):
         delta *= zs[i] > 0
-        np.dot(acts[i].T, delta, out=g[i])
+        np.matmul(acts[i].transpose(0, 2, 1), delta, out=g[i])
         if i > 0:
-            delta = delta @ model.trunk[i].weights
-    return ws.grads, loss
+            delta = np.matmul(delta, trunk[i].weights[:a], out=deltas[i - 1])
+
+    # a padded slot sums its counted rows only, as a pass over exactly
+    # those rows would; a slot's first row always counts, so its divisor
+    # there is the slot's count
+    ce_sum, bce_sum = ce.sum(axis=1), bce.sum(axis=1)
+    for k, (n, N) in ws.padded.items():
+        if k < a:
+            ce_sum[k], bce_sum[k] = ce[k, :n].sum(), bce[k, :N].sum()
+    return ws.grads[:a], bce_sum / ws.aux_div[:a, 0] + ce_sum / ws.cls_div[:a, 0, 0]
 
 
 def backward(model: PersonalModel, X, y_cls, y_aux) -> np.ndarray:
     """The joint loss's flat gradient over the rows of X, in a new array."""
-    return _grads_and_loss(model, _loaded(model, X), y_cls=y_cls, y_aux=y_aux)[0]
+    return _grads_and_loss(_loaded(model, X, y_cls, y_aux), 1)[0][0]
 
 
 def batch_loss(model: PersonalModel, X, y_cls, y_aux) -> float:
     """Mean joint loss over a batch: mean CE over the rows y_cls labels
     (the leading ones) + mean BCE over all rows."""
-    return _grads_and_loss(model, _loaded(model, X), y_cls=y_cls, y_aux=y_aux)[1]
+    return float(_grads_and_loss(_loaded(model, X, y_cls, y_aux), 1)[1][0])
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float, weight_decay: float = 0.0) -> None:

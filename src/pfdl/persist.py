@@ -77,7 +77,12 @@ def write_data(out, cfg, data_seed: int, tasks) -> dict:
 
 def start_run(out, cfg, data_seed: int, tasks) -> Path:
     """Write the run's data, then manifest.json, which declares every
-    output path of the run; returns out as a Path."""
+    output path of the run; returns out as a Path. A directory that
+    already holds a manifest.json is a ConfigError: a second run there
+    would leave the first run's undeclared files beside its own."""
+    if (Path(out) / "manifest.json").exists():
+        raise ConfigError(f"{out}: already holds a run (manifest.json); "
+                          f"give a fresh output directory")
     data_manifest = write_data(out, cfg, data_seed, tasks)
     states = [state_file(tpos, k) for tpos in range(len(tasks))
               for k in range(cfg.federation.num_clients)]

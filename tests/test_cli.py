@@ -46,6 +46,23 @@ def test_run_twice_byte_identical(tiny_config, tmp_path):
                 == (tmp_path / "b" / name).read_bytes())
 
 
+def test_run_into_a_directory_that_holds_a_run_is_config_error(tiny_config, tmp_path,
+                                                              capsys):
+    # a shorter second run would leave the first run's last task files
+    # beside its own, undeclared, and eval would still pass
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
+    before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    shorter = tmp_path / "shorter.json"
+    shorter.write_text(json.dumps({**TINY, "data": {**TINY["data"],
+                                                    "rotation_degrees": [0]}}))
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(shorter), "--out", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]:") and str(run_dir) in err
+    assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+
+
 def test_seed_flag_overrides_config(tiny_config, tmp_path):
     cli.main(["run", "--config", str(tiny_config), "--seed", "42",
               "--out", str(tmp_path / "s")])

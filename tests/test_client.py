@@ -180,11 +180,19 @@ def test_migration_loss_validates_weights():
 # ------------------------------------------------------------- local rounds
 
 
-def run_round(st, X, y, task_id=0, global_params=None, epochs=2, entropy=(0, 6, 0, 0, 0)):
+def train_clients(states, shards, task_id=0, global_params=None, epochs=2, entropies=None):
+    """One lockstep round; by default client k draws from the entropy
+    (0, 6, k, task_id, 0)."""
+    if entropies is None:
+        entropies = [(0, 6, st.client_id, task_id, 0) for st in states]
     return client.local_train_round(
-        st, global_params, X, y, task_id=task_id, epochs=epochs, lr=0.05,
+        states, global_params, shards, task_id=task_id, epochs=epochs, lr=0.05,
         weight_decay=1e-3, batch_size=16, neg_spec=NegativeSynthesisSpec(),
-        round_entropy=entropy)
+        entropies=entropies)
+
+
+def run_round(st, X, y, task_id=0, global_params=None, epochs=2, entropy=(0, 6, 0, 0, 0)):
+    return train_clients([st], [(X, y)], task_id, global_params, epochs, [entropy])[0]
 
 
 def test_local_round_deterministic():
@@ -275,6 +283,72 @@ def test_migration_pulls_toward_anchor():
     run_round(st, X, y, task_id=1, epochs=5, entropy=(0, 6, 0, 1, 0))
     d1 = np.linalg.norm(st.pool[1].params.copy() - anchor)
     assert d1 < d0
+
+
+# the benchmark's shapes: at these sizes a product's last bits depend on
+# its row count, so an update that depended on the round would show
+ROUND_ARCH = nn.ArchSpec(input_dim=16, hidden_dims=(64, 32), num_classes=5)
+
+
+def _round_clients(seed=0):
+    """Six clients with the training fixtures of a lockstep round: shards
+    of 40, 13 and 5 (shorter than a batch of 16), 0 (empty, but bound), 33
+    and 40 rows; clients 0, 2 and 4 are anchored to a frozen model (s > 0),
+    and client 5 gets no binding."""
+    sizes = [40, 13, 0, 33, 5, 40]
+    states, shards = [], []
+    for k, n in enumerate(sizes):
+        rng = np.random.default_rng([seed, k])
+        shards.append((rng.standard_normal((n, 16)), rng.integers(0, 5, size=n)))
+        st = fresh_state(cid=k)
+        st.pool = [nn.init_model(ROUND_ARCH, [seed, k, j]) for j in range(2)]
+        if k != 5:
+            st.task_bindings = {0: 1}
+        if k % 2 == 0:
+            anchor = st.pool[0].params
+            st.anchor_mass, st.anchor_sum = 0.7, 0.7 * anchor
+            st.anchor_sq = 0.7 * float(anchor @ anchor)
+        states.append(st)
+    return states, shards
+
+
+def _update_bytes(up):
+    return None if up is None else (up.client_id, up.num_samples, up.train_loss,
+                                    up.parameters.params.tobytes())
+
+
+@pytest.mark.parametrize("order_seed", [0, 1, 2])
+def test_lockstep_update_is_independent_of_the_round(order_seed):
+    # each client's update is bit for bit the one it gets training alone,
+    # whichever clients share its round and in whatever sampled order
+    alone = []
+    for st, sh in zip(*_round_clients()):
+        alone.append(_update_bytes(train_clients([st], [sh], epochs=3)[0]))
+    assert alone[2] is None  # bound, but an empty shard
+    assert alone[5] is None  # nothing bound
+    assert [alone[k][1] for k in (0, 1, 3, 4)] == [40, 13, 33, 5]
+
+    states, shards = _round_clients()
+    order = np.random.default_rng(order_seed).permutation(len(states))
+    ups = train_clients([states[i] for i in order], [shards[i] for i in order], epochs=3)
+    assert [_update_bytes(u) for u in ups] == [alone[i] for i in order]
+    # the bound models hold the returned parameters
+    for i, up in zip(order, ups):
+        if up is not None:
+            assert np.array_equal(states[i].pool[1].params, up.parameters.params)
+            assert not np.shares_memory(states[i].pool[1].params, up.parameters.params)
+
+
+def test_lockstep_round_adopts_the_broadcast_in_every_slot():
+    states, shards = _round_clients()
+    glob = nn.init_model(ROUND_ARCH, 77)
+    ups = train_clients(states, shards, global_params=glob)
+    fresh, _ = _round_clients()
+    for st in fresh:
+        if 0 in st.task_bindings:
+            nn.copy_into(st.pool[1], glob)
+    want = train_clients(fresh, shards)
+    assert [_update_bytes(u) for u in ups] == [_update_bytes(u) for u in want]
 
 
 def test_no_anchor_training_identical_to_plain_joint():
@@ -416,18 +490,21 @@ def test_each_batch_keeps_the_negative_mix(monkeypatch):
     client.begin_task(st, X, 0, 0.5, 8, ARCH, init_seed=0)
     batches = []
 
-    def record(model, ws, y_cls, y_aux):
-        m = len(y_cls)
-        assert ws.rows == 2 * m
-        assert np.array_equal(y_aux, np.r_[np.ones(m), np.zeros(m)])
-        assert np.all(ws.acts[0][:, -1] == 1.0)
-        batches.append((ws.x[:m].copy(), ws.x[m:].copy()))
-        return np.zeros_like(model.params), 0.0
+    def record(ws, active):
+        assert active == 1 and ws.rows == 64
+        m, rows = ws.padded.get(0, (ws.labelled, ws.rows))
+        assert rows == 2 * m
+        assert np.array_equal(ws.y_aux[0, :rows], np.r_[np.ones(m), np.zeros(m)])
+        assert np.all(ws.acts[0][0, :rows, -1] == 1.0)
+        # padding rows are zero, ones column too
+        assert not np.any(ws.acts[0][0, rows:])
+        batches.append((ws.x[0, :m].copy(), ws.x[0, m:rows].copy()))
+        return np.zeros((active, ws.params.shape[1])), np.zeros(active)
 
     monkeypatch.setattr(nn, "_grads_and_loss", record)
-    client.local_train_round(st, None, X, y, task_id=0, epochs=1, lr=0.05,
+    client.local_train_round([st], None, [(X, y)], task_id=0, epochs=1, lr=0.05,
                              weight_decay=0.0, batch_size=32,
-                             neg_spec=NegativeSynthesisSpec(), round_entropy=(3,))
+                             neg_spec=NegativeSynthesisSpec(), entropies=[(3,)])
     assert [len(pos) for pos, _ in batches] == [32, 32, 19]
     for (pos, neg), n_perm in zip(batches, [16, 16, 10]):
         for i in range(len(pos)):

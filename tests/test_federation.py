@@ -177,6 +177,28 @@ def test_run_task_single_client_equals_its_update():
     assert np.array_equal(global_model.params, state.pool[0].params)
 
 
+def test_batch_size_beyond_every_shard_only_caps_the_rows(tmp_path, monkeypatch):
+    # a batch never outgrows its shard, so a batch_size beyond the largest
+    # shard trains exactly as that shard size does, and the lockstep
+    # workspace is sized by the shards, not by batch_size
+    rows = []
+
+    class Recording(nn.Workspace):
+        def __init__(self, arch, clients, n_rows, labelled):
+            rows.append(n_rows)
+            super().__init__(arch, clients, n_rows, labelled)
+
+    monkeypatch.setattr(nn, "Workspace", Recording)
+    _, tasks, partitions, _ = federation.build_datasets(small_cfg())
+    largest = max(p.indices.size for parts in partitions for p in parts)
+    run_experiment(small_cfg(batch_size=largest), out_dir=tmp_path / "a")
+    assert rows and max(rows) == 2 * largest
+    run_experiment(small_cfg(batch_size=10**9), out_dir=tmp_path / "b")
+    assert max(rows) == 2 * largest
+    for name in ("metrics.csv", "events.jsonl"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_all_inactive_round_warns_and_carries_on(tmp_path):
     cfg = small_cfg(num_clients=1, active_fraction=1.0, rounds_per_task=3)
     state = ClientState(client_id=0)

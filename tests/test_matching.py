@@ -156,10 +156,10 @@ def train_round(model, X, y, epochs, seed):
     """One local round of the joint step on a single-model pool; its aux
     stream trains the aux head on X against synthesized negatives."""
     st = client.ClientState(client_id=0, pool=[model], task_bindings={0: 0})
-    client.local_train_round(st, None, X, y, task_id=0, epochs=epochs, lr=0.05,
+    client.local_train_round([st], None, [(X, y)], task_id=0, epochs=epochs, lr=0.05,
                              weight_decay=0.0, batch_size=16,
                              neg_spec=matching.NegativeSynthesisSpec(),
-                             round_entropy=(seed,))
+                             entropies=[(seed,)])
 
 
 def test_train_auxiliary_zero_epochs_unchanged():

@@ -173,8 +173,10 @@ def test_softmax_rows_sum_to_one():
 
 
 def ce(logits, label):
-    """The training pass's mean CE on one row of logits."""
-    return nn._cross_entropy(np.asarray(logits, dtype=float)[None, :], np.array([label]))[0]
+    """The training pass's CE on one row of logits."""
+    logits = np.asarray(logits, dtype=float)[None, :]
+    onehot = np.arange(logits.shape[1]) == label
+    return nn._cross_entropy(logits, onehot[None, :])[0][0]
 
 
 def test_ce_uniform_logits_is_log_c():
@@ -201,7 +203,7 @@ def test_ce_matches_extended_precision_oracle():
 
 def test_bce_cases():
     def bce(score, label):
-        return nn._mean_bce(np.array([score]), np.array([float(label)]))
+        return nn._bce(np.array([score]), np.array([float(label)]))[0]
 
     assert abs(bce(0.5, 1) - np.log(2.0)) < 1e-12
     # fully confident and correct: loss about 1e-12, certainly tiny
@@ -209,9 +211,9 @@ def test_bce_cases():
     # clamped wrong-side scores stay finite
     assert np.isfinite(bce(0.0, 1))
     assert np.isfinite(bce(1.0, 0))
-    # the batch loss is the mean over rows
-    pair = nn._mean_bce(np.array([0.5, 0.25]), np.array([1.0, 0.0]))
-    assert abs(pair - (bce(0.5, 1) + bce(0.25, 0)) / 2) < 1e-15
+    # one term per row
+    pair = nn._bce(np.array([0.5, 0.25]), np.array([1.0, 0.0]))
+    assert pair.tolist() == [bce(0.5, 1), bce(0.25, 0)]
 
 
 # ---------------------------------------------------------------- gradients
@@ -251,8 +253,9 @@ def test_backward_matches_central_differences(term):
     y = y[:4]  # the CE labels the leading rows only
     grads = nn.backward(model, X, y_cls=y, y_aux=ya)
     loss = {
-        "cls": lambda: nn._cross_entropy(nn.heads(model, X[:4])[0], y)[0],
-        "aux": lambda: nn._mean_bce(nn.aux_scores(model, X), ya),
+        "cls": lambda: nn._cross_entropy(nn.heads(model, X[:4])[0],
+                                         y[:, None] == np.arange(3))[0].mean(),
+        "aux": lambda: nn._bce(nn.aux_scores(model, X), ya).mean(),
         "joint": lambda: nn.batch_loss(model, X, y_cls=y, y_aux=ya),
     }[term]
     owned = {"cls": slice(*model.arch.cls_head_span()),
@@ -293,9 +296,8 @@ def test_joint_equals_cls_plus_aux_entrywise():
     rng = np.random.default_rng(5)
     model = nn.init_model(small_arch(), 3)
     X, y, ya = random_batch(rng, model, 8)
-    ws = nn.Workspace(model.arch, 8)
-    ws.x[...] = X
-    gj, loss = nn._grads_and_loss(model, ws, y_cls=y[:5], y_aux=ya)
+    gj = nn.backward(model, X, y_cls=y[:5], y_aux=ya)
+    loss = nn.batch_loss(model, X, y_cls=y[:5], y_aux=ya)
     gc, lc = _reference_pass(model, X[:5], y_cls=y[:5])
     ga, la = _reference_pass(model, X, y_aux=ya)
     # each layer's block is [W^T; b]
@@ -312,27 +314,127 @@ def test_backward_empty_batch_raises():
                     y_aux=np.zeros(0))
 
 
+def _fused_pass_2d(model, X, y, ya):
+    """The joint pass on plain 2-D arrays, one product per layer and the
+    same operation order as the stacked pass: (flat gradient, mean loss)."""
+    blocks = [layer.block for layer in model.layers]
+    acts, zs = [np.hstack([X, np.ones((len(X), 1))])], []
+    for block in blocks[:-2]:
+        zs.append(np.dot(acts[-1], block))
+        acts.append(np.hstack([np.maximum(zs[-1], 0.0), np.ones((len(X), 1))]))
+    h1, (cls, aux), N, n = acts[-1], blocks[-2:], len(X), len(y)
+    grads = [None] * len(blocks)
+    s = nn.sigmoid((h1 @ aux).ravel())
+    sc = np.minimum(np.maximum(s, nn.BCE_EPS), 1.0 - nn.BCE_EPS)
+    loss = float((-(ya * np.log(sc) + (1.0 - ya) * np.log(1.0 - sc))).sum() / N)
+    delta_a = (s - ya) / N
+    grads[-1] = np.dot(h1.T, delta_a[:, None])
+    d_h = np.outer(delta_a, model.aux_head.weights)
+    logits = h1[:n] @ cls
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    se = e.sum(axis=1, keepdims=True)
+    lse = (m + np.log(se)).ravel()
+    loss += float((lse - logits[np.arange(n), y]).sum() / n)
+    delta = e / se
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grads[-2] = np.dot(h1[:n].T, delta)
+    d_h[:n] += delta @ model.cls_head.weights
+    delta = d_h
+    for i in reversed(range(len(zs))):
+        delta *= zs[i] > 0
+        grads[i] = np.dot(acts[i].T, delta)
+        if i > 0:
+            delta = delta @ model.trunk[i].weights
+    return np.concatenate([g.ravel() for g in grads]), loss
+
+
+def _random_models(rng, arch, count):
+    models = [nn.init_model(arch, int(rng.integers(2**31))) for _ in range(count)]
+    for model in models:
+        model.params += rng.standard_normal(model.params.size) * 0.3
+    return models
+
+
+def _filled(models, batches, rows, labelled):
+    """A workspace with one slot per model; slot k holds batches[k] =
+    (X, y, ya) in its leading rows and pads the rest."""
+    ws = nn.Workspace(models[0].arch, len(models), rows, labelled)
+    for k, (model, (X, y, ya)) in enumerate(zip(models, batches)):
+        ws.params[k] = model.params
+        ws.set_rows(k, len(y), len(X))
+        ws.x[k, :len(X)], ws.y[k, :len(y)], ws.y_aux[k, :len(X)] = X, y, ya
+    return ws
+
+
+@pytest.mark.parametrize("K", [1, 3, 8])
+def test_stacked_pass_equals_the_2d_pass_bitwise(K):
+    # full slots: each slot's stacked products are the 2-D products, bit
+    # for bit, and so are its gradient and loss
+    rng = np.random.default_rng(20 + K)
+    arch = nn.ArchSpec(input_dim=16, hidden_dims=(64, 32), num_classes=5)
+    models = _random_models(rng, arch, K)
+    batches = []
+    for model in models:
+        X, y, _ = random_batch(rng, model, 64)
+        batches.append((X, y[:32], np.repeat([1.0, 0.0], 32)))
+    grads, losses = nn._grads_and_loss(_filled(models, batches, 64, 32), K)
+    for k, model in enumerate(models):
+        want, want_loss = _fused_pass_2d(model, *batches[k])
+        assert grads[k].tobytes() == want.tobytes()
+        assert losses[k] == want_loss
+
+
 def test_reused_workspaces_match_fresh_ones():
-    # one workspace per batch size, reused over full and short batches as
-    # a local round does: no stale rows and no lost ones column, so every
-    # pass equals the same pass in a fresh workspace bit for bit
+    # one K = 3 workspace reused over steps whose slots change between full
+    # and padded rows, as a local round does: no stale rows and no lost
+    # ones column, so every slot equals the same slot of a fresh one-slot
+    # workspace bit for bit, and a padded slot equals the K = 1 pass over
+    # its real rows alone up to roundoff
     rng = np.random.default_rng(12)
-    model = nn.init_model(small_arch(), 6)
-    model.params += rng.standard_normal(model.params.size) * 0.3
-    spaces = {m: nn.Workspace(model.arch, 2 * m) for m in (8, 3)}
-    for m in (8, 3, 8, 3, 8):
-        X, y, _ = random_batch(rng, model, 2 * m)
-        ya = np.repeat([1.0, 0.0], m)
-        ws = spaces[m]
-        ws.x[...] = X
-        got, got_loss = nn._grads_and_loss(model, ws, y_cls=y[:m], y_aux=ya)
-        assert got is ws.grads
-        assert np.all(ws.acts[0][:, -1] == 1.0)
-        want, want_loss = nn._grads_and_loss(model, nn._loaded(model, X), y_cls=y[:m],
-                                             y_aux=ya)
-        assert got.tobytes() == want.tobytes()
-        assert got_loss == want_loss
-        nn.sgd_step(model.params, got, lr=0.1)
+    models = _random_models(rng, small_arch(), 3)
+    ws = nn.Workspace(small_arch(), 3, 16, 8)
+    for sizes in ((8, 3, 5), (3, 8, 8), (8, 8, 1), (5, 3, 8), (8, 8, 8)):
+        batches = []
+        for k, m in enumerate(sizes):
+            X, y, _ = random_batch(rng, models[k], 2 * m)
+            ws.set_rows(k, m, 2 * m)
+            batches.append((X, y[:m], np.repeat([1.0, 0.0], m)))
+            ws.params[k] = models[k].params
+            ws.x[k, :2 * m], ws.y[k, :m], ws.y_aux[k, :2 * m] = batches[-1]
+        grads, losses = nn._grads_and_loss(ws, 3)
+        assert grads.base is ws.grads
+        for k, m in enumerate(sizes):
+            assert np.all(ws.acts[0][k, :2 * m, -1] == 1.0)
+            fresh_g, fresh_loss = nn._grads_and_loss(_filled([models[k]], [batches[k]], 16, 8), 1)
+            assert grads[k].tobytes() == fresh_g[0].tobytes()
+            assert losses[k] == fresh_loss[0]
+            alone = nn.backward(models[k], *batches[k])
+            if m == 8:
+                assert grads[k].tobytes() == alone.tobytes()
+            assert np.allclose(grads[k], alone, rtol=1e-12, atol=1e-15)
+            assert losses[k] == pytest.approx(nn.batch_loss(models[k], *batches[k]),
+                                              rel=1e-14)
+            nn.sgd_step(models[k].params, grads[k], lr=0.1)
+
+
+def test_slots_past_active_are_not_touched():
+    # a pass over the leading slots reads and writes nothing of the others
+    rng = np.random.default_rng(15)
+    models = _random_models(rng, small_arch(), 3)
+    batches = [(X, y[:4], ya) for X, y, ya in
+               (random_batch(rng, model, 8) for model in models)]
+    ws = _filled(models, batches, 8, 4)
+    ws.grads[2] = 7.0
+    grads, losses = nn._grads_and_loss(ws, 2)
+    assert grads.shape == (2, small_arch().param_count()) and losses.shape == (2,)
+    assert np.all(ws.grads[2] == 7.0)
+    first = grads.copy()
+    ws.x[2] = np.nan
+    again, again_losses = nn._grads_and_loss(ws, 2)
+    assert again.tobytes() == first.tobytes()
+    assert np.array_equal(again_losses, losses)
 
 
 def test_backward_result_survives_later_calls():

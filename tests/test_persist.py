@@ -1,9 +1,11 @@
 import json
 
 import numpy as np
+import pytest
 
 from pfdl import persist
 from pfdl.data import DataConfig
+from pfdl.errors import ConfigError
 from pfdl.evaluation import build_metrics
 from pfdl.federation import ExperimentConfig, FederationConfig, build_datasets
 
@@ -61,3 +63,16 @@ def test_manifest_roundtrip_and_config_hash(tmp_path):
     assert doc["outputs"] == sorted(doc["outputs"])
     assert doc["config_hash"] == persist.sha256_hex(persist.canonical_json(cfg.to_dict()))
     assert persist.read_run_manifest(out) == (cfg.to_dict(), data_seed)
+
+
+def test_start_run_refuses_a_directory_that_holds_a_run(tmp_path):
+    cfg = ExperimentConfig(federation=FederationConfig(num_clients=2, mode="fedavg", seed=1),
+                           data=DataConfig(num_classes=3, input_dim=4, samples_per_class=20,
+                                           rotation_degrees=(0.0, 90.0)),
+                           hidden_dims=(5,))
+    data_seed, tasks, _, _ = build_datasets(cfg)
+    out = persist.start_run(tmp_path / "run", cfg, data_seed, tasks)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    with pytest.raises(ConfigError, match=str(out)):
+        persist.start_run(out, cfg, data_seed, tasks[:1])
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
