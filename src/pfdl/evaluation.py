@@ -21,13 +21,6 @@ ZERO_DENOM = 1e-12
 PROB_FLOOR = 1e-12
 
 
-def model_outputs(model: nn.PersonalModel, X) -> tuple[np.ndarray, np.ndarray]:
-    """A model's aux scores, shape (n,), and softmax probabilities, shape
-    (n, C), on the rows of X."""
-    logits, scores = nn.heads(model, X)
-    return scores, nn.softmax(logits)
-
-
 def model_digest(model: nn.PersonalModel) -> bytes:
     """sha256 of the model's parameter bytes: equal for bit-identical
     models, new whenever a parameter changes in place."""
@@ -37,20 +30,24 @@ def model_digest(model: nn.PersonalModel) -> bytes:
 class OutputMemo(dict):
     """Model outputs on the run's test sets, computed once per run.
 
-    Maps (model digest, dataset index) to the model's `model_outputs` on
-    that dataset's test rows. The key is the parameters' content, never
-    the model object: models are overwritten in place during a run, and
-    every active client ends a task holding a bit-identical copy of the
-    task's global model, so identical copies share one entry.
+    Maps (model digest, dataset index) to the model's aux scores, shape
+    (n,), and softmax probabilities, shape (n, C), on that dataset's test
+    rows. The key is the parameters' content, never the model object:
+    models are overwritten in place during a run, and every active client
+    ends a task holding a bit-identical copy of the task's global model,
+    so identical copies share one entry.
     """
 
-    def outputs(self, model: nn.PersonalModel, X, key) -> tuple[np.ndarray, np.ndarray]:
-        """model_outputs(model, X), read through the memo; key is
-        (model_digest(model), index of the dataset X comes from)."""
-        out = self.get(key)
-        if out is None:
-            out = self[key] = model_outputs(model, X)
-        return out
+    def fill(self, pool, X, keys) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each pool model's (scores, probabilities) on X, read through
+        the memo; keys[i] is (model_digest(pool[i]), index of the dataset
+        X comes from). All missing entries come from one stacked pass."""
+        missing = {key: m for m, key in zip(pool, keys, strict=True) if key not in self}
+        if missing:
+            logits, scores = nn.stacked_heads(list(missing.values()), X)
+            for key, s, p in zip(missing, scores, nn.softmax(logits)):
+                self[key] = s, p
+        return [self[key] for key in keys]
 
     def retain(self, digests) -> None:
         """Drop every entry whose model digest is not in digests."""
@@ -76,14 +73,14 @@ def ensemble_probs_matrix(pool, X, memo: OutputMemo | None = None, keys=()):
     and the number of rows that fell back to uniform weighting.
 
     With a memo, keys[i] is pool[i]'s memo key on X and the models'
-    outputs are read through the memo.
+    outputs are read through the memo; without one, a throwaway memo
+    scores the whole pool in one stacked pass.
     """
     if not pool:
         raise ValueError("empty pool")
     if memo is None:
-        outputs = [model_outputs(m, X) for m in pool]
-    else:
-        outputs = [memo.outputs(m, X, key) for m, key in zip(pool, keys, strict=True)]
+        memo, keys = OutputMemo(), range(len(pool))
+    outputs = memo.fill(pool, X, keys)
     weights, fallbacks = ensemble_weights(np.stack([s for s, _ in outputs], axis=1))
     probs = np.stack([p for _, p in outputs], axis=1)
     return np.einsum("nd,ndc->nc", weights, probs), fallbacks

@@ -19,8 +19,7 @@ from .data import (DataConfig, apply_domain, build_task_stream,
                    dirichlet_partition, make_base_dataset)
 from .errors import ConfigError, InvariantError
 from .evaluation import (MetricsMatrix, OutputMemo, accuracy_and_ce,
-                         build_metrics, ensemble_probs_matrix, model_digest,
-                         model_outputs)
+                         build_metrics, ensemble_probs_matrix, model_digest)
 from .matching import NegativeSynthesisSpec
 from .persist import EventLog, start_run, state_file, write_metrics_files
 from .seeding import TAG_INIT, TAG_SAMPLE, TAG_TRAIN, rng_for
@@ -254,8 +253,8 @@ def _client_task_probs(mode: Mode, state: client.ClientState, X: np.ndarray,
         return ensemble_probs_matrix(state.pool, X, memo, keys)
     (idx,) = read
     if memo is None:
-        return model_outputs(state.pool[idx], X)[1], 0
-    return memo.outputs(state.pool[idx], X, keys[idx])[1], 0
+        return nn.softmax(nn.heads(state.pool[idx], X)[0]), 0
+    return memo.fill([state.pool[idx]], X, [keys[idx]])[0][1], 0
 
 
 def _evaluate_after_task(cfg: ExperimentConfig, states, tasks, streams,

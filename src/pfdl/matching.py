@@ -92,7 +92,7 @@ def matching_intensity(pool, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("matching needs a non-empty 2-d sample array")
-    return np.array([float(nn.aux_scores(m, X).mean()) for m in pool])
+    return nn.stacked_heads(pool, X, cls=False)[1].mean(axis=1)
 
 
 def select_strategy(rho: np.ndarray, lam: float, pool_size: int,

@@ -5,7 +5,8 @@ then the parameters as float64 little-endian, layer by layer (trunk,
 cls_head, aux_head), each layer's (out, in) weights row-major, then its
 bias. This on-disk order is unchanged since format version 1 and differs
 from the in-memory [Wᵀ; b] blocks of nn.PersonalModel, so the writer and
-the reader transpose each layer's weights. Dataset files
+the reader each move a model's parameters with one gather through an
+index built once per architecture. Dataset files
 ("PFDD") and client-state files ("PFDS") follow the same header
 discipline. Readers load a file whole, validate magic and version, and
 raise DataError with file context on any mismatch or truncation; a count
@@ -14,6 +15,7 @@ in a header that asks for more bytes than are left is a truncation.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -65,14 +67,26 @@ def _read_f64(fh, shape, ctx: str) -> np.ndarray:
 # ---------------------------------------------------------------- models
 
 
+@functools.lru_cache(maxsize=16)
+def _disk_order(input_dim: int, hidden_dims: tuple, num_classes: int) -> tuple:
+    """(gather, scatter) indices between a model's flat vector and its
+    disk order: params[gather] is the disk order, disk[scatter] the flat
+    vector. Keyed by the whole architecture."""
+    arch = nn.ArchSpec(input_dim, hidden_dims, num_classes)
+    positions = nn.PersonalModel(arch, np.arange(arch.param_count(), dtype=np.float64))
+    gather = np.concatenate([a.ravel() for layer in positions.layers
+                             for a in (layer.weights, layer.bias)]).astype(np.intp)
+    return gather, np.argsort(gather)
+
+
 def write_model(fh, model: nn.PersonalModel) -> None:
     fh.write(MODEL_MAGIC)
     fh.write(struct.pack("<I", FORMAT_VERSION))
     arch = model.arch
     fh.write(struct.pack("<III", arch.input_dim, arch.num_classes, len(arch.hidden_dims)))
     fh.write(struct.pack(f"<{len(arch.hidden_dims)}I", *arch.hidden_dims))
-    _write_f64(fh, np.concatenate([a.ravel() for layer in model.layers
-                                   for a in (layer.weights, layer.bias)]))
+    gather, _ = _disk_order(arch.input_dim, arch.hidden_dims, arch.num_classes)
+    _write_f64(fh, model.params[gather])
 
 
 def read_model(fh, ctx: str = "checkpoint") -> nn.PersonalModel:
@@ -83,14 +97,10 @@ def read_model(fh, ctx: str = "checkpoint") -> nn.PersonalModel:
         arch = nn.ArchSpec(input_dim=input_dim, hidden_dims=hidden, num_classes=num_classes)
     except ValueError as e:
         raise DataError(f"{ctx}: bad model header ({e})") from e
-    flat = _read_f64(fh, (arch.param_count(),), ctx)
-    model = nn.PersonalModel(arch)
-    lo = 0
-    for layer in model.layers:
-        for a in (layer.weights, layer.bias):
-            a[...] = flat[lo:lo + a.size].reshape(a.shape)
-            lo += a.size
-    return model
+    # read before the index is built, so a huge header count is a truncation
+    disk = np.frombuffer(_read_exact(fh, 8 * arch.param_count(), ctx), dtype="<f8")
+    _, scatter = _disk_order(input_dim, arch.hidden_dims, num_classes)
+    return nn.PersonalModel(arch, disk.take(scatter).astype(np.float64, copy=False))
 
 
 # ---------------------------------------------------------------- datasets
@@ -158,7 +168,8 @@ def load_client_state(path) -> ClientState:
     """Rebuild a client's pool and bindings at a task boundary; the
     sidecar's history is not read. The next `begin_task` rebuilds the
     migration pull statistics (s, abar, c) from the pool. A task bound
-    twice, or bound to an index outside the pool, is a DataError."""
+    twice, a binding to an index outside the pool, or a non-finite
+    parameter is a DataError."""
     ctx = str(path)
     with io.BytesIO(Path(path).read_bytes()) as fh:
         _check_header(fh, STATE_MAGIC, ctx)
@@ -176,4 +187,6 @@ def load_client_state(path) -> ClientState:
         pool = [read_model(fh, ctx) for _ in range(pool_size)]
         if fh.read(1):
             raise DataError(f"{ctx}: trailing bytes after the last model")
+    if pool and not np.isfinite(np.concatenate([m.params for m in pool])).all():
+        raise DataError(f"{ctx}: a pool model holds a non-finite parameter")
     return ClientState(client_id=client_id, pool=pool, task_bindings=bindings)

@@ -43,8 +43,8 @@ def pfeddil_runs():
         for st in res.states:
             if 0 in st.task_bindings:
                 model = st.pool[st.task_bindings[0]]
-                own = float(nn.aux_scores(model, tasks[streams[st.client_id][0]].test_x).mean())
-                rot = float(nn.aux_scores(model, tasks[3].test_x).mean())
+                own = float(nn.heads(model, tasks[streams[st.client_id][0]].test_x)[1].mean())
+                rot = float(nn.heads(model, tasks[3].test_x)[1].mean())
                 per_client.append(own - rot)
         gaps.append(float(np.mean(per_client)))
     return {"finals": finals, "gaps": gaps, "elapsed": time.monotonic() - t0}
@@ -124,7 +124,7 @@ def test_4_ensemble_weights_are_proper_distributions():
         for m in pool:
             m.params += rng.standard_normal(m.params.shape)
         x = rng.standard_normal(arch.input_dim)
-        W, _ = ensemble_weights(np.stack([nn.aux_scores(m, x[None, :]) for m in pool], axis=1))
+        W, _ = ensemble_weights(np.stack([nn.heads(m, x[None, :])[1] for m in pool], axis=1))
         w = W[0]
         assert np.all(w >= 0.0)
         worst_wsum = max(worst_wsum, abs(float(w.sum()) - 1.0))

@@ -215,6 +215,29 @@ def test_eval_rejects_a_bad_binding(tmp_path, capsys, offset, value, message):
     assert capsys.readouterr().err == f"error[data]: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_eval_rejects_a_non_finite_parameter(tmp_path, capsys, value):
+    # a pfeddil client after task 1 binds two tasks, so its first model's
+    # first parameter sits at byte 64; the run itself never writes one
+    cfg = tmp_path / "pfeddil.json"
+    cfg.write_text(json.dumps(dict(TINY, data=dict(TINY["data"],
+                                                   rotation_degrees=[0, 180, 90]))))
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    path = run_dir / "checkpoints" / "task_01" / "client_001.state"
+    state = load_client_state(path)
+    assert len(state.task_bindings) == 2
+    raw = bytearray(path.read_bytes())
+    assert raw[64:72] == struct.pack("<d", state.pool[0].layers[0].weights[0, 0])
+    raw[64:72] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert cli.main(["eval", str(run_dir)]) == 3
+    assert capsys.readouterr().err == (f"error[data]: {path}: a pool model holds "
+                                       "a non-finite parameter\n")
+    assert not (run_dir / "eval").exists()
+
+
 THREE_TASKS = dict(TINY, data=dict(TINY["data"], rotation_degrees=[0, 90, 180]))
 
 

@@ -13,7 +13,7 @@ def pool_of(n, seed0=0):
 
 
 def weight_matrix(pool, X):
-    return evaluation.ensemble_weights(np.stack([nn.aux_scores(m, X) for m in pool], axis=1))
+    return evaluation.ensemble_weights(np.stack([nn.heads(m, X)[1] for m in pool], axis=1))
 
 
 # ------------------------------------------------------------- weights
@@ -49,7 +49,7 @@ def test_zero_scores_fall_back_to_uniform():
 def test_weights_proportional_to_scores():
     pool = pool_of(2)
     x = np.random.default_rng(3).standard_normal(4)
-    s = np.array([float(nn.aux_scores(m, x[None])[0]) for m in pool])
+    s = np.array([float(nn.heads(m, x[None])[1][0]) for m in pool])
     W, _ = weight_matrix(pool, x[None])
     assert np.allclose(W[0], s / s.sum(), atol=1e-12)
 
@@ -81,7 +81,7 @@ def test_predict_matches_naive_oracle():
     X = rng.standard_normal((10, 4))
     got, _ = evaluation.ensemble_probs_matrix(pool, X)
     for i in range(10):
-        scores = [float(nn.aux_scores(m, X[i][None])[0]) for m in pool]
+        scores = [float(nn.heads(m, X[i][None])[1][0]) for m in pool]
         alphas = [s / sum(scores) for s in scores]
         want = np.zeros(3)
         for a, m in zip(alphas, pool):
@@ -125,13 +125,33 @@ def test_memo_returns_the_same_bits_as_direct_scoring():
     assert len(memo) == sum(len(pool) for pool in pools)
 
 
+def test_memo_fills_a_pools_missing_entries_in_one_pass(monkeypatch):
+    X = np.random.default_rng(8).standard_normal((12, 4))
+    pool = pool_of(4, seed0=60)
+    pool.append(nn.clone_model(pool[2]))  # a bit-identical copy, one key
+    keys = [(evaluation.model_digest(m), 0) for m in pool]
+    memo = evaluation.OutputMemo()
+    memo.fill(pool[:2], X, keys[:2])
+    calls = []
+    real = nn.stacked_heads
+    monkeypatch.setattr(nn, "stacked_heads",
+                        lambda models, X: calls.append(len(models)) or real(models, X))
+    outputs = memo.fill(pool, X, keys)
+    assert calls == [2] and len(memo) == 4
+    for m, (scores, probs) in zip(pool, outputs):
+        logits, want_scores = real([m], X)
+        assert scores.tobytes() == want_scores[0].tobytes()
+        assert probs.tobytes() == nn.softmax(logits[0]).tobytes()
+    memo.fill(pool, X, keys)
+    assert calls == [2]
+
+
 def test_memo_retain_drops_other_digests():
     memo = evaluation.OutputMemo()
     pool = pool_of(3)
     X = np.zeros((2, 4))
-    for m in pool:
-        for d in (0, 1):
-            memo.outputs(m, X, (evaluation.model_digest(m), d))
+    for d in (0, 1):
+        memo.fill(pool, X, [(evaluation.model_digest(m), d) for m in pool])
     keep = evaluation.model_digest(pool[1])
     memo.retain({keep})
     assert sorted(memo) == [(keep, 0), (keep, 1)]

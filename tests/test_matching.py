@@ -35,7 +35,7 @@ def test_intensity_single_sample_equals_aux_score():
     m = make_model(3)
     x = rng.standard_normal(6)
     rho = matching.matching_intensity([m], x[None, :])
-    assert abs(rho[0] - nn.aux_scores(m, x[None, :])[0]) < 1e-12
+    assert abs(rho[0] - nn.heads(m, x[None, :])[1][0]) < 1e-12
 
 
 def test_intensity_empty_pool():
@@ -179,6 +179,6 @@ def test_train_auxiliary_separates_tasks():
     arch = nn.ArchSpec(input_dim=6, hidden_dims=(16, 8), num_classes=3)
     m = nn.init_model(arch, 0)
     train_round(m, base.train_x, base.train_y, epochs=40, seed=2)
-    pos = nn.aux_scores(m, base.test_x).mean()
-    neg = nn.aux_scores(m, far.test_x).mean()
+    pos = nn.heads(m, base.test_x)[1].mean()
+    neg = nn.heads(m, far.test_x)[1].mean()
     assert pos - neg >= 0.2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pfdl import nn
+from pfdl.matching import matching_intensity
 from test_client import _reference_pass
 
 
@@ -125,13 +126,20 @@ def test_forward_dimension_mismatch():
     with pytest.raises(ValueError):
         nn.heads(m, np.zeros((1, 5)))
     with pytest.raises(ValueError):
-        nn.aux_scores(m, np.zeros((1, 5)))
+        nn.stacked_heads([m, m], np.zeros((1, 5)), cls=False)
+
+
+def trunk(model, X):
+    h = X
+    for layer in model.trunk:
+        h = np.maximum(h @ layer.weights.T + layer.bias, 0.0)
+    return h
 
 
 def two_pass_heads(model, X):
-    """Class logits and aux scores, each from its own trunk pass."""
-    h_cls = nn._hidden(model, X)
-    h_aux = nn._hidden(model, X)
+    """Class logits and aux scores, each from its own 2-D trunk pass."""
+    h_cls = trunk(model, X)
+    h_aux = trunk(model, X)
     logits = h_cls @ model.cls_head.weights.T + model.cls_head.bias
     v = h_aux @ model.aux_head.weights.T + model.aux_head.bias
     return logits, nn.sigmoid(v.ravel())
@@ -150,14 +158,73 @@ def test_heads_bitwise_equal_to_two_passes():
         want_logits, want_scores = two_pass_heads(model, X)
         assert logits.tobytes() == want_logits.tobytes()
         assert scores.tobytes() == want_scores.tobytes()
-        assert nn.aux_scores(model, X).tobytes() == want_scores.tobytes()
+        assert nn.heads(model, X)[1].tobytes() == want_scores.tobytes()
 
 
 def test_aux_score_in_unit_interval():
     rng = np.random.default_rng(11)
     m = nn.init_model(small_arch(), 2)
-    s = nn.aux_scores(m, rng.standard_normal((50, 4)) * 10)
+    s = nn.heads(m, rng.standard_normal((50, 4)) * 10)[1]
     assert np.all((s >= 0.0) & (s <= 1.0))
+
+
+def _sharing_pool(arch, size, seed):
+    # per-task entries of the sharing mode: one trunk and aux head, each
+    # entry under its own class head
+    rng = np.random.default_rng(seed)
+    first = nn.init_model(arch, [seed, 0])
+    first.params += rng.standard_normal(first.params.shape)
+    lo, hi = arch.cls_head_span()
+    pool = [first]
+    for i in range(1, size):
+        model = nn.clone_model(first)
+        model.params[lo:hi] = rng.standard_normal(hi - lo)
+        pool.append(model)
+    return pool
+
+
+@pytest.mark.parametrize("size, sharing", [(1, False), (3, False), (8, False), (3, True)])
+@pytest.mark.parametrize("rows", [1, 30, 250])
+def test_stacked_heads_equal_one_model_passes_bitwise(size, sharing, rows):
+    arch = nn.ArchSpec(input_dim=16, hidden_dims=(64, 32), num_classes=5)
+    rng = np.random.default_rng([size, rows])
+    if sharing:
+        pool = _sharing_pool(arch, size, seed=rows)
+    else:
+        pool = [nn.init_model(arch, [rows, i]) for i in range(size)]
+        for m in pool:
+            m.params += 0.3 * rng.standard_normal(m.params.shape)
+    X = rng.standard_normal((rows, arch.input_dim)) * 2
+    logits, scores = nn.stacked_heads(pool, X)
+    assert logits.shape == (size, rows, 5) and scores.shape == (size, rows)
+    aux_only = nn.stacked_heads(pool, X, cls=False)
+    assert aux_only[0] is None
+    probs = nn.softmax(logits)
+    rho = matching_intensity(pool, X)
+    for i, model in enumerate(pool):
+        want_logits, want_scores = two_pass_heads(model, X)
+        assert logits[i].tobytes() == want_logits.tobytes()
+        assert scores[i].tobytes() == want_scores.tobytes()
+        assert aux_only[1][i].tobytes() == want_scores.tobytes()
+        assert probs[i].tobytes() == nn.softmax(want_logits).tobytes()
+        assert rho[i] == want_scores.mean()
+
+
+def test_stacked_heads_reject_mixed_architectures():
+    a = nn.init_model(small_arch(), 0)
+    b = nn.init_model(nn.ArchSpec(input_dim=4, hidden_dims=(5, 4), num_classes=3), 0)
+    with pytest.raises(ValueError, match="one architecture"):
+        nn.stacked_heads([a, b], np.zeros((2, 4)))
+
+
+def test_softmax_row_max_matches_max_reduction():
+    # the column-wise max is exact, so the result is bitwise that of the
+    # max(axis=-1) formula, over many column counts and stacked shapes
+    rng = np.random.default_rng(5)
+    for shape in [(1,), (7,), (250, 5), (8, 125, 5), (3, 4, 1), (2, 9, 12)]:
+        z = rng.standard_normal(shape) * rng.uniform(0.1, 80)
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        assert nn.softmax(z).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
 
 
 def test_softmax_rows_sum_to_one():
@@ -255,7 +322,7 @@ def test_backward_matches_central_differences(term):
     loss = {
         "cls": lambda: nn._cross_entropy(nn.heads(model, X[:4])[0],
                                          y[:, None] == np.arange(3))[0].mean(),
-        "aux": lambda: nn._bce(nn.aux_scores(model, X), ya).mean(),
+        "aux": lambda: nn._bce(nn.heads(model, X)[1], ya).mean(),
         "joint": lambda: nn.batch_loss(model, X, y_cls=y, y_aux=ya),
     }[term]
     owned = {"cls": slice(*model.arch.cls_head_span()),
@@ -520,7 +587,7 @@ def test_trunk_update_visible_through_both_heads():
     rng = np.random.default_rng(6)
     model = nn.init_model(small_arch(), 9)
     x = rng.standard_normal((1, 4))
-    score_before = nn.aux_scores(model, x)[0]
+    score_before = nn.heads(model, x)[1][0]
     logits_before = nn.heads(model, x)[0]
 
     # step on everything but the aux head; its params stay put but its
@@ -533,7 +600,7 @@ def test_trunk_update_visible_through_both_heads():
         g[aux] = 0.0
         nn.sgd_step(model.params, g, lr=0.5)
     assert np.array_equal(aux_before, model.aux_head.weights)
-    score_after = nn.aux_scores(model, x)[0]
+    score_after = nn.heads(model, x)[1][0]
     logits_after = nn.heads(model, x)[0]
     assert not np.allclose(logits_before, logits_after)
     assert score_after != score_before

@@ -121,6 +121,44 @@ def test_huge_model_depth_is_truncation(tmp_path):
         serialize.read_model(fh)
 
 
+def test_huge_hidden_width_is_truncation():
+    # a hidden width of 2**31 - 1 asks for about 2**34 parameters, and the
+    # disk-order index is built only once the bytes are known to be there
+    def edit(raw):
+        raw[20:24] = struct.pack("<I", 2**31 - 1)  # the first hidden width
+    with pytest.raises(DataError, match="truncated"):
+        serialize.read_model(corrupted(edit))
+
+
+def test_two_architectures_roundtrip_bitwise_in_one_process():
+    # the disk-order index is cached per architecture: two archs that
+    # share a parameter count, and one that shares all but its class count
+    archs = [nn.ArchSpec(input_dim=5, hidden_dims=(7, 4), num_classes=3),
+             nn.ArchSpec(input_dim=5, hidden_dims=(5, 6), num_classes=3),
+             nn.ArchSpec(input_dim=5, hidden_dims=(7, 4), num_classes=4)]
+    assert archs[0].param_count() == archs[1].param_count()
+    models = [random_model(seed, arch) for arch in archs for seed in (0, 1)]
+    for model in models:
+        model.params += np.arange(model.params.size)  # distinct biases too
+    buf = io.BytesIO()
+    for model in models:
+        start = buf.tell() + 4 + 4 + 12 + 4 * len(model.arch.hidden_dims)
+        serialize.write_model(buf, model)
+        # the version-1 order, which a round trip alone would not pin
+        want = np.concatenate([a.ravel() for layer in model.layers
+                               for a in (layer.weights, layer.bias)])
+        assert buf.getvalue()[start:] == want.astype("<f8").tobytes()
+    buf.seek(0)
+    for model in models:
+        back = serialize.read_model(buf)
+        assert back.arch == model.arch
+        assert back.params.tobytes() == model.params.tobytes()
+        for got, want in zip(back.layers, model.layers):
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.bias, want.bias)
+    assert buf.read() == b""
+
+
 @pytest.mark.parametrize("field", [0, 1, 2])
 def test_invalid_arch_header_rejected(field):
     # input_dim, num_classes or depth of zero describes no architecture
