@@ -12,9 +12,13 @@ count.
 
 A local round trains all of a round's sampled clients at once: each bound
 model takes one slot of an `nn.Workspace`, and each step is one stacked
-pass over the slots still training. The per-client parts of a step (the
-batch rows, the migration pull and the SGD update) stay per client, so a
-client's update does not depend on which clients share its round.
+pass over the slots still training. Each client lays out its coming
+steps' slot rows ([batch; negatives; zero rows], with the ones column and
+the labels) in a staging buffer, STAGED_STEPS steps at a time, drawing an
+epoch's permutation and negatives as it reaches the epoch; a step then
+fills every slot with one stacked copy. The per-client parts of a step
+(the migration pull and the SGD update) stay per client, so a client's
+update does not depend on which clients share its round.
 """
 
 from __future__ import annotations
@@ -98,6 +102,11 @@ def add_migration_grads(grads: np.ndarray, w: np.ndarray, s: float,
     grads += 2.0 * (s * w - abar)
 
 
+# steps of slot inputs staged at once: the staging buffers hold this many
+# steps of every slot, whatever local_epochs is
+STAGED_STEPS = 8
+
+
 class _Lane:
     """One client of a lockstep round: its bound model, its shard, its
     generator and the epoch it is in."""
@@ -109,35 +118,56 @@ class _Lane:
         self.X, self.y = X, y
         self.feat_std = X.std(axis=0)
         self.batch_size, self.neg_spec = batch_size, neg_spec
-        self.batches = -(-X.shape[0] // batch_size)
+        # full batches per epoch, then a short one of `tail` rows, if any
+        self.full, self.tail = divmod(X.shape[0], batch_size)
+        self.batches = self.full + (self.tail > 0)
         self.steps = epochs * self.batches
         self.rng = rng_for(*entropy)
         self.epoch = None  # (X, y, negatives) in the epoch's order
         self.batch_len = 0  # the rows of the batch in the workspace
         self.loss_sum = 0.0
 
-    def load(self, ws: nn.Workspace, k: int, step: int) -> None:
-        """Write this step's batch and its negatives into slot k of ws. An
-        epoch's first batch draws its permutation, then all of its
-        negatives in one call; the batches slice both."""
-        b = step % self.batches
-        if b == 0:
-            order = self.rng.permutation(self.X.shape[0])
-            Xe = self.X[order]
-            self.epoch = Xe, self.y[order], synthesize_negatives(
-                Xe, self.feat_std, self.neg_spec, self.rng, self.batch_size)
-        Xe, ye, Ne = self.epoch
-        start = b * self.batch_size
-        stop = min(start + self.batch_size, Xe.shape[0])
-        m = stop - start
+    def stage(self, inputs: np.ndarray, labels: np.ndarray, step: int, count: int) -> None:
+        """Lay out the slot rows of steps [step, step + count): inputs[j]
+        gets [batch; negatives; zero rows] with the ones column set on the
+        real rows, labels[j] the batch's labels. An epoch's first batch
+        draws its permutation, then all of its negatives in one call."""
+        bs, d = self.batch_size, self.X.shape[1]
+        j = 0
+        while j < count:
+            b = (step + j) % self.batches
+            if b == 0:
+                order = self.rng.permutation(self.X.shape[0])
+                Xe = self.X[order]
+                self.epoch = Xe, self.y[order], synthesize_negatives(
+                    Xe, self.feat_std, self.neg_spec, self.rng, bs)
+            Xe, ye, Ne = self.epoch
+            run = min(count - j, self.full - b)  # full batches from b on
+            if run > 0:
+                lo, hi = b * bs, (b + run) * bs
+                slots = inputs[j:j + run]
+                slots[:, :bs, :-1] = Xe[lo:hi].reshape(run, bs, d)
+                slots[:, bs:, :-1] = Ne[lo:hi].reshape(run, bs, d)
+                slots[..., -1] = 1.0
+                labels[j:j + run] = ye[lo:hi].reshape(run, bs)
+                j += run
+            else:  # the short last batch
+                m, slot = self.tail, inputs[j]
+                slot[:m, :-1] = Xe[-m:]
+                slot[m:2 * m, :-1] = Ne[-m:]
+                slot[:2 * m, -1] = 1.0
+                slot[2 * m:] = 0.0
+                labels[j, :m] = ye[-m:]
+                j += 1
+
+    def size_slot(self, ws: nn.Workspace, k: int, step: int) -> None:
+        """Size slot k of ws to this step's batch, when its length changed."""
+        m = self.batch_size if step % self.batches < self.full else self.tail
         if m != self.batch_len:
             self.batch_len = m
-            ws.set_rows(k, m, 2 * m)
+            ws.count_rows(k, m, 2 * m)
             ws.y_aux[k, :m] = 1.0
             ws.y_aux[k, m:] = 0.0
-        ws.x[k, :m] = Xe[start:stop]
-        ws.x[k, m:2 * m] = Ne[start:stop]
-        ws.y[k, :m] = ye[start:stop]
 
     def step(self, w: np.ndarray, grads: np.ndarray, loss: float, lr: float,
              weight_decay: float) -> None:
@@ -149,6 +179,18 @@ class _Lane:
             loss += migration_loss(w, st.anchor_mass, st.anchor_sum, st.anchor_sq)
         nn.sgd_step(w, grads, lr=lr, weight_decay=weight_decay)
         self.loss_sum += loss
+
+
+class _Staging:
+    """Slot inputs (steps, slots, rows, in_dim + 1) and class labels
+    (steps, slots, labelled) for STAGED_STEPS steps of a round."""
+
+    def __init__(self, ws: nn.Workspace):
+        clients = ws.params.shape[0]
+        self.inputs = np.empty((STAGED_STEPS, clients, *ws.acts[0].shape[1:]))
+        # labels past a short batch are never read as labels, but must be
+        # valid class indices
+        self.labels = np.zeros((STAGED_STEPS, clients, ws.labelled), dtype=np.int64)
 
 
 def local_train_round(states, global_params: nn.PersonalModel | None, shards, task_id: int,
@@ -191,12 +233,20 @@ def local_train_round(states, global_params: nn.PersonalModel | None, shards, ta
     for k, lane in enumerate(lanes):
         ws.params[k] = (lane.model if global_params is None else global_params).params
 
+    staging = _Staging(ws)
     active = len(lanes)
     for step in range(lanes[0].steps):
         while lanes[active - 1].steps <= step:
             active -= 1
+        j = step % STAGED_STEPS
+        if j == 0:
+            for k, lane in enumerate(lanes[:active]):
+                lane.stage(staging.inputs[:, k], staging.labels[:, k], step,
+                           min(STAGED_STEPS, lane.steps - step))
         for k, lane in enumerate(lanes[:active]):
-            lane.load(ws, k, step)
+            lane.size_slot(ws, k, step)
+        np.copyto(ws.acts[0][:active], staging.inputs[j, :active])
+        np.copyto(ws.y[:active], staging.labels[j, :active])
         grads, losses = nn._grads_and_loss(ws, active)
         for k, lane in enumerate(lanes[:active]):
             lane.step(ws.params[k], grads[k], float(losses[k]), lr, weight_decay)

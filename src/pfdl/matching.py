@@ -68,20 +68,31 @@ def synthesize_negatives(X_pos: np.ndarray, feat_std: np.ndarray,
     """
     X_pos = np.asarray(X_pos, dtype=np.float64)
     n, d = X_pos.shape
-    permuted = np.zeros(n, dtype=bool)
-    for start in range(0, n, batch_size):
-        length = min(batch_size, n - start)
-        permuted[start:start + int(round(spec.permute_fraction * length))] = True
-    out = np.empty_like(X_pos)
-    rows = np.flatnonzero(permuted)
-    if rows.size:
-        # an independent coordinate permutation per sample
-        perms = np.argsort(rng.random((rows.size, d)), axis=1)
-        out[rows] = X_pos[rows[:, None], perms]
-    rows = np.flatnonzero(~permuted)
-    if rows.size:
-        noise = rng.standard_normal((rows.size, d)) * (spec.noise_sigma_scale * feat_std)
-        out[rows] = X_pos[rows] + noise
+    bs = batch_size
+    full, tail = divmod(n, bs)
+    # the full batches as (full, bs, d), and the short last batch
+    X3, X_tail = X_pos[:full * bs].reshape(full, bs, d), X_pos[full * bs:]
+    out = np.empty((n, d))
+    out3, out_tail = out[:full * bs].reshape(full, bs, d), out[full * bs:]
+    p = int(round(spec.permute_fraction * bs))  # permuted rows per full batch
+    p_tail = int(round(spec.permute_fraction * tail))
+    permuted = full * p + p_tail
+    if permuted:
+        # an independent coordinate permutation per sample, gathered
+        # through flat indices: row r's entries start at r * d
+        perms = np.argsort(rng.random((permuted, d)), axis=1)
+        i = np.arange(permuted)
+        rows = i + (np.minimum(i // p, full) if p else full) * (bs - p)
+        perms += rows[:, None] * d
+        gathered = np.ravel(X_pos).take(perms)
+        out3[:, :p] = gathered[:full * p].reshape(full, p, d)
+        out_tail[:p_tail] = gathered[full * p:]
+    if n > permuted:
+        noise = rng.standard_normal((n - permuted, d))
+        noise *= spec.noise_sigma_scale * feat_std
+        cut = full * (bs - p)
+        np.add(X3[:, p:], noise[:cut].reshape(full, bs - p, d), out=out3[:, p:])
+        np.add(X_tail[p_tail:], noise[cut:], out=out_tail[p_tail:])
     return out
 
 

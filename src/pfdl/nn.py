@@ -9,9 +9,10 @@ All parameters of a model live in one contiguous float64 vector, laid out
 layer by layer (trunk layers, then cls head, then aux head). Each layer is
 one row-major (in_dim + 1, out_dim) block [Wᵀ; b]: the transposed weights,
 then the bias as the last row. `weights`, an (out_dim, in_dim) view, and
-`bias` are views of the block. Gradients are flat vectors in the same
-layout, so copying, averaging and updating a model are each one vector
-operation; checkpoints keep their own order (see serialize.py).
+`bias` are views of the block. A model builds these views on first use
+only. Gradients are flat vectors in the same layout, so copying, averaging
+and updating a model are each one vector operation; checkpoints keep
+their own order (see serialize.py).
 
 Training passes run over a `Workspace` of K slots, one model each: its
 parameters are the rows of a (K, P) stack, and its buffers carry the slot
@@ -19,17 +20,23 @@ axis first, e.g. (K, rows, in_dim + 1) activations with a trailing ones
 column. Each layer's forward, and its weight and bias gradient, is one
 stacked `np.matmul` over the slots, which computes each slot exactly as a
 2-D product would. A slot with fewer real rows than the workspace keeps
-zero rows after them; those add exact zeros to its gradient. `backward`
-and `batch_loss` run the same pass with K = 1. Scoring needs no buffers:
-`stacked_heads` runs M models on the same rows X (n, in_dim) as one
-np.matmul per layer against their (M, in_dim, out_dim) Wᵀ blocks plus the
-bias row, and each model's slice is bitwise what a 2-D pass would give;
-`heads` is its M = 1 case.
+zero rows after them; those add exact zeros to its gradient. The views of
+a pass over the leading `active` slots, and its scratch buffers, are built
+once per workspace and count, so a pass is its ufunc and matmul calls
+writing into preallocated arrays: the CE target is gathered through flat
+indices and the sigmoid divides under a `where=` mask, each bitwise the
+plain expression. `backward` and `batch_loss` run the same pass with
+K = 1. Scoring needs no buffers: `stacked_heads` runs M models on the same
+rows X (n, in_dim) as one np.matmul per layer against their (M, in_dim,
+out_dim) Wᵀ blocks plus the bias row, and each model's slice is bitwise
+what a 2-D pass would give; `heads` is its M = 1 case, which runs on the
+model's own 2-D blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +82,17 @@ class ArchSpec:
         lo = sum(o * i + o for o, i in self.layer_dims()[:-2])
         return lo, lo + self.num_classes * (self.hidden_dims[-1] + 1)
 
+    @cached_property
+    def block_spans(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(lo, hi, in_dim + 1, out_dim) of every layer's block in the
+        flat vector, in flat order."""
+        spans, lo = [], 0
+        for out_dim, in_dim in self.layer_dims():
+            hi = lo + (in_dim + 1) * out_dim
+            spans.append((lo, hi, in_dim + 1, out_dim))
+            lo = hi
+        return tuple(spans)
+
 
 class LayerParams:
     """One affine layer: the contiguous (in + 1, out) block [Wᵀ; b] of a
@@ -90,21 +108,19 @@ class LayerParams:
 def _blocks(arch: ArchSpec, flat: np.ndarray) -> list[np.ndarray]:
     """Each layer's [Wᵀ; b] block of a flat vector, or the (K, in + 1,
     out) stack of them over the rows of a (K, P) stack."""
-    blocks = []
-    lo = 0
-    for out_dim, in_dim in arch.layer_dims():
-        hi = lo + (in_dim + 1) * out_dim
-        blocks.append(flat[..., lo:hi].reshape(*flat.shape[:-1], in_dim + 1, out_dim))
-        lo = hi
-    return blocks
+    lead = flat.shape[:-1]
+    return [flat[..., lo:hi].reshape(*lead, rows, cols)
+            for lo, hi, rows, cols in arch.block_spans]
 
 
 class PersonalModel:
     """Shared trunk plus classification and auxiliary heads.
 
-    `params` is the flat parameter vector; `layers` (trunk layers, then
-    `cls_head` and `aux_head`) are views into it. A given vector of the
-    right size is wrapped, not copied.
+    `params` is the flat parameter vector; `blocks` (each layer's [Wᵀ; b])
+    and `layers` (trunk layers, then `cls_head` and `aux_head`) are views
+    into it, built on first use: a model that is only copied, averaged,
+    stored or scored as part of a stack never builds them. A given vector
+    of the right size is wrapped, not copied.
     """
 
     def __init__(self, arch: ArchSpec, params: np.ndarray | None = None):
@@ -115,9 +131,26 @@ class PersonalModel:
             raise ValueError(f"expected a contiguous float64 vector of {size} parameters")
         self.arch = arch
         self.params = params
-        self.layers = [LayerParams(block) for block in _blocks(arch, params)]
-        self.trunk = self.layers[:-2]
-        self.cls_head, self.aux_head = self.layers[-2:]
+
+    @cached_property
+    def blocks(self) -> list[np.ndarray]:
+        return _blocks(self.arch, self.params)
+
+    @cached_property
+    def layers(self) -> list[LayerParams]:
+        return [LayerParams(block) for block in self.blocks]
+
+    @property
+    def trunk(self) -> list[LayerParams]:
+        return self.layers[:-2]
+
+    @property
+    def cls_head(self) -> LayerParams:
+        return self.layers[-2]
+
+    @property
+    def aux_head(self) -> LayerParams:
+        return self.layers[-1]
 
 
 class Workspace:
@@ -125,53 +158,92 @@ class Workspace:
     architecture over `rows` rows each, the leading `labelled` of them
     with class labels.
 
-    Slot k's model is row k of `params`, with `layers` the per-layer views
-    across slots. `acts[0]` is the input and `acts[i]` the i-th trunk
-    layer's output, each with a trailing ones column, so a layer's forward
-    is one product with its [Wᵀ; b] block. The caller fills `x` (the input
-    without that column), the class labels `y` and the aux labels `y_aux`.
-    `zs` holds the trunk's pre-activations, `deltas` the gradients with
-    respect to them, and `grads` one flat gradient per slot, with
-    `grad_blocks` its per-layer views.
+    Slot k's model is row k of `params`. `acts[0]` is the input and
+    `acts[i]` the i-th trunk layer's output, each with a trailing ones
+    column, so a layer's forward is one product with its [Wᵀ; b] block.
+    The caller fills the input rows (`x` is `acts[0]` without the ones
+    column), the class labels `y` and the aux labels `y_aux`. `zs` holds
+    the trunk's pre-activations, `deltas` the gradients with respect to
+    them, and `grads` one flat gradient per slot. The rest are the pass's
+    views and scratch buffers, so a pass allocates no array of the slot
+    stack's size.
 
-    `set_rows` gives a slot fewer real rows. Its later rows are zero in
-    every layer, ones column too, and divide their loss gradients by inf,
-    so they add exact zeros to its gradient.
+    `count_rows` gives a slot fewer real rows. The caller keeps the input
+    rows after them zero, ones column too; `count_rows` zeroes the hidden
+    layers' ones column there and makes those rows divide their loss
+    gradients by inf, so they add exact zeros to the slot's gradient.
     """
 
     def __init__(self, arch: ArchSpec, clients: int, rows: int, labelled: int):
+        K, N, L, C = clients, rows, labelled, arch.num_classes
         self.rows, self.labelled = rows, labelled
-        self.params = np.zeros((clients, arch.param_count()))
-        self.layers = [LayerParams(block) for block in _blocks(arch, self.params)]
-        self.acts = [np.ones((clients, rows, d + 1))
-                     for d in (arch.input_dim, *arch.hidden_dims)]
+        self.params = np.zeros((K, arch.param_count()))
+        self.acts = [np.ones((K, N, d + 1)) for d in (arch.input_dim, *arch.hidden_dims)]
         self.x = self.acts[0][..., :-1]
-        self.zs = [np.empty((clients, rows, h)) for h in arch.hidden_dims]
+        self.zs = [np.empty((K, N, h)) for h in arch.hidden_dims]
         self.deltas = [np.empty_like(z) for z in self.zs]
-        self.grads = np.empty((clients, arch.param_count()))
-        self.grad_blocks = _blocks(arch, self.grads)
-        self.y = np.zeros((clients, labelled), dtype=np.int64)
-        self.y_aux = np.zeros((clients, rows))
-        self.classes = np.arange(arch.num_classes)
+        self.grads = np.empty((K, arch.param_count()))
+        self.y = np.zeros((K, L), dtype=np.int64)
+        self.y_aux = np.zeros((K, N))
         # per row the loss gradient's divisor: the slot's count of such
         # rows for a counted row, inf for the rest
-        self.cls_div = np.full((clients, labelled, 1), float(labelled))
-        self.aux_div = np.full((clients, rows), float(rows))
+        self.cls_div = np.full((K, L, 1), float(L))
+        self.aux_div = np.full((K, N), float(N))
         self.padded: dict[int, tuple[int, int]] = {}  # slot -> (labelled, rows)
 
-    def set_rows(self, k: int, labelled: int, rows: int) -> None:
+        self.acts_t = [t.transpose(0, 2, 1) for t in self.acts]
+        self.masks = [np.empty(z.shape, dtype=bool) for z in self.zs]
+        self.grad_blocks = _blocks(arch, self.grads)
+        *self.trunk, self.cls_block, self.aux_block = _blocks(arch, self.params)
+        # the (out, in) weights of the trunk layers after the first and
+        # of the heads, for the backward products
+        self.trunk_w = [None] + [b[:, :-1].transpose(0, 2, 1) for b in self.trunk[1:]]
+        self.cls_w = self.cls_block[:, :-1].transpose(0, 2, 1)
+        self.aux_w = self.aux_block[:, :-1].transpose(0, 2, 1)
+        self.aux_z = np.empty((K, N, 1))
+        self.s, self.bce, self.bce_scratch, self.delta_a = (np.empty((K, N)) for _ in range(4))
+        self.sigmoid_scratch = np.empty((K, N)), np.empty((K, N)), np.empty((K, N), dtype=bool)
+        self.logits = np.empty((K, L, C))
+        self.ce_scratch = _ce_scratch(self.logits.shape)
+        self.d_cls = np.empty((K, L, arch.hidden_dims[-1]))
+        self._cut: dict[int, Workspace] = {}
+
+    def count_rows(self, k: int, labelled: int, rows: int) -> None:
         """Slot k's next passes count its first `rows` rows, the leading
         `labelled` of them in the class loss."""
-        for a in self.acts:
+        for a in self.acts[1:]:
             a[k, :rows, -1] = 1.0
-            a[k, rows:] = 0.0
-        self.cls_div[k] = np.inf
+            a[k, rows:, -1] = 0.0
         self.cls_div[k, :labelled] = labelled
-        self.aux_div[k] = np.inf
+        self.cls_div[k, labelled:] = np.inf
         self.aux_div[k, :rows] = rows
+        self.aux_div[k, rows:] = np.inf
         self.padded.pop(k, None)
         if labelled < self.labelled or rows < self.rows:
             self.padded[k] = labelled, rows
+
+    def slots(self, active: int) -> Workspace:
+        """The workspace cut to slots [:active]: every array a view of its
+        leading `active` entries, built once per count."""
+        if active == self.params.shape[0]:
+            return self
+        cut = self._cut.get(active)
+        if cut is None:
+            cut = self._cut[active] = object.__new__(Workspace)
+            # without its own _cut, which would make a reference cycle
+            cut.__dict__ = {name: _prefix(value, active)
+                            for name, value in vars(self).items() if name != "_cut"}
+        return cut
+
+
+def _prefix(value, a: int):
+    """value's arrays cut to their first a entries, through lists and
+    tuples of them."""
+    if isinstance(value, np.ndarray):
+        return value[:a]
+    if isinstance(value, (list, tuple)):
+        return type(value)(_prefix(v, a) for v in value)
+    return value
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -203,21 +275,35 @@ def copy_into(dst: PersonalModel, src: PersonalModel) -> None:
     np.copyto(dst.params, src.params)
 
 
-def sigmoid(z):
+def _sigmoid(z, out, ez, den, nonneg):
+    """The sigmoid of z into out; ez, den and nonneg (bool) are scratch
+    arrays of z's shape."""
     # exp(-|z|) never overflows; it is exp(-z) for z >= 0 and exp(z) below
+    np.exp(np.negative(np.abs(z, out=ez), out=ez), out=ez)
+    np.add(1.0, ez, out=den)
+    np.divide(ez, den, out=out)
+    np.divide(1.0, den, out=out, where=np.greater_equal(z, 0.0, out=nonneg))
+    return out
+
+
+def sigmoid(z):
     z = np.asarray(z, dtype=np.float64)
-    ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    return _sigmoid(z, *(np.empty_like(z) for _ in range(3)), np.empty(z.shape, dtype=bool))
+
+
+def _row_max(z, out):
+    """The max over z's last axis into out, of shape (..., 1): one column
+    at a time, exact like max(axis=-1), and at a class head's few columns
+    2-6x faster from about a hundred rows on."""
+    np.copyto(out, z[..., :1])
+    for j in range(1, z.shape[-1]):
+        np.maximum(out, z[..., j:j + 1], out=out)
+    return out
 
 
 def softmax(z):
     z = np.asarray(z, dtype=np.float64)
-    # the row max, one column at a time: exact like max(axis=-1), and at
-    # a class head's few columns 2-6x faster from about a hundred rows on
-    m = z[..., :1].copy()
-    for j in range(1, z.shape[-1]):
-        np.maximum(m, z[..., j:j + 1], out=m)
-    e = np.exp(z - m)
+    e = np.exp(z - _row_max(z, np.empty((*z.shape[:-1], 1))))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -242,6 +328,8 @@ def _loaded(model: PersonalModel, X, y_cls, y_aux) -> Workspace:
     y = np.asarray(y_cls, dtype=np.int64)
     if y.ndim != 1 or not 1 <= y.shape[0] <= N:
         raise ValueError("y_cls must label between one and all leading rows")
+    if y.min() < 0 or y.max() >= model.arch.num_classes:
+        raise ValueError(f"y_cls must lie in [0, {model.arch.num_classes})")
     ya = np.asarray(y_aux, dtype=np.float64)
     if ya.shape != (N,):
         raise ValueError("y_aux must have one label per row")
@@ -263,17 +351,20 @@ def stacked_heads(pool, X, cls: bool = True):
     if any(m.arch != arch for m in pool[1:]):
         raise ValueError("stacked_heads needs models of one architecture")
     h = _as_batch(arch, X)
-    # one model's vector is a stack of one as it is, without a copy
-    stack = pool[0].params[None] if len(pool) == 1 else np.stack([m.params for m in pool])
-    *trunk, cls_block, aux_block = _blocks(arch, stack)
+    # one model runs on its own 2-D blocks, whose products are bitwise
+    # those of a stack of one; M models on their stack's 3-D blocks
+    one = len(pool) == 1
+    blocks = pool[0].blocks if one else _blocks(arch, np.stack([m.params for m in pool]))
+    *trunk, cls_block, aux_block = blocks
     for block in trunk:
-        h = np.matmul(h, block[:, :-1])
-        h += block[:, -1:]
+        h = np.matmul(h, block[..., :-1, :])
+        h += block[..., -1:, :]
         np.maximum(h, 0.0, out=h)
-    scores = sigmoid((np.matmul(h, aux_block[:, :-1]) + aux_block[:, -1:])[..., 0])
-    if not cls:
-        return None, scores
-    return np.matmul(h, cls_block[:, :-1]) + cls_block[:, -1:], scores
+    scores = sigmoid((np.matmul(h, aux_block[..., :-1, :]) + aux_block[..., -1:, :])[..., 0])
+    logits = np.matmul(h, cls_block[..., :-1, :]) + cls_block[..., -1:, :] if cls else None
+    if one:
+        return (None if logits is None else logits[None]), scores[None]
+    return logits, scores
 
 
 def heads(model: PersonalModel, X) -> tuple[np.ndarray, np.ndarray]:
@@ -283,20 +374,47 @@ def heads(model: PersonalModel, X) -> tuple[np.ndarray, np.ndarray]:
     return logits[0], scores[0]
 
 
-def _cross_entropy(logits: np.ndarray, onehot: np.ndarray):
-    """Per-row CE of logits (..., C) against one-hot labels (a boolean
-    array of the same shape), and the softmax probabilities."""
-    m = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    se = e.sum(axis=-1, keepdims=True)
-    lse = (m + np.log(se))[..., 0]
-    return lse - logits[onehot].reshape(lse.shape), e / se
+def _bce(scores, y, out=None, t=None):
+    """Per-row BCE of sigmoid scores against 0/1 labels, into out when
+    given, with t as scratch of the same shape."""
+    if out is None:
+        out, t = np.empty_like(scores), np.empty_like(scores)
+    # -(y log(s) + (1 - y) log(1 - s)), s clipped to [eps, 1 - eps]
+    np.minimum(np.maximum(scores, BCE_EPS, out=t), 1.0 - BCE_EPS, out=t)
+    np.log(t, out=out)
+    out *= y
+    np.log(np.subtract(1.0, t, out=t), out=t)
+    t *= 1.0 - y
+    out += t
+    return np.negative(out, out=out)
 
 
-def _bce(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-row BCE of sigmoid scores against 0/1 labels."""
-    s = np.minimum(np.maximum(scores, BCE_EPS), 1.0 - BCE_EPS)
-    return -(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))
+def _ce_scratch(shape):
+    """Scratch buffers of `_cross_entropy` over logits of `shape`."""
+    *rows, C = shape
+    return (np.empty(shape), np.empty((*rows, 1)), np.empty((*rows, 1)), np.empty(rows),
+            np.empty(rows), np.empty(rows, dtype=np.int64),
+            np.arange(int(np.prod(rows)), dtype=np.int64).reshape(rows) * C)
+
+
+def _cross_entropy(logits, labels, scratch=None):
+    """Per-row CE of logits (..., C) against integer labels (...), and its
+    gradient with respect to the logits, softmax(logits) - onehot(label).
+    Both are views of `scratch` (see `_ce_scratch`) when given."""
+    e, m, se, ce, target, idx, row_starts = scratch or _ce_scratch(logits.shape)
+    np.exp(np.subtract(logits, _row_max(logits, m), out=e), out=e)
+    np.sum(e, axis=-1, keepdims=True, out=se)
+    lse = np.log(se, out=ce[..., None])
+    lse += m
+    # each row's target entry, through its flat index row * C + label
+    flat = np.add(row_starts, labels, out=idx).reshape(-1)
+    np.take(logits.reshape(-1), flat, out=target.reshape(-1))
+    ce -= target
+    delta = np.divide(e, se, out=e)
+    np.take(delta.reshape(-1), flat, out=target.reshape(-1))
+    target -= 1.0
+    delta.reshape(-1)[flat] = target.reshape(-1)
+    return ce, delta
 
 
 def _grads_and_loss(ws: Workspace, active: int):
@@ -308,50 +426,45 @@ def _grads_and_loss(ws: Workspace, active: int):
     serves both losses. The trunk receives the sum of both streams; each
     head only sees its own loss. Each layer's weight and bias gradient is
     one stacked product into its block of ws.grads, which the next pass
-    over ws overwrites.
+    over ws overwrites, and every other result lands in the scratch
+    buffers of ws.
     """
-    a = active
-    acts = [t[:a] for t in ws.acts]
-    zs = [t[:a] for t in ws.zs]
-    deltas = [t[:a] for t in ws.deltas]
-    g = [t[:a] for t in ws.grad_blocks]
-    *trunk, cls_head, aux_head = ws.layers
-    for layer, x, z, x_next in zip(trunk, acts, zs, acts[1:]):
-        np.matmul(x, layer.block[:a], out=z)
+    v = ws.slots(active)
+    acts, zs, g = v.acts, v.zs, v.grad_blocks
+    for block, x, z, x_next in zip(v.trunk, acts, zs, acts[1:]):
+        np.matmul(x, block, out=z)
         np.maximum(z, 0.0, out=x_next[..., :-1])
-    h1 = acts[-1]  # the last hidden layer, with its ones column
-    h1_t = h1.transpose(0, 2, 1)
+    h1, h1_t = acts[-1], v.acts_t[-1]  # the last hidden layer, with its ones column
 
-    s = sigmoid(np.matmul(h1, aux_head.block[:a])[..., 0])
-    ya = ws.y_aux[:a]
-    bce = _bce(s, ya)
-    delta_a = (s - ya) / ws.aux_div[:a]
+    s = _sigmoid(np.matmul(h1, v.aux_block, out=v.aux_z)[..., 0], v.s, *v.sigmoid_scratch)
+    bce = _bce(s, v.y_aux, v.bce, v.bce_scratch)
+    delta_a = np.subtract(s, v.y_aux, out=v.delta_a)
+    delta_a /= v.aux_div
     np.matmul(h1_t, delta_a[..., None], out=g[-1])
-    d_h = np.multiply(delta_a[..., None], aux_head.weights[:a], out=deltas[-1])
+    d_h = np.multiply(delta_a[..., None], v.aux_w, out=v.deltas[-1])
 
     L = ws.labelled
-    onehot = ws.y[:a, :, None] == ws.classes
-    ce, delta = _cross_entropy(np.matmul(h1[:, :L], cls_head.block[:a]), onehot)
-    delta[onehot] -= 1.0
-    delta /= ws.cls_div[:a]
+    logits = np.matmul(h1[:, :L], v.cls_block, out=v.logits)
+    ce, delta = _cross_entropy(logits, v.y, v.ce_scratch)
+    delta /= v.cls_div
     np.matmul(h1_t[..., :L], delta, out=g[-2])
-    d_h[:, :L] += np.matmul(delta, cls_head.weights[:a])
+    d_h[:, :L] += np.matmul(delta, v.cls_w, out=v.d_cls)
 
     delta = d_h
-    for i in reversed(range(len(trunk))):
-        delta *= zs[i] > 0
-        np.matmul(acts[i].transpose(0, 2, 1), delta, out=g[i])
+    for i in reversed(range(len(zs))):
+        delta *= np.greater(zs[i], 0.0, out=v.masks[i])
+        np.matmul(v.acts_t[i], delta, out=g[i])
         if i > 0:
-            delta = np.matmul(delta, trunk[i].weights[:a], out=deltas[i - 1])
+            delta = np.matmul(delta, v.trunk_w[i], out=v.deltas[i - 1])
 
     # a padded slot sums its counted rows only, as a pass over exactly
     # those rows would; a slot's first row always counts, so its divisor
     # there is the slot's count
     ce_sum, bce_sum = ce.sum(axis=1), bce.sum(axis=1)
     for k, (n, N) in ws.padded.items():
-        if k < a:
+        if k < active:
             ce_sum[k], bce_sum[k] = ce[k, :n].sum(), bce[k, :N].sum()
-    return ws.grads[:a], bce_sum / ws.aux_div[:a, 0] + ce_sum / ws.cls_div[:a, 0, 0]
+    return ws.grads[:active], bce_sum / v.aux_div[:, 0] + ce_sum / v.cls_div[:, 0, 0]
 
 
 def backward(model: PersonalModel, X, y_cls, y_aux) -> np.ndarray:

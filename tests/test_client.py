@@ -339,6 +339,86 @@ def test_lockstep_update_is_independent_of_the_round(order_seed):
             assert not np.shares_memory(states[i].pool[1].params, up.parameters.params)
 
 
+def _per_client_round(state, X, y, epochs, lr, wd, batch_size, entropy):
+    """One client's local round as a plain loop: a one-slot workspace
+    loaded batch by batch, each epoch drawing its permutation and then its
+    negatives. Returns (parameters, mean step loss)."""
+    model = nn.clone_model(state.pool[state.task_bindings[0]])
+    rng = rng_for(*entropy)
+    ws = nn.Workspace(ROUND_ARCH, 1, 2 * batch_size, batch_size)
+    ws.params[0] = model.params
+    losses = []
+    for _ in range(epochs):
+        order = rng.permutation(len(X))
+        Xe, ye = X[order], y[order]
+        Ne = matching.synthesize_negatives(Xe, X.std(axis=0), NegativeSynthesisSpec(), rng,
+                                           batch_size)
+        for start in range(0, len(X), batch_size):
+            xb, nb, yb = (a[start:start + batch_size] for a in (Xe, Ne, ye))
+            m = len(xb)
+            ws.count_rows(0, m, 2 * m)
+            ws.acts[0][0] = 0.0
+            ws.acts[0][0, :2 * m, -1] = 1.0
+            ws.x[0, :2 * m] = np.concatenate([xb, nb])
+            ws.y[0, :m] = yb
+            ws.y_aux[0] = 0.0
+            ws.y_aux[0, :m] = 1.0
+            grads, loss = nn._grads_and_loss(ws, 1)
+            g, w, loss = grads[0], ws.params[0], float(loss[0])
+            if state.anchor_mass:
+                client.add_migration_grads(g, w, state.anchor_mass, state.anchor_sum)
+                loss += client.migration_loss(w, state.anchor_mass, state.anchor_sum,
+                                              state.anchor_sq)
+            nn.sgd_step(w, g, lr=lr, weight_decay=wd)
+            losses.append(loss)
+    return ws.params[0].copy(), sum(losses) / len(losses)
+
+
+@pytest.mark.parametrize("staged_steps", [None, 1, 3])
+def test_staged_round_equals_a_per_client_loop(monkeypatch, staged_steps):
+    # shards of whole batches (32, 48, 16), shorter than a batch (5, 1) and
+    # with a short last batch (21, 40), in one round of 5 epochs, so the
+    # staged steps cross epoch ends and batch boundaries at every offset
+    if staged_steps is not None:
+        monkeypatch.setattr(client, "STAGED_STEPS", staged_steps)
+    sizes = [32, 5, 48, 1, 21, 16, 40]
+    states, shards = [], []
+    for k, n in enumerate(sizes):
+        rng = np.random.default_rng([9, k])
+        shards.append((rng.standard_normal((n, 16)), rng.integers(0, 5, size=n)))
+        st = fresh_state(cid=k)
+        st.pool = [nn.init_model(ROUND_ARCH, [9, k])]
+        st.task_bindings = {0: 0}
+        if k % 3 == 0:
+            anchor = nn.init_model(ROUND_ARCH, [10, k]).params
+            st.anchor_mass, st.anchor_sum = 0.4, 0.4 * anchor
+            st.anchor_sq = 0.4 * float(anchor @ anchor)
+        states.append(st)
+    want = [_per_client_round(st, X, y, epochs=5, lr=0.05, wd=1e-3, batch_size=16,
+                              entropy=(0, 6, st.client_id, 0, 0))
+            for st, (X, y) in zip(states, shards)]
+    ups = train_clients(states, shards, epochs=5)
+    for up, (params, loss), n in zip(ups, want, sizes):
+        assert up.num_samples == n
+        assert up.parameters.params.tobytes() == params.tobytes(), n
+        assert up.train_loss == loss, n
+
+
+def test_staging_memory_does_not_grow_with_local_epochs(monkeypatch):
+    sizes = []
+
+    class Recording(client._Staging):
+        def __init__(self, ws):
+            super().__init__(ws)
+            sizes.append(self.inputs.nbytes + self.labels.nbytes)
+
+    monkeypatch.setattr(client, "_Staging", Recording)
+    for epochs in (1, 3, 12):
+        train_clients(*_round_clients(), epochs=epochs)
+    # four training slots of 2 * 16 rows, 16 + 1 input columns, 16 labels
+    assert sizes == [client.STAGED_STEPS * 4 * (32 * 17 + 16) * 8] * 3
+
+
 def test_lockstep_round_adopts_the_broadcast_in_every_slot():
     states, shards = _round_clients()
     glob = nn.init_model(ROUND_ARCH, 77)

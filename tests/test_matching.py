@@ -142,6 +142,44 @@ def test_negative_synthesis_pure_noise_displaces():
     assert not np.allclose(neg, X)
 
 
+def _loop_negatives(X_pos, feat_std, spec, rng, batch_size):
+    """The negatives as a per-batch mask loop with fancy-index scatters:
+    the same draws in the same order, written the plain way."""
+    n, d = X_pos.shape
+    permuted = np.zeros(n, dtype=bool)
+    for start in range(0, n, batch_size):
+        length = min(batch_size, n - start)
+        permuted[start:start + int(round(spec.permute_fraction * length))] = True
+    out = np.empty_like(X_pos)
+    rows = np.flatnonzero(permuted)
+    if rows.size:
+        perms = np.argsort(rng.random((rows.size, d)), axis=1)
+        out[rows] = X_pos[rows[:, None], perms]
+    rows = np.flatnonzero(~permuted)
+    if rows.size:
+        noise = rng.standard_normal((rows.size, d)) * (spec.noise_sigma_scale * feat_std)
+        out[rows] = X_pos[rows] + noise
+    return out
+
+
+@pytest.mark.parametrize("permute_fraction", [0.0, 0.25, 0.5, 0.51, 1.0])
+@pytest.mark.parametrize("batch_size", [1, 7, 32])
+def test_negatives_equal_the_loop_oracle_bitwise(batch_size, permute_fraction):
+    # every batch-boundary case: empty, one short batch, exact multiples,
+    # one row past them, and the benchmark's 244-row shards
+    spec = matching.NegativeSynthesisSpec(permute_fraction=permute_fraction)
+    bs = batch_size
+    for n in sorted({1, bs - 1, bs, bs + 1, 3 * bs, 3 * bs + 1, 244}):
+        X = np.random.default_rng([n, bs]).standard_normal((n, 16)) * 3.0
+        std = X.std(axis=0) if n else np.ones(16)
+        got_rng, want_rng = np.random.default_rng([n, 5]), np.random.default_rng([n, 5])
+        got = matching.synthesize_negatives(X, std, spec, got_rng, bs)
+        want = _loop_negatives(X, std, spec, want_rng, bs)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), n
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, n
+
+
 def test_negative_spec_validation():
     with pytest.raises(ValueError):
         matching.NegativeSynthesisSpec(noise_sigma_scale=0.0)

@@ -242,8 +242,7 @@ def test_softmax_rows_sum_to_one():
 def ce(logits, label):
     """The training pass's CE on one row of logits."""
     logits = np.asarray(logits, dtype=float)[None, :]
-    onehot = np.arange(logits.shape[1]) == label
-    return nn._cross_entropy(logits, onehot[None, :])[0][0]
+    return nn._cross_entropy(logits, np.array([label]))[0][0]
 
 
 def test_ce_uniform_logits_is_log_c():
@@ -320,8 +319,7 @@ def test_backward_matches_central_differences(term):
     y = y[:4]  # the CE labels the leading rows only
     grads = nn.backward(model, X, y_cls=y, y_aux=ya)
     loss = {
-        "cls": lambda: nn._cross_entropy(nn.heads(model, X[:4])[0],
-                                         y[:, None] == np.arange(3))[0].mean(),
+        "cls": lambda: nn._cross_entropy(nn.heads(model, X[:4])[0], y)[0].mean(),
         "aux": lambda: nn._bce(nn.heads(model, X)[1], ya).mean(),
         "joint": lambda: nn.batch_loss(model, X, y_cls=y, y_aux=ya),
     }[term]
@@ -428,11 +426,19 @@ def _filled(models, batches, rows, labelled):
     """A workspace with one slot per model; slot k holds batches[k] =
     (X, y, ya) in its leading rows and pads the rest."""
     ws = nn.Workspace(models[0].arch, len(models), rows, labelled)
-    for k, (model, (X, y, ya)) in enumerate(zip(models, batches)):
+    for k, (model, batch) in enumerate(zip(models, batches)):
         ws.params[k] = model.params
-        ws.set_rows(k, len(y), len(X))
-        ws.x[k, :len(X)], ws.y[k, :len(y)], ws.y_aux[k, :len(X)] = X, y, ya
+        _load(ws, k, *batch)
     return ws
+
+
+def _load(ws, k, X, y, ya):
+    """Slot k holds (X, y, ya) in its leading rows; the input rows after
+    them are zero, ones column too."""
+    ws.count_rows(k, len(y), len(X))
+    ws.acts[0][k, len(X):] = 0.0
+    ws.acts[0][k, :len(X), -1] = 1.0
+    ws.x[k, :len(X)], ws.y[k, :len(y)], ws.y_aux[k, :len(X)] = X, y, ya
 
 
 @pytest.mark.parametrize("K", [1, 3, 8])
@@ -466,10 +472,9 @@ def test_reused_workspaces_match_fresh_ones():
         batches = []
         for k, m in enumerate(sizes):
             X, y, _ = random_batch(rng, models[k], 2 * m)
-            ws.set_rows(k, m, 2 * m)
             batches.append((X, y[:m], np.repeat([1.0, 0.0], m)))
             ws.params[k] = models[k].params
-            ws.x[k, :2 * m], ws.y[k, :m], ws.y_aux[k, :2 * m] = batches[-1]
+            _load(ws, k, *batches[-1])
         grads, losses = nn._grads_and_loss(ws, 3)
         assert grads.base is ws.grads
         for k, m in enumerate(sizes):
