@@ -140,16 +140,13 @@ def _begin_task(cfg: ExperimentConfig, state: client.ClientState,
 
     if shard_x.shape[0] == 0:
         return None
-    arch = cfg.arch()
     if mode.sharing and state.pool:
         # the shared trunk and aux head, under a fresh class head
         model = nn.clone_model(state.pool[-1])
-        model.cls_head.weights[...] = nn.glorot_uniform(
-            rng_for(*init_seed), arch.num_classes, arch.hidden_dims[-1])
-        model.cls_head.bias[...] = 0.0
+        nn.glorot_init(model.blocks[-2], rng_for(*init_seed))
         state.pool.append(model)
     elif mode.bind == BIND_PER_TASK or not state.pool:
-        state.pool.append(nn.init_model(arch, init_seed))
+        state.pool.append(nn.init_model(cfg.arch(), init_seed))
     state.task_bindings[task_pos] = len(state.pool) - 1
     return None
 
@@ -215,7 +212,7 @@ def run_task(cfg: ExperimentConfig, states, shard_data, task_pos: int,
         for st in states:
             if task_pos in st.task_bindings:
                 bound = st.pool[st.task_bindings[task_pos]]
-                nn.copy_into(bound, global_model)
+                np.copyto(bound.params, global_model.params)
                 if MODE_TABLE[fed.mode].sharing:
                     # every entry carries the shared trunk and aux head
                     for model in st.pool:
@@ -405,6 +402,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
         raise ConfigError(f"unknown mode {fed.mode!r} (choose from {', '.join(MODES)})")
     data_seed, tasks, partitions, streams = build_datasets(cfg)
     K = fed.num_clients
+    # a position no client trains at leaves metrics cells nobody evaluates:
+    # the first position for a pool that carries on, any for per-task pools
+    for m in range(len(tasks)) if mode.bind == BIND_PER_TASK else [0]:
+        if not any(partitions[streams[k][m]][k].indices.size for k in range(K)):
+            raise ConfigError(f"no client holds training rows at stream position {m}")
 
     out = None if out_dir is None else start_run(out_dir, cfg, data_seed, tasks)
 

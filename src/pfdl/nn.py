@@ -8,11 +8,11 @@ through either head's loss is visible to both forward passes.
 All parameters of a model live in one contiguous float64 vector, laid out
 layer by layer (trunk layers, then cls head, then aux head). Each layer is
 one row-major (in_dim + 1, out_dim) block [Wᵀ; b]: the transposed weights,
-then the bias as the last row. `weights`, an (out_dim, in_dim) view, and
-`bias` are views of the block. A model builds these views on first use
-only. Gradients are flat vectors in the same layout, so copying, averaging
-and updating a model are each one vector operation; checkpoints keep
-their own order (see serialize.py).
+then the bias as the last row. `ArchSpec.block_spans` is the one
+description of this layout, and a model's `blocks`, built on first use,
+are its only views into the vector. Gradients are flat vectors in the
+same layout, so copying, averaging and updating a model are each one
+vector operation; checkpoints keep their own order (see serialize.py).
 
 Training passes run over a `Workspace` of K slots, one model each: its
 parameters are the rows of a (K, P) stack, and its buffers carry the slot
@@ -62,47 +62,24 @@ class ArchSpec:
         if self.num_classes < 1:
             raise ValueError("num_classes must be positive")
 
-    def layer_dims(self) -> list[tuple[int, int]]:
-        """(out_dim, in_dim) of every layer in flat-vector order: trunk
-        layers, cls head, aux head."""
-        dims = []
-        fan_in = self.input_dim
-        for h in self.hidden_dims:
-            dims.append((h, fan_in))
-            fan_in = h
-        dims.append((self.num_classes, fan_in))
-        dims.append((1, fan_in))
-        return dims
-
-    def param_count(self) -> int:
-        return sum(o * i + o for o, i in self.layer_dims())
-
-    def cls_head_span(self) -> tuple[int, int]:
-        """[lo, hi) of the cls head's block in the flat vector."""
-        lo = sum(o * i + o for o, i in self.layer_dims()[:-2])
-        return lo, lo + self.num_classes * (self.hidden_dims[-1] + 1)
-
     @cached_property
     def block_spans(self) -> tuple[tuple[int, int, int, int], ...]:
         """(lo, hi, in_dim + 1, out_dim) of every layer's block in the
-        flat vector, in flat order."""
+        flat vector, in flat order: trunk layers, cls head, aux head."""
         spans, lo = [], 0
-        for out_dim, in_dim in self.layer_dims():
+        fan_ins = (self.input_dim, *self.hidden_dims, self.hidden_dims[-1])
+        for in_dim, out_dim in zip(fan_ins, (*self.hidden_dims, self.num_classes, 1)):
             hi = lo + (in_dim + 1) * out_dim
             spans.append((lo, hi, in_dim + 1, out_dim))
             lo = hi
         return tuple(spans)
 
+    def param_count(self) -> int:
+        return self.block_spans[-1][1]
 
-class LayerParams:
-    """One affine layer: the contiguous (in + 1, out) block [Wᵀ; b] of a
-    flat vector, or a (K, in + 1, out) stack of them, with weights
-    (..., out, in) and bias (..., out) as views of it."""
-
-    def __init__(self, block: np.ndarray):
-        self.block = block
-        self.weights = np.swapaxes(block[..., :-1, :], -1, -2)
-        self.bias = block[..., -1, :]
+    def cls_head_span(self) -> tuple[int, int]:
+        """[lo, hi) of the cls head's block in the flat vector."""
+        return self.block_spans[-2][:2]
 
 
 def _blocks(arch: ArchSpec, flat: np.ndarray) -> list[np.ndarray]:
@@ -116,11 +93,11 @@ def _blocks(arch: ArchSpec, flat: np.ndarray) -> list[np.ndarray]:
 class PersonalModel:
     """Shared trunk plus classification and auxiliary heads.
 
-    `params` is the flat parameter vector; `blocks` (each layer's [Wᵀ; b])
-    and `layers` (trunk layers, then `cls_head` and `aux_head`) are views
-    into it, built on first use: a model that is only copied, averaged,
-    stored or scored as part of a stack never builds them. A given vector
-    of the right size is wrapped, not copied.
+    `params` is the flat parameter vector; `blocks`, each layer's [Wᵀ; b]
+    in flat order (trunk layers, cls head, aux head), are views into it,
+    built on first use: a model that is only copied, averaged, stored or
+    scored as part of a stack never builds them. A given vector of the
+    right size is wrapped, not copied.
     """
 
     def __init__(self, arch: ArchSpec, params: np.ndarray | None = None):
@@ -135,22 +112,6 @@ class PersonalModel:
     @cached_property
     def blocks(self) -> list[np.ndarray]:
         return _blocks(self.arch, self.params)
-
-    @cached_property
-    def layers(self) -> list[LayerParams]:
-        return [LayerParams(block) for block in self.blocks]
-
-    @property
-    def trunk(self) -> list[LayerParams]:
-        return self.layers[:-2]
-
-    @property
-    def cls_head(self) -> LayerParams:
-        return self.layers[-2]
-
-    @property
-    def aux_head(self) -> LayerParams:
-        return self.layers[-1]
 
 
 class Workspace:
@@ -246,9 +207,13 @@ def _prefix(value, a: int):
     return value
 
 
-def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
+def glorot_init(block: np.ndarray, rng: np.random.Generator) -> None:
+    """Glorot-uniform weights into a layer's [Wᵀ; b] block, drawn in
+    (out, in) order, and a zero bias row."""
+    in_dim, out_dim = block.shape[0] - 1, block.shape[1]
     limit = np.sqrt(6.0 / (in_dim + out_dim))
-    return rng.uniform(-limit, limit, size=(out_dim, in_dim))
+    block[:-1] = rng.uniform(-limit, limit, size=(out_dim, in_dim)).T
+    block[-1] = 0.0
 
 
 def init_model(arch: ArchSpec, seed) -> PersonalModel:
@@ -259,20 +224,13 @@ def init_model(arch: ArchSpec, seed) -> PersonalModel:
     """
     rng = np.random.default_rng(seed)
     model = PersonalModel(arch)
-    for layer in model.layers:
-        layer.weights[...] = glorot_uniform(rng, *layer.weights.shape)
+    for block in model.blocks:
+        glorot_init(block, rng)
     return model
 
 
 def clone_model(model: PersonalModel) -> PersonalModel:
     return PersonalModel(model.arch, model.params.copy())
-
-
-def copy_into(dst: PersonalModel, src: PersonalModel) -> None:
-    """Copy parameters of src into dst in place; dst's views stay valid."""
-    if dst.params.shape != src.params.shape:
-        raise ValueError(f"shape mismatch {dst.params.shape} vs {src.params.shape}")
-    np.copyto(dst.params, src.params)
 
 
 def _sigmoid(z, out, ez, den, nonneg):
@@ -374,11 +332,9 @@ def heads(model: PersonalModel, X) -> tuple[np.ndarray, np.ndarray]:
     return logits[0], scores[0]
 
 
-def _bce(scores, y, out=None, t=None):
-    """Per-row BCE of sigmoid scores against 0/1 labels, into out when
-    given, with t as scratch of the same shape."""
-    if out is None:
-        out, t = np.empty_like(scores), np.empty_like(scores)
+def _bce(scores, y, out, t):
+    """Per-row BCE of sigmoid scores against 0/1 labels into out, with t
+    as scratch of the same shape."""
     # -(y log(s) + (1 - y) log(1 - s)), s clipped to [eps, 1 - eps]
     np.minimum(np.maximum(scores, BCE_EPS, out=t), 1.0 - BCE_EPS, out=t)
     np.log(t, out=out)
@@ -397,11 +353,11 @@ def _ce_scratch(shape):
             np.arange(int(np.prod(rows)), dtype=np.int64).reshape(rows) * C)
 
 
-def _cross_entropy(logits, labels, scratch=None):
+def _cross_entropy(logits, labels, scratch):
     """Per-row CE of logits (..., C) against integer labels (...), and its
     gradient with respect to the logits, softmax(logits) - onehot(label).
-    Both are views of `scratch` (see `_ce_scratch`) when given."""
-    e, m, se, ce, target, idx, row_starts = scratch or _ce_scratch(logits.shape)
+    Both are views of `scratch` (see `_ce_scratch`)."""
+    e, m, se, ce, target, idx, row_starts = scratch
     np.exp(np.subtract(logits, _row_max(logits, m), out=e), out=e)
     np.sum(e, axis=-1, keepdims=True, out=se)
     lse = np.log(se, out=ce[..., None])

@@ -74,8 +74,8 @@ def _disk_order(input_dim: int, hidden_dims: tuple, num_classes: int) -> tuple:
     vector. Keyed by the whole architecture."""
     arch = nn.ArchSpec(input_dim, hidden_dims, num_classes)
     positions = nn.PersonalModel(arch, np.arange(arch.param_count(), dtype=np.float64))
-    gather = np.concatenate([a.ravel() for layer in positions.layers
-                             for a in (layer.weights, layer.bias)]).astype(np.intp)
+    gather = np.concatenate([a.ravel() for b in positions.blocks
+                             for a in (b[:-1].T, b[-1])]).astype(np.intp)
     return gather, np.argsort(gather)
 
 

@@ -63,6 +63,26 @@ def test_run_into_a_directory_that_holds_a_run_is_config_error(tiny_config, tmp_
     assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
 
+# neither of two clients holds rows of the first stream position (the
+# shuffled streams are [[0, 1], [1, 0]]), so no client could score task 0
+UNHELD_FIRST = {"mode": "disjoint", "clients": 2, "alpha": 0.001, "seed": 2,
+                "rounds_per_task": 1, "local_epochs": 1,
+                "data": {"num_classes": 2, "input_dim": 4, "samples_per_class": 10,
+                         "rotation_degrees": [0, 180], "stream_mode": "shuffled"}}
+
+
+@pytest.mark.parametrize("mode", ["disjoint", "pfeddil", "fedavg"])
+def test_run_without_rows_at_a_stream_position_is_config_error(tmp_path, capsys, mode):
+    path = tmp_path / "unheld.json"
+    path.write_text(json.dumps(dict(UNHELD_FIRST, mode=mode)))
+    run_dir = tmp_path / "run"
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(path), "--out", str(run_dir)]) == 2
+    assert capsys.readouterr().err == (
+        "error[config]: no client holds training rows at stream position 0\n")
+    assert not (run_dir / "manifest.json").exists()
+
+
 def test_seed_flag_overrides_config(tiny_config, tmp_path):
     cli.main(["run", "--config", str(tiny_config), "--seed", "42",
               "--out", str(tmp_path / "s")])
@@ -228,7 +248,7 @@ def test_eval_rejects_a_non_finite_parameter(tmp_path, capsys, value):
     state = load_client_state(path)
     assert len(state.task_bindings) == 2
     raw = bytearray(path.read_bytes())
-    assert raw[64:72] == struct.pack("<d", state.pool[0].layers[0].weights[0, 0])
+    assert raw[64:72] == struct.pack("<d", state.pool[0].blocks[0][0, 0])
     raw[64:72] = struct.pack("<d", value)
     path.write_bytes(bytes(raw))
     capsys.readouterr()

@@ -18,6 +18,11 @@ def fresh_state(cid=0):
     return client.ClientState(client_id=cid)
 
 
+def weights_and_biases(model):
+    """Each layer's (out, in) weights and its bias, as views of its [W^T; b] block."""
+    return [(b[:-1].T, b[-1]) for b in model.blocks]
+
+
 def reference_pull(w, anchors, rho):
     """The migration pull by its definition, sum_i rho_i ||w - a_i||^2, and
     its gradient 2 sum_i rho_i (w - a_i), one anchor row at a time."""
@@ -251,8 +256,8 @@ def test_local_round_update_fields():
     assert up.num_samples == 33
     assert np.isfinite(up.train_loss)
     # the payload is a detached copy
-    up.parameters.trunk[0].weights[:] = 0.0
-    assert not np.allclose(st.pool[0].trunk[0].weights, 0.0)
+    up.parameters.blocks[0][:] = 0.0
+    assert not np.allclose(st.pool[0].blocks[0], 0.0)
 
 
 def test_snapshots_stay_frozen_during_training():
@@ -426,7 +431,7 @@ def test_lockstep_round_adopts_the_broadcast_in_every_slot():
     fresh, _ = _round_clients()
     for st in fresh:
         if 0 in st.task_bindings:
-            nn.copy_into(st.pool[1], glob)
+            np.copyto(st.pool[1].params, glob.params)
     want = train_clients(fresh, shards)
     assert [_update_bytes(u) for u in ups] == [_update_bytes(u) for u in want]
 
@@ -452,17 +457,18 @@ def test_no_anchor_training_identical_to_plain_joint():
 def _reference_pass(model, X, y_cls=None, y_aux=None):
     """One forward/backward pass for one loss over all rows of X, as the
     step did before it was fused: per-layer (weights, bias) gradients."""
-    layers = (*model.trunk, model.cls_head, model.aux_head)
-    grads = [[np.zeros_like(l.weights), np.zeros_like(l.bias)] for l in layers]
+    layers = weights_and_biases(model)
+    *trunk, (Wc, bc), (Wa, ba) = layers
+    grads = [[np.zeros_like(W), np.zeros_like(b)] for W, b in layers]
     acts, zs = [X], []
-    for layer in model.trunk:
-        zs.append(acts[-1] @ layer.weights.T + layer.bias)
+    for W, b in trunk:
+        zs.append(acts[-1] @ W.T + b)
         acts.append(np.maximum(zs[-1], 0.0))
     h, n = acts[-1], X.shape[0]
     d_h = np.zeros_like(h)
     loss = 0.0
     if y_cls is not None:
-        logits = h @ model.cls_head.weights.T + model.cls_head.bias
+        logits = h @ Wc.T + bc
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         p = e / e.sum(axis=1, keepdims=True)
         loss += float(np.mean(-np.log(p[np.arange(n), y_cls])))
@@ -471,22 +477,22 @@ def _reference_pass(model, X, y_cls=None, y_aux=None):
         delta /= n
         grads[-2][0] += delta.T @ h
         grads[-2][1] += delta.sum(axis=0)
-        d_h += delta @ model.cls_head.weights
+        d_h += delta @ Wc
     if y_aux is not None:
-        s = 1.0 / (1.0 + np.exp(-(h @ model.aux_head.weights.T + model.aux_head.bias).ravel()))
+        s = 1.0 / (1.0 + np.exp(-(h @ Wa.T + ba).ravel()))
         sc = np.clip(s, nn.BCE_EPS, 1.0 - nn.BCE_EPS)
         loss += float(np.mean(-(y_aux * np.log(sc) + (1.0 - y_aux) * np.log(1.0 - sc))))
         delta_a = (s - y_aux) / n
         grads[-1][0] += (delta_a @ h)[None, :]
         grads[-1][1] += delta_a.sum()
-        d_h += np.outer(delta_a, model.aux_head.weights.ravel())
+        d_h += np.outer(delta_a, Wa.ravel())
     delta = d_h
-    for i in reversed(range(len(model.trunk))):
+    for i in reversed(range(len(trunk))):
         dz = delta * (zs[i] > 0)
         grads[i][0] += dz.T @ acts[i]
         grads[i][1] += dz.sum(axis=0)
         if i > 0:
-            delta = dz @ model.trunk[i].weights
+            delta = dz @ trunk[i][0]
     return grads, loss
 
 
@@ -495,7 +501,7 @@ def _reference_round(model, anchors, rho, X, y, epochs, lr, wd, batch_size, entr
     batch + negatives, the per-anchor, per-layer migration loop and a
     per-array update. One generator per round; each epoch draws its
     permutation, then its negatives. Returns the per-step losses."""
-    layers = (*model.trunk, model.cls_head, model.aux_head)
+    layers = weights_and_biases(model)
     feat_std = X.std(axis=0)
     losses = []
     rng = rng_for(*entropy)
@@ -516,16 +522,14 @@ def _reference_round(model, anchors, rho, X, y, epochs, lr, wd, batch_size, entr
                 g[1] += a[1]
             for r, anchor in zip(rho, anchors):
                 sq = 0.0
-                for g, layer, alayer in zip(grads, layers, (*anchor.trunk, anchor.cls_head,
-                                                            anchor.aux_head)):
-                    for gi, p, pa in ((g[0], layer.weights, alayer.weights),
-                                      (g[1], layer.bias, alayer.bias)):
+                for g, (W, b), (Wa, ba) in zip(grads, layers, weights_and_biases(anchor)):
+                    for gi, p, pa in ((g[0], W, Wa), (g[1], b, ba)):
                         gi += 2.0 * r * (p - pa)
                         sq += float(((p - pa) ** 2).sum())
                 step_loss += r * sq
-            for g, layer in zip(grads, layers):
-                layer.weights -= lr * (g[0] + wd * layer.weights)
-                layer.bias -= lr * (g[1] + wd * layer.bias)
+            for g, (W, b) in zip(grads, layers):
+                W -= lr * (g[0] + wd * W)
+                b -= lr * (g[1] + wd * b)
             losses.append(step_loss)
     return losses
 

@@ -39,8 +39,8 @@ def test_zero_scores_fall_back_to_uniform():
     pool = pool_of(3)
     for m in pool:
         # drive the aux logit to a huge negative value for any input
-        m.aux_head.weights[:] = 0.0
-        m.aux_head.bias[:] = -1000.0
+        m.blocks[-1][:-1] = 0.0
+        m.blocks[-1][-1] = -1000.0
     W, fallbacks = weight_matrix(pool, np.zeros((2, 4)))
     assert fallbacks == 2
     assert np.allclose(W, 1.0 / 3.0)
@@ -107,10 +107,10 @@ def test_memo_returns_the_same_bits_as_direct_scoring():
     X = rng.standard_normal((40, 4))
     vanishing = pool_of(3, seed0=30)
     for m in vanishing[1:]:
-        m.aux_head.weights[:] = 0.0
-        m.aux_head.bias[:] = -1000.0
+        m.blocks[-1][:-1] = 0.0
+        m.blocks[-1][-1] = -1000.0
     # a steep aux head: rows on its negative side fall back, the rest do not
-    vanishing[0].aux_head.weights[0, :] = 1000.0 * rng.standard_normal(ARCH.hidden_dims[0])
+    vanishing[0].blocks[-1][:-1, 0] = 1000.0 * rng.standard_normal(ARCH.hidden_dims[0])
     fallbacks = evaluation.ensemble_probs_matrix(vanishing, X)[1]
     assert 0 < fallbacks < len(X)
     pools = (pool_of(4, seed0=40), vanishing, pool_of(1, seed0=50))

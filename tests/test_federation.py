@@ -4,14 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pfdl import evaluation, federation, nn
+from pfdl import config, evaluation, federation, nn
 from pfdl.client import ClientState, LocalUpdate
 from pfdl.data import DataConfig
 from pfdl.errors import ConfigError, InvariantError
 from pfdl.federation import (ExperimentConfig, FederationConfig, aggregate,
                              run_experiment, run_task, sample_clients)
 from pfdl.persist import EventLog, canonical_json, sha256_hex
-from pfdl.seeding import rng_for
+from pfdl.seeding import TAG_INIT, rng_for
 from pfdl.serialize import load_client_state
 
 ARCH = nn.ArchSpec(input_dim=4, hidden_dims=(6,), num_classes=3)
@@ -284,6 +284,52 @@ def test_sharing_entries_share_trunk_and_aux_values(tmp_path):
     assert largest == 3
 
 
+def test_sharing_begin_task_redraws_only_the_class_head():
+    # a new sharing entry is the last entry bit for bit off the class head,
+    # which is the client's init-seed Glorot draw over a zero bias
+    cfg = small_cfg(mode="sharing")
+    arch, fed = cfg.arch(), cfg.federation
+    rng = np.random.default_rng(8)
+    st = ClientState(client_id=2)
+    st.pool = [nn.init_model(arch, s) for s in (1, 2)]
+    for model in st.pool:
+        model.params += rng.standard_normal(model.params.size)
+    last = st.pool[-1].params.copy()
+    assert federation._begin_task(cfg, st, np.ones((5, arch.input_dim)), 4) is None
+    assert len(st.pool) == 3 and st.task_bindings == {4: 2}
+    new = st.pool[-1].params
+    assert st.pool[1].params.tobytes() == last.tobytes()
+    lo, hi = arch.cls_head_span()
+    assert new[:lo].tobytes() == last[:lo].tobytes()
+    assert new[hi:].tobytes() == last[hi:].tobytes()
+    C, h = arch.num_classes, arch.hidden_dims[-1]
+    limit = np.sqrt(6.0 / (h + C))
+    draw = rng_for(fed.seed, TAG_INIT, 2, 4).uniform(-limit, limit, size=(C, h))
+    head = new[lo:hi].reshape(h + 1, C)  # [W^T; b]
+    assert head[:-1].T.tobytes() == draw.tobytes()
+    assert np.all(head[-1] == 0.0)
+
+
+# two clients, two shuffled domains: seed 2 gives neither client rows at
+# stream position 0, seed 9 neither at position 1
+UNHELD = {"clients": 2, "alpha": 0.001, "rounds_per_task": 1, "local_epochs": 1,
+          "data": {"num_classes": 2, "input_dim": 4, "samples_per_class": 10,
+                   "rotation_degrees": [0, 180], "stream_mode": "shuffled"}}
+
+
+@pytest.mark.parametrize("mode", federation.MODES)
+@pytest.mark.parametrize("seed, position", [(2, 0), (9, 1)])
+def test_a_stream_position_without_training_rows_is_a_config_error(mode, seed, position):
+    # a metrics cell must have a client that evaluates it: a pool carried
+    # across tasks needs rows at the first position, per-task pools at every one
+    cfg = config.parse_config(dict(UNHELD, mode=mode, seed=seed))
+    if position == 0 or federation.MODE_TABLE[mode].bind == federation.BIND_PER_TASK:
+        with pytest.raises(ConfigError, match=f"stream position {position}"):
+            run_experiment(cfg)
+    else:
+        assert np.isfinite(run_experiment(cfg).metrics.avg_final)
+
+
 def test_sharing_param_count_is_trunk_plus_heads():
     cfg = small_cfg(mode="sharing")
     res = run_experiment(cfg)
@@ -348,7 +394,7 @@ def test_memo_sees_a_model_changed_in_place(mode):
     states, n = res.states, 1
     # clients 0 and 1 hold bit-identical models (separate objects)
     for a, b in zip(states[0].pool, states[1].pool):
-        nn.copy_into(b, a)
+        np.copyto(b.params, a.params)
         assert a is not b and a.params.tobytes() == b.params.tobytes()
     memo = evaluation.OutputMemo()
     grid = np.full((3, 2, 2), np.nan)

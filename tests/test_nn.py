@@ -3,7 +3,7 @@ import pytest
 
 from pfdl import nn
 from pfdl.matching import matching_intensity
-from test_client import _reference_pass
+from test_client import _reference_pass, weights_and_biases
 
 
 def small_arch():
@@ -35,11 +35,21 @@ def test_init_different_seeds_differ():
 def test_init_biases_zero_and_bounds():
     arch = small_arch()
     m = nn.init_model(arch, 0)
-    for layer in (*m.trunk, m.cls_head, m.aux_head):
-        assert np.all(layer.bias == 0.0)
-        fan_out, fan_in = layer.weights.shape
+    for weights, bias in weights_and_biases(m):
+        assert np.all(bias == 0.0)
+        fan_out, fan_in = weights.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        assert np.all(np.abs(layer.weights) <= limit)
+        assert np.all(np.abs(weights) <= limit)
+
+
+def test_glorot_init_draws_out_by_in_weights_into_the_block():
+    # the (out, in) draw lands in the block's W^T rows, the bias row is zeroed
+    block = np.full((6, 3), 7.0)
+    nn.glorot_init(block, np.random.default_rng(4))
+    limit = np.sqrt(6.0 / (5 + 3))
+    want = np.random.default_rng(4).uniform(-limit, limit, size=(3, 5))
+    assert block[:-1].T.tobytes() == want.tobytes()
+    assert np.all(block[-1] == 0.0)
 
 
 def test_param_count_example():
@@ -53,23 +63,20 @@ def test_flat_layout_is_one_block_per_layer():
     # trunk layers, cls head, aux head; each a C-contiguous (in + 1, out)
     # block [W^T; b] of the flat vector, which the blocks tile in order
     m = nn.init_model(small_arch(), 3)
+    # (in_dim, out_dim): trunk 4 -> 5 -> 3, cls head 3 -> 3, aux head 3 -> 1
+    dims = [(4, 5), (5, 3), (3, 3), (3, 1)]
+    assert len(m.blocks) == len(m.arch.block_spans) == len(dims)
     lo = 0
-    for layer, (out_dim, in_dim) in zip(m.layers, m.arch.layer_dims()):
-        block = layer.block
+    for block, span, (in_dim, out_dim) in zip(m.blocks, m.arch.block_spans, dims):
         assert block.shape == (in_dim + 1, out_dim)
         assert block.flags.c_contiguous
         assert np.shares_memory(block, m.params)
         assert np.array_equal(block.ravel(), m.params[lo:lo + block.size])
+        assert span == (lo, lo + block.size, in_dim + 1, out_dim)
         lo += block.size
-        assert layer.weights.shape == (out_dim, in_dim)
-        assert np.array_equal(layer.weights, block[:-1].T)
-        assert np.shares_memory(layer.weights, block)
-        assert np.array_equal(layer.bias, block[-1])
-        assert np.shares_memory(layer.bias, block)
-    assert lo == m.params.size
-    assert m.layers == [*m.trunk, m.cls_head, m.aux_head]
+    assert lo == m.params.size == m.arch.param_count()
     lo, hi = m.arch.cls_head_span()
-    assert np.array_equal(m.params[lo:hi], m.cls_head.block.ravel())
+    assert np.array_equal(m.params[lo:hi], m.blocks[-2].ravel())
     with pytest.raises(ValueError):
         nn.PersonalModel(small_arch(), np.zeros(m.params.size + 1))
 
@@ -87,16 +94,17 @@ def test_arch_validation():
 def naive_forward(model, x):
     """Straight-line loop oracle, no shared code with nn internals."""
     h = np.array(x, dtype=float)
-    for layer in model.trunk:
-        z = np.zeros(layer.weights.shape[0])
-        for i in range(layer.weights.shape[0]):
-            acc = layer.bias[i]
-            for j in range(layer.weights.shape[1]):
-                acc += layer.weights[i, j] * h[j]
+    *trunk, (Wc, bc), (Wa, ba) = weights_and_biases(model)
+    for W, b in trunk:
+        z = np.zeros(W.shape[0])
+        for i in range(W.shape[0]):
+            acc = b[i]
+            for j in range(W.shape[1]):
+                acc += W[i, j] * h[j]
             z[i] = acc
         h = np.where(z > 0, z, 0.0)
-    logits = model.cls_head.bias + model.cls_head.weights @ h
-    v = float(model.aux_head.bias[0] + model.aux_head.weights[0] @ h)
+    logits = bc + Wc @ h
+    v = float(ba[0] + Wa[0] @ h)
     score = 1.0 / (1.0 + np.exp(-v))
     return logits, score
 
@@ -131,17 +139,18 @@ def test_forward_dimension_mismatch():
 
 def trunk(model, X):
     h = X
-    for layer in model.trunk:
-        h = np.maximum(h @ layer.weights.T + layer.bias, 0.0)
+    for W, b in weights_and_biases(model)[:-2]:
+        h = np.maximum(h @ W.T + b, 0.0)
     return h
 
 
 def two_pass_heads(model, X):
     """Class logits and aux scores, each from its own 2-D trunk pass."""
+    (Wc, bc), (Wa, ba) = weights_and_biases(model)[-2:]
     h_cls = trunk(model, X)
     h_aux = trunk(model, X)
-    logits = h_cls @ model.cls_head.weights.T + model.cls_head.bias
-    v = h_aux @ model.aux_head.weights.T + model.aux_head.bias
+    logits = h_cls @ Wc.T + bc
+    v = h_aux @ Wa.T + ba
     return logits, nn.sigmoid(v.ravel())
 
 
@@ -239,10 +248,20 @@ def test_softmax_rows_sum_to_one():
 # ---------------------------------------------------------------- losses
 
 
+def ce_rows(logits, labels):
+    """The training pass's per-row CE, into fresh scratch buffers."""
+    return nn._cross_entropy(logits, labels, nn._ce_scratch(logits.shape))[0]
+
+
+def bce_rows(scores, y):
+    """The training pass's per-row BCE, into fresh buffers."""
+    return nn._bce(scores, y, np.empty_like(scores), np.empty_like(scores))
+
+
 def ce(logits, label):
     """The training pass's CE on one row of logits."""
     logits = np.asarray(logits, dtype=float)[None, :]
-    return nn._cross_entropy(logits, np.array([label]))[0][0]
+    return ce_rows(logits, np.array([label]))[0]
 
 
 def test_ce_uniform_logits_is_log_c():
@@ -269,7 +288,7 @@ def test_ce_matches_extended_precision_oracle():
 
 def test_bce_cases():
     def bce(score, label):
-        return nn._bce(np.array([score]), np.array([float(label)]))[0]
+        return bce_rows(np.array([score]), np.array([float(label)]))[0]
 
     assert abs(bce(0.5, 1) - np.log(2.0)) < 1e-12
     # fully confident and correct: loss about 1e-12, certainly tiny
@@ -278,7 +297,7 @@ def test_bce_cases():
     assert np.isfinite(bce(0.0, 1))
     assert np.isfinite(bce(1.0, 0))
     # one term per row
-    pair = nn._bce(np.array([0.5, 0.25]), np.array([1.0, 0.0]))
+    pair = bce_rows(np.array([0.5, 0.25]), np.array([1.0, 0.0]))
     assert pair.tolist() == [bce(0.5, 1), bce(0.25, 0)]
 
 
@@ -319,8 +338,8 @@ def test_backward_matches_central_differences(term):
     y = y[:4]  # the CE labels the leading rows only
     grads = nn.backward(model, X, y_cls=y, y_aux=ya)
     loss = {
-        "cls": lambda: nn._cross_entropy(nn.heads(model, X[:4])[0], y)[0].mean(),
-        "aux": lambda: nn._bce(nn.heads(model, X)[1], ya).mean(),
+        "cls": lambda: ce_rows(nn.heads(model, X[:4])[0], y).mean(),
+        "aux": lambda: bce_rows(nn.heads(model, X)[1], ya).mean(),
         "joint": lambda: nn.batch_loss(model, X, y_cls=y, y_aux=ya),
     }[term]
     owned = {"cls": slice(*model.arch.cls_head_span()),
@@ -382,7 +401,7 @@ def test_backward_empty_batch_raises():
 def _fused_pass_2d(model, X, y, ya):
     """The joint pass on plain 2-D arrays, one product per layer and the
     same operation order as the stacked pass: (flat gradient, mean loss)."""
-    blocks = [layer.block for layer in model.layers]
+    blocks = model.blocks
     acts, zs = [np.hstack([X, np.ones((len(X), 1))])], []
     for block in blocks[:-2]:
         zs.append(np.dot(acts[-1], block))
@@ -394,7 +413,7 @@ def _fused_pass_2d(model, X, y, ya):
     loss = float((-(ya * np.log(sc) + (1.0 - ya) * np.log(1.0 - sc))).sum() / N)
     delta_a = (s - ya) / N
     grads[-1] = np.dot(h1.T, delta_a[:, None])
-    d_h = np.outer(delta_a, model.aux_head.weights)
+    d_h = np.outer(delta_a, aux[:-1])
     logits = h1[:n] @ cls
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
@@ -405,13 +424,13 @@ def _fused_pass_2d(model, X, y, ya):
     delta[np.arange(n), y] -= 1.0
     delta /= n
     grads[-2] = np.dot(h1[:n].T, delta)
-    d_h[:n] += delta @ model.cls_head.weights
+    d_h[:n] += delta @ cls[:-1].T
     delta = d_h
     for i in reversed(range(len(zs))):
         delta *= zs[i] > 0
         grads[i] = np.dot(acts[i].T, delta)
         if i > 0:
-            delta = delta @ model.trunk[i].weights
+            delta = delta @ blocks[i][:-1].T
     return np.concatenate([g.ravel() for g in grads]), loss
 
 
@@ -537,29 +556,31 @@ def test_sgd_step_formula():
     arch = nn.ArchSpec(input_dim=1, hidden_dims=(1,), num_classes=1)
     m = nn.init_model(arch, 0)
     m.params[:] = 0.0
-    m.trunk[0].weights[0, 0] = 1.0
+    w = m.blocks[0][:-1].T  # the first layer's weights; W[0, 0] is flat entry 0
+    w[0, 0] = 1.0
     g = np.zeros_like(m.params)
-    g[0] = 0.5  # flat entry 0 is trunk[0].weights[0, 0]
+    g[0] = 0.5
     nn.sgd_step(m.params, g, lr=0.1, weight_decay=0.0)
-    assert abs(m.trunk[0].weights[0, 0] - 0.95) < 1e-15
+    assert abs(w[0, 0] - 0.95) < 1e-15
     assert np.all(m.params[1:] == 0.0)
 
     # weight_decay 0.1, zero gradient: p shrinks by lr*wd*p
-    m.trunk[0].weights[0, 0] = 1.0
+    w[0, 0] = 1.0
     g[0] = 0.0
     nn.sgd_step(m.params, g, lr=0.1, weight_decay=0.1)
-    assert abs(m.trunk[0].weights[0, 0] - 0.99) < 1e-15
+    assert abs(w[0, 0] - 0.99) < 1e-15
 
 
 def test_sgd_descends_quadratic():
     # loss = 0.5 * p^2 so grad = p; a step must reduce the loss
     arch = nn.ArchSpec(input_dim=1, hidden_dims=(1,), num_classes=1)
     m = nn.init_model(arch, 1)
-    p0 = m.trunk[0].weights[0, 0] = 2.0
+    w = m.blocks[0][:-1].T  # the first layer's weights; W[0, 0] is flat entry 0
+    p0 = w[0, 0] = 2.0
     g = np.zeros_like(m.params)
-    g[0] = p0  # flat entry 0 is trunk[0].weights[0, 0]
+    g[0] = p0
     nn.sgd_step(m.params, g, lr=0.1)
-    assert 0.5 * m.trunk[0].weights[0, 0] ** 2 < 0.5 * p0**2
+    assert 0.5 * w[0, 0] ** 2 < 0.5 * p0**2
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-4, 0.3])
@@ -599,25 +620,28 @@ def test_trunk_update_visible_through_both_heads():
     # output must move because the trunk is physically shared
     X, y, ya = random_batch(rng, model, 16)
     aux = aux_head_slice(model.arch)
-    aux_before = model.aux_head.weights.copy()
+    aux_before = model.blocks[-1].copy()
     for _ in range(20):
         g = nn.backward(model, X, y_cls=y, y_aux=ya)
         g[aux] = 0.0
         nn.sgd_step(model.params, g, lr=0.5)
-    assert np.array_equal(aux_before, model.aux_head.weights)
+    assert np.array_equal(aux_before, model.blocks[-1])
     score_after = nn.heads(model, x)[1][0]
     logits_after = nn.heads(model, x)[0]
     assert not np.allclose(logits_before, logits_after)
     assert score_after != score_before
 
 
-def test_copy_into_preserves_aliasing():
+def test_copying_into_params_keeps_block_views():
+    # how a round's final global overwrites a bound model
     m1 = nn.init_model(small_arch(), 0)
-    buffer, trunk_w, aux_w = m1.params, m1.trunk[0].weights, m1.aux_head.weights
+    buffer, blocks = m1.params, m1.blocks
     src = nn.init_model(small_arch(), 99)
-    nn.copy_into(m1, src)
-    # copy_into writes into m1's own buffer, so views taken before see the new values
-    assert m1.params is buffer
-    assert np.array_equal(trunk_w, src.trunk[0].weights)
-    assert np.array_equal(aux_w, src.aux_head.weights)
+    np.copyto(m1.params, src.params)
+    # the copy writes into m1's own buffer, so blocks built before see the new values
+    assert m1.params is buffer and m1.blocks is blocks
+    for got, want in zip(blocks, src.blocks):
+        assert np.array_equal(got, want)
     assert not np.shares_memory(m1.params, src.params)
+    with pytest.raises(ValueError):
+        np.copyto(m1.params, np.zeros(m1.params.size + 1))

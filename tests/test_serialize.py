@@ -43,9 +43,9 @@ def test_model_bytes_keep_the_on_disk_layer_order():
         arrays.append(np.arange(start, start + np.prod(shape)).reshape(shape))
         start += np.prod(shape)
     m = nn.PersonalModel(arch)
-    for layer, weights, bias in zip(m.layers, arrays[::2], arrays[1::2]):
-        layer.weights[...] = weights
-        layer.bias[...] = bias
+    for block, weights, bias in zip(m.blocks, arrays[::2], arrays[1::2]):
+        block[:-1] = weights.T
+        block[-1] = bias
     buf = io.BytesIO()
     serialize.write_model(buf, m)
     want = np.concatenate([a.ravel() for a in arrays]).astype("<f8").tobytes()
@@ -54,9 +54,9 @@ def test_model_bytes_keep_the_on_disk_layer_order():
     buf.seek(0)
     back = serialize.read_model(buf)
     assert back.params.tobytes() == m.params.tobytes()
-    for layer, weights, bias in zip(back.layers, arrays[::2], arrays[1::2]):
-        assert np.array_equal(layer.weights, weights)
-        assert np.array_equal(layer.bias, bias)
+    for block, weights, bias in zip(back.blocks, arrays[::2], arrays[1::2]):
+        assert np.array_equal(block[:-1].T, weights)
+        assert np.array_equal(block[-1], bias)
 
 
 def test_model_bytes_start_with_magic_and_version():
@@ -145,17 +145,15 @@ def test_two_architectures_roundtrip_bitwise_in_one_process():
         start = buf.tell() + 4 + 4 + 12 + 4 * len(model.arch.hidden_dims)
         serialize.write_model(buf, model)
         # the version-1 order, which a round trip alone would not pin
-        want = np.concatenate([a.ravel() for layer in model.layers
-                               for a in (layer.weights, layer.bias)])
+        want = np.concatenate([a.ravel() for b in model.blocks for a in (b[:-1].T, b[-1])])
         assert buf.getvalue()[start:] == want.astype("<f8").tobytes()
     buf.seek(0)
     for model in models:
         back = serialize.read_model(buf)
         assert back.arch == model.arch
         assert back.params.tobytes() == model.params.tobytes()
-        for got, want in zip(back.layers, model.layers):
-            assert np.array_equal(got.weights, want.weights)
-            assert np.array_equal(got.bias, want.bias)
+        for got, want in zip(back.blocks, model.blocks):
+            assert np.array_equal(got, want)
     assert buf.read() == b""
 
 
