@@ -124,9 +124,8 @@ def evaluate_run_dir(run_dir):
     """Recompute the metrics of a finished run from its stored artifacts:
     `persist` reads the manifest and the checked datasets, partitions and
     streams are re-derived from the config (they are deterministic), and
-    `score_run` scores the per-task client-state checkpoints, checked here
-    as they load. Returns (config, metrics, pool_sizes, param_count_total).
-    """
+    `score_run` scores the checkpoints that `load_client_state` reads and
+    checks. Returns (config, metrics, pool_sizes, param_count_total)."""
     run_dir = Path(run_dir)
     config, data_seed = read_run_manifest(run_dir)
     cfg = parse_config(config)  # a config that parses but is invalid stays exit 2
@@ -134,25 +133,12 @@ def evaluate_run_dir(run_dir):
     partitions, streams = partitions_and_streams(cfg, data_seed, tasks)
     arch = cfg.arch()
 
-    states = []  # one task's clients at a time, refilled in place
+    states = []  # one task's clients at a time: the last task's are freed first
 
     def load_task(tpos: int):
         states.clear()
-        for k in range(cfg.federation.num_clients):
-            path = run_dir / state_file(tpos, k)
-            if not path.exists():
-                raise DataError(f"{path}: missing checkpoint")
-            states.append(load_client_state(path))
-            if states[-1].client_id != k:
-                raise DataError(f"{path}: holds client {states[-1].client_id}, expected {k}")
-            # bindings are made at the task being trained, never later
-            last = max(states[-1].task_bindings, default=0)
-            if last > tpos:
-                raise DataError(f"{path}: binds task {last}, but a checkpoint "
-                                f"after task {tpos} holds tasks 0..{tpos} only")
-            if any(m.arch != arch for m in states[-1].pool):
-                raise DataError(f"{path}: a pool model's architecture differs "
-                                f"from the config's {arch}")
+        states.extend(load_client_state(run_dir / state_file(tpos, k), arch, k, tpos)
+                      for k in range(cfg.federation.num_clients))
         return states
 
     return cfg, *score_run(cfg, tasks, streams, partitions, load_task, EventLog())

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .data import split_sizes
 from .errors import ConfigError, DataError
-from .serialize import SIDECAR_SUFFIX, load_dataset, save_dataset
+from .serialize import SIDECAR_SUFFIX, load_dataset, read_file, save_dataset
 
 
 def canonical_json(obj) -> str:
@@ -106,12 +106,11 @@ def start_run(out, cfg, data_seed: int, tasks) -> Path:
 
 def read_run_manifest(run_dir) -> tuple[dict, int]:
     """The config dict and the data seed of a run directory's manifest;
-    a missing or malformed manifest is a DataError."""
+    a missing, unreadable or malformed manifest is a DataError."""
     path = Path(run_dir) / "manifest.json"
-    if not path.exists():
-        raise DataError(f"{path.parent}: no manifest.json here (not a run directory?)")
+    text = read_file(path, f"{path.parent}: no manifest.json here (not a run directory?)")
     try:
-        manifest = json.loads(path.read_text())
+        manifest = json.loads(text)
         config, data_seed = manifest["config"], manifest["seeds"]["data"]
     except (ValueError, LookupError, TypeError) as e:  # bad JSON, a missing field
         raise DataError(f"{path}: not a run manifest ({e!r})") from e
@@ -122,7 +121,7 @@ def read_run_manifest(run_dir) -> tuple[dict, int]:
 
 def read_datasets(run_dir, cfg, data_seed: int) -> list:
     """The run's task datasets, one per configured domain. DataError unless
-    each file exists, holds its own task, and has the feature width, class
+    each file can be read, holds its own task, and has the feature width, class
     count, train/test row counts and domain block that the config gives
     the task, the manifest's data seed, finite features and labels in
     [0, num_classes)."""
@@ -131,8 +130,6 @@ def read_datasets(run_dir, cfg, data_seed: int) -> list:
     tasks = []
     for t, domain in enumerate(cfg.data.domains()):
         path = Path(run_dir) / dataset_file(t)
-        if not path.exists():
-            raise DataError(f"{path}: missing task dataset")
         task = load_dataset(path)
         if task.task_id != t:
             raise DataError(f"{path}: holds task {task.task_id}, expected {t}")

@@ -1,22 +1,24 @@
 """Versioned binary persistence.
 
-Model checkpoints: magic "PFDL", format version u32, the architecture,
-then the parameters as float64 little-endian, layer by layer (trunk,
-cls_head, aux_head), each layer's (out, in) weights row-major, then its
-bias. This on-disk order is unchanged since format version 1 and differs
-from the in-memory [Wᵀ; b] blocks of nn.PersonalModel, so the writer and
-the reader each move a model's parameters with one gather through an
-index built once per architecture. Dataset files
-("PFDD") and client-state files ("PFDS") follow the same header
-discipline. Readers load a file whole, validate magic and version, and
-raise DataError with file context on any mismatch or truncation; a count
-in a header that asks for more bytes than are left is a truncation.
+Files, and the model records in a state, start with a magic ("PFDD"
+dataset, "PFDS" client state, "PFDL" model) and the format version as a
+u32; numbers are little-endian. Both loaders read a file whole through
+one byte reader: it checks magic and version, sizes each read by its
+struct format or dtype, and calls a read past the end (as a corrupt count
+asks for) a truncation. A file that cannot be read is a DataError.
+
+A model record is `_model_header(arch)`, then the float64 parameters
+layer by layer (trunk, cls_head, aux_head), each layer's (out, in)
+weights row-major, then its bias: the version-1 order, not the in-memory
+[Wᵀ; b] blocks, so an index built once per architecture moves models
+between the two. `load_client_state` checks a checkpoint against the
+config without parsing it: one comparison covers every record's header,
+the pool decodes as one (M, P) stack, and it alone decides validity.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import json
 import math
 import struct
@@ -36,35 +38,59 @@ FORMAT_VERSION = 1
 SIDECAR_SUFFIX = ".rho.json"  # the matching history beside a .state file
 
 
-def _read_exact(fh, n: int, ctx: str) -> bytes:
-    # checked against the bytes left, so a corrupt count never asks for more
-    pos = fh.tell()
-    left = fh.seek(0, io.SEEK_END) - pos
-    fh.seek(pos)
-    if n > left:
-        raise DataError(f"{ctx}: truncated file (wanted {n} bytes, got {left})")
-    return fh.read(n)
+def read_file(path, missing: str) -> bytes:
+    """The bytes of the file at path. A DataError with the message
+    `missing` if it does not exist, or naming it if it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise DataError(missing) from None
+    except OSError as e:  # a directory, no permission
+        raise DataError(f"{path}: cannot be read ({e.strerror})") from e
 
 
-def _check_header(fh, magic: bytes, ctx: str) -> None:
-    got = _read_exact(fh, 4, ctx)
-    if got != magic:
-        raise DataError(f"{ctx}: bad magic {got!r}, expected {magic!r}")
-    (version,) = struct.unpack("<I", _read_exact(fh, 4, ctx))
-    if version != FORMAT_VERSION:
-        raise DataError(f"{ctx}: unsupported format version {version}")
+class _Reader:
+    """A binary file read whole, taken front to back after its magic and
+    version are checked; a take past the end is a truncation."""
+
+    def __init__(self, path, magic: bytes, missing: str):
+        self.ctx = str(path)
+        self.buf = memoryview(read_file(path, missing))
+        self.pos = 0
+        got, version = self.unpack("<4sI")
+        if got != magic:
+            raise DataError(f"{self.ctx}: bad magic {got!r}, expected {magic!r}")
+        if version != FORMAT_VERSION:
+            raise DataError(f"{self.ctx}: unsupported format version {version}")
+
+    def take(self, n: int) -> memoryview:
+        left = len(self.buf) - self.pos
+        if n > left:
+            raise DataError(f"{self.ctx}: truncated file (wanted {n} bytes, got {left})")
+        self.pos += n
+        return self.buf[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype, shape: tuple) -> np.ndarray:
+        """A read-only view of the next prod(shape) items of dtype."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.take(dtype.itemsize * math.prod(shape)), dtype).reshape(shape)
 
 
 def _write_f64(fh, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_f64(fh, shape, ctx: str) -> np.ndarray:
-    buf = _read_exact(fh, 8 * math.prod(shape), ctx)
-    return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-
-
 # ---------------------------------------------------------------- models
+
+
+def _model_header(arch: nn.ArchSpec) -> bytes:
+    """The header of every model record of arch."""
+    depth = len(arch.hidden_dims)
+    return struct.pack(f"<4sIIII{depth}I", MODEL_MAGIC, FORMAT_VERSION, arch.input_dim,
+                       arch.num_classes, depth, *arch.hidden_dims)
 
 
 @functools.lru_cache(maxsize=16)
@@ -80,27 +106,10 @@ def _disk_order(input_dim: int, hidden_dims: tuple, num_classes: int) -> tuple:
 
 
 def write_model(fh, model: nn.PersonalModel) -> None:
-    fh.write(MODEL_MAGIC)
-    fh.write(struct.pack("<I", FORMAT_VERSION))
     arch = model.arch
-    fh.write(struct.pack("<III", arch.input_dim, arch.num_classes, len(arch.hidden_dims)))
-    fh.write(struct.pack(f"<{len(arch.hidden_dims)}I", *arch.hidden_dims))
     gather, _ = _disk_order(arch.input_dim, arch.hidden_dims, arch.num_classes)
+    fh.write(_model_header(arch))
     _write_f64(fh, model.params[gather])
-
-
-def read_model(fh, ctx: str = "checkpoint") -> nn.PersonalModel:
-    _check_header(fh, MODEL_MAGIC, ctx)
-    input_dim, num_classes, depth = struct.unpack("<III", _read_exact(fh, 12, ctx))
-    hidden = struct.unpack(f"<{depth}I", _read_exact(fh, 4 * depth, ctx))
-    try:
-        arch = nn.ArchSpec(input_dim=input_dim, hidden_dims=hidden, num_classes=num_classes)
-    except ValueError as e:
-        raise DataError(f"{ctx}: bad model header ({e})") from e
-    # read before the index is built, so a huge header count is a truncation
-    disk = np.frombuffer(_read_exact(fh, 8 * arch.param_count(), ctx), dtype="<f8")
-    _, scatter = _disk_order(input_dim, arch.hidden_dims, num_classes)
-    return nn.PersonalModel(arch, disk.take(scatter).astype(np.float64, copy=False))
 
 
 # ---------------------------------------------------------------- datasets
@@ -123,20 +132,17 @@ def save_dataset(path, task: TaskDataset) -> None:
 
 
 def load_dataset(path) -> TaskDataset:
-    ctx = str(path)
-    with io.BytesIO(Path(path).read_bytes()) as fh:
-        _check_header(fh, DATA_MAGIC, ctx)
-        task_id, num_classes, dim, seed = struct.unpack("<IIIq", _read_exact(fh, 20, ctx))
-        (dom_len,) = struct.unpack("<I", _read_exact(fh, 4, ctx))
-        try:
-            domain = json.loads(_read_exact(fh, dom_len, ctx))
-        except ValueError as e:  # bad JSON or bad UTF-8
-            raise DataError(f"{ctx}: bad domain block ({e})") from e
-        n_train, n_test = struct.unpack("<QQ", _read_exact(fh, 16, ctx))
-        train_x = _read_f64(fh, (n_train, dim), ctx)
-        train_y = np.frombuffer(_read_exact(fh, 4 * n_train, ctx), dtype="<u4").astype(np.int64)
-        test_x = _read_f64(fh, (n_test, dim), ctx)
-        test_y = np.frombuffer(_read_exact(fh, 4 * n_test, ctx), dtype="<u4").astype(np.int64)
+    r = _Reader(path, DATA_MAGIC, f"{path}: missing task dataset")
+    task_id, num_classes, dim, seed, dom_len = r.unpack("<IIIqI")
+    try:
+        domain = json.loads(bytes(r.take(dom_len)))
+    except ValueError as e:  # bad JSON or bad UTF-8
+        raise DataError(f"{r.ctx}: bad domain block ({e})") from e
+    n_train, n_test = r.unpack("<QQ")
+    train_x = r.array("<f8", (n_train, dim)).astype(np.float64)
+    train_y = r.array("<u4", (n_train,)).astype(np.int64)
+    test_x = r.array("<f8", (n_test, dim)).astype(np.float64)
+    test_y = r.array("<u4", (n_test,)).astype(np.int64)
     return TaskDataset(task_id=task_id, domain=domain, num_classes=num_classes,
                        train_x=train_x, train_y=train_y, test_x=test_x, test_y=test_y,
                        seed=seed)
@@ -164,29 +170,39 @@ def save_client_state(path, state: ClientState) -> tuple[Path, Path]:
     return path, sidecar
 
 
-def load_client_state(path) -> ClientState:
-    """Rebuild a client's pool and bindings at a task boundary; the
-    sidecar's history is not read. The next `begin_task` rebuilds the
-    migration pull statistics (s, abar, c) from the pool. A task bound
-    twice, a binding to an index outside the pool, or a non-finite
-    parameter is a DataError."""
-    ctx = str(path)
-    with io.BytesIO(Path(path).read_bytes()) as fh:
-        _check_header(fh, STATE_MAGIC, ctx)
-        client_id, pool_size = struct.unpack("<II", _read_exact(fh, 8, ctx))
-        (n_bind,) = struct.unpack("<I", _read_exact(fh, 4, ctx))
-        bindings = {}
-        for _ in range(n_bind):
-            t, idx = struct.unpack("<II", _read_exact(fh, 8, ctx))
-            if t in bindings:
-                raise DataError(f"{ctx}: task {t} is bound twice")
-            if idx >= pool_size:
-                raise DataError(f"{ctx}: task {t} is bound to pool index {idx}, "
-                                f"but the pool holds {pool_size} models")
-            bindings[t] = idx
-        pool = [read_model(fh, ctx) for _ in range(pool_size)]
-        if fh.read(1):
-            raise DataError(f"{ctx}: trailing bytes after the last model")
-    if pool and not np.isfinite(np.concatenate([m.params for m in pool])).all():
-        raise DataError(f"{ctx}: a pool model holds a non-finite parameter")
+def load_client_state(path, arch: nn.ArchSpec, client_id: int, task_pos: int) -> ClientState:
+    """Client `client_id`'s pool of arch models and its bindings, from its
+    checkpoint after stream position task_pos (the sidecar is not read; the
+    next `begin_task` rebuilds the migration pull statistics from the pool).
+    A DataError naming the file unless it holds that client, binds each
+    task once, at most task_pos, inside its pool, has arch's model headers
+    and finite parameters, and ends with the last model."""
+    r = _Reader(path, STATE_MAGIC, f"{path}: missing checkpoint")
+    stored, pool_size, n_bind = r.unpack("<III")
+    if stored != client_id:
+        raise DataError(f"{r.ctx}: holds client {stored}, expected {client_id}")
+    pairs = r.unpack(f"<{2 * n_bind}I")
+    bindings = {}
+    for t, idx in zip(pairs[::2], pairs[1::2]):
+        if t in bindings:
+            raise DataError(f"{r.ctx}: task {t} is bound twice")
+        if idx >= pool_size:
+            raise DataError(f"{r.ctx}: task {t} is bound to pool index {idx}, "
+                            f"but the pool holds {pool_size} models")
+        if t > task_pos:  # bindings are made at the task being trained
+            raise DataError(f"{r.ctx}: binds task {t}, but a checkpoint "
+                            f"after task {task_pos} holds tasks 0..{task_pos} only")
+        bindings[t] = idx
+    head = _model_header(arch)
+    records = r.array(np.uint8, (pool_size, len(head) + 8 * arch.param_count()))
+    if not (records[:, :len(head)] == np.frombuffer(head, np.uint8)).all():
+        raise DataError(f"{r.ctx}: a pool model's header is not the config's "
+                        f"(magic {MODEL_MAGIC!r}, version {FORMAT_VERSION}, {arch})")
+    if r.pos != len(r.buf):
+        raise DataError(f"{r.ctx}: trailing bytes after the last model")
+    _, scatter = _disk_order(arch.input_dim, arch.hidden_dims, arch.num_classes)
+    params = records[:, len(head):].view("<f8").take(scatter, axis=1)
+    if not np.isfinite(params).all():
+        raise DataError(f"{r.ctx}: a pool model holds a non-finite parameter")
+    pool = [nn.PersonalModel(arch, p) for p in params.astype(np.float64, copy=False)]
     return ClientState(client_id=client_id, pool=pool, task_bindings=bindings)

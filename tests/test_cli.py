@@ -17,6 +17,7 @@ TINY = {
              "rotation_degrees": [0, 180]},
     "arch": {"hidden_dims": [10, 6]},
 }
+TINY_ARCH = nn.ArchSpec(input_dim=6, hidden_dims=(10, 6), num_classes=3)
 
 
 @pytest.fixture()
@@ -123,23 +124,21 @@ def test_eval_rejects_invalid_model_header(tiny_config, tmp_path, capsys):
     raw[at:at + 4] = bytes(4)
     path.write_bytes(bytes(raw))
     assert cli.main(["eval", str(run_dir)]) == 3
-    assert "bad model header" in capsys.readouterr().err
+    assert "a pool model's header is not the config's" in capsys.readouterr().err
 
 
 def test_eval_rejects_trailing_bytes(tiny_config, tmp_path, capsys):
-    # hidden dims [10, 6] relabelled [6, 10]: the model reads 8 floats
-    # short and leaves them behind
+    # one byte, or a whole float's worth
     run_dir = tmp_path / "run"
     cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)])
     path = first_state_file(run_dir)
-    raw = bytearray(path.read_bytes())
-    at = raw.index(b"PFDL") + 20  # the first model's hidden dims
-    assert raw.count(b"PFDL") == 1
-    assert raw[at:at + 8] == struct.pack("<II", 10, 6)
-    raw[at:at + 8] = struct.pack("<II", 6, 10)
-    path.write_bytes(bytes(raw))
-    assert cli.main(["eval", str(run_dir)]) == 3
-    assert "trailing bytes" in capsys.readouterr().err
+    raw = path.read_bytes()
+    for extra in (b"\0", bytes(8)):
+        path.write_bytes(raw + extra)
+        capsys.readouterr()
+        assert cli.main(["eval", str(run_dir)]) == 3
+        assert capsys.readouterr().err == (f"error[data]: {path}: trailing bytes "
+                                           "after the last model\n")
 
 
 def test_eval_rejects_a_missing_checkpoint(tiny_config, tmp_path, capsys):
@@ -149,6 +148,51 @@ def test_eval_rejects_a_missing_checkpoint(tiny_config, tmp_path, capsys):
     path.unlink()
     assert cli.main(["eval", str(run_dir)]) == 3
     assert capsys.readouterr().err == f"error[data]: {path}: missing checkpoint\n"
+
+
+@pytest.mark.parametrize("name", ["checkpoints/task_01/client_001.state",
+                                  "data/task_01.bin", "manifest.json"],
+                         ids=["checkpoint", "dataset", "manifest"])
+def test_eval_rejects_an_unreadable_file(tiny_config, tmp_path, capsys, name):
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
+    path = run_dir / name
+    path.unlink()
+    path.mkdir()
+    capsys.readouterr()
+    assert cli.main(["eval", str(run_dir)]) == 3
+    assert capsys.readouterr().err.startswith(f"error[data]: {path}: cannot be read (")
+
+
+def test_eval_rejects_every_header_byte_flip(tiny_config, tmp_path, capsys):
+    # each byte of the state header, the bindings and every model record's
+    # header, xor 0x01 and xor 0x80, is exit 3 and a one-line error. Only a
+    # flipped binding that still binds tasks 0 and 1 once each inside the
+    # pool of 2 may load: nothing in the file alone can tell it apart.
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
+    path = run_dir / "checkpoints" / "task_01" / "client_001.state"
+    raw = path.read_bytes()
+    pool, n_bind = struct.unpack("<II", raw[12:20])
+    assert (pool, n_bind) == (2, 2)
+    record = (len(raw) - 36) // 2
+    offsets = [*range(36), *(36 + i * record + j for i in range(2) for j in range(28))]
+    loaded = set()
+    for at in offsets:
+        for bit in (0x01, 0x80):
+            flipped = bytearray(raw)
+            flipped[at] ^= bit
+            path.write_bytes(bytes(flipped))
+            capsys.readouterr()
+            code = cli.main(["eval", str(run_dir), "--out", str(tmp_path / "eval")])
+            err = capsys.readouterr().err
+            assert code == 3 or (code == 0 and 20 <= at < 36), (at, bit, code)
+            assert code == 0 or err.startswith(f"error[data]: {path}: "), (at, bit, err)
+            if code == 0:
+                pairs = struct.unpack("<4I", flipped[20:36])
+                assert sorted(pairs[::2]) == [0, 1] and max(pairs[1::2]) < 2, (at, bit)
+                loaded.add((at, bit))
+    assert loaded == {(24, 0x01), (32, 0x01)}  # a pool index 0 <-> 1
 
 
 def test_eval_does_not_read_the_matching_sidecars(tiny_config, tmp_path):
@@ -226,7 +270,7 @@ def test_eval_rejects_a_bad_binding(tmp_path, capsys, offset, value, message):
     run_dir = tmp_path / "run"
     assert cli.main(["run", "--config", str(cfg), "--out", str(run_dir)]) == 0
     path = run_dir / "checkpoints" / "task_01" / "client_001.state"
-    assert load_client_state(path).task_bindings == {0: 0, 1: 1}
+    assert load_client_state(path, TINY_ARCH, 1, 1).task_bindings == {0: 0, 1: 1}
     raw = bytearray(path.read_bytes())
     raw[offset:offset + 4] = struct.pack("<I", value)
     path.write_bytes(bytes(raw))
@@ -245,7 +289,7 @@ def test_eval_rejects_a_non_finite_parameter(tmp_path, capsys, value):
     run_dir = tmp_path / "run"
     assert cli.main(["run", "--config", str(cfg), "--out", str(run_dir)]) == 0
     path = run_dir / "checkpoints" / "task_01" / "client_001.state"
-    state = load_client_state(path)
+    state = load_client_state(path, TINY_ARCH, 1, 1)
     assert len(state.task_bindings) == 2
     raw = bytearray(path.read_bytes())
     assert raw[64:72] == struct.pack("<d", state.pool[0].blocks[0][0, 0])
@@ -369,12 +413,15 @@ def test_eval_rejects_a_model_of_another_arch(tiny_config, tmp_path, capsys):
     run_dir = tmp_path / "run"
     cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)])
     path = first_state_file(run_dir)
-    state = load_client_state(path)
+    state = load_client_state(path, TINY_ARCH, 0, 0)
     other = nn.ArchSpec(input_dim=6, hidden_dims=(6, 10), num_classes=3)
     state.pool = [nn.init_model(other, 0) for _ in state.pool]
     save_client_state(path, state)
+    capsys.readouterr()
+    # the pool is sized by the config's architecture, and (6, 10) has
+    # fewer parameters, so the file ends before the pool does
     assert cli.main(["eval", str(run_dir)]) == 3
-    assert "architecture differs" in capsys.readouterr().err
+    assert f"{path}: truncated file" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -271,7 +271,8 @@ def test_sharing_entries_share_trunk_and_aux_values(tmp_path):
     for t in range(3):
         for k in range(cfg.federation.num_clients):
             st = load_client_state(
-                tmp_path / "checkpoints" / f"task_{t:02d}" / f"client_{k:03d}.state")
+                tmp_path / "checkpoints" / f"task_{t:02d}" / f"client_{k:03d}.state",
+                cfg.arch(), k, t)
             if not st.pool:
                 continue
             largest = max(largest, len(st.pool))

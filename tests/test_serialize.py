@@ -19,44 +19,57 @@ def random_model(seed, arch=None):
 # ------------------------------------------------------------- models
 
 
-def test_model_roundtrip_bitwise():
+def save_and_load(path, state, arch=None, task_pos=None):
+    """state written to path and read back against arch (its first
+    model's by default), after the task of its latest binding."""
+    serialize.save_client_state(path, state)
+    arch = arch or state.pool[0].arch
+    task_pos = max(state.task_bindings, default=0) if task_pos is None else task_pos
+    return serialize.load_client_state(path, arch, state.client_id, task_pos)
+
+
+def test_model_roundtrip_bitwise(tmp_path):
     for seed in range(5):
         m = random_model(seed)
-        buf = io.BytesIO()
-        serialize.write_model(buf, m)
-        buf.seek(0)
-        back = serialize.read_model(buf)
+        state = ClientState(client_id=0, pool=[m], task_bindings={0: 0})
+        (back,) = save_and_load(tmp_path / "client_000.state", state).pool
         assert back.arch == m.arch
         assert back.params.dtype == np.float64
         assert np.array_equal(back.params, m.params)
-        assert buf.read() == b""
 
 
-def test_model_bytes_keep_the_on_disk_layer_order():
-    # on disk: per layer, the (out, in) weights row-major, then the bias,
-    # whatever the in-memory layout
+def test_model_bytes_keep_the_on_disk_layer_order(tmp_path):
+    # a whole state's bytes, built by hand: on disk, per layer, the (out,
+    # in) weights row-major, then the bias, whatever the in-memory layout.
+    # Depth 1 makes a record's header 24 bytes, so after the 36-byte state
+    # header the first model's floats sit 4 bytes off 8-byte alignment.
     arch = nn.ArchSpec(input_dim=2, hidden_dims=(3,), num_classes=2)
     shapes = [(3, 2), (3,), (2, 3), (2,), (1, 3), (1,)]
-    arrays = []
-    start = 1.0
-    for shape in shapes:
-        arrays.append(np.arange(start, start + np.prod(shape)).reshape(shape))
-        start += np.prod(shape)
-    m = nn.PersonalModel(arch)
-    for block, weights, bias in zip(m.blocks, arrays[::2], arrays[1::2]):
-        block[:-1] = weights.T
-        block[-1] = bias
-    buf = io.BytesIO()
-    serialize.write_model(buf, m)
-    want = np.concatenate([a.ravel() for a in arrays]).astype("<f8").tobytes()
-    header = 4 + 4 + 12 + 4 * len(arch.hidden_dims)
-    assert buf.getvalue()[header:] == want
-    buf.seek(0)
-    back = serialize.read_model(buf)
-    assert back.params.tobytes() == m.params.tobytes()
-    for block, weights, bias in zip(back.blocks, arrays[::2], arrays[1::2]):
-        assert np.array_equal(block[:-1].T, weights)
-        assert np.array_equal(block[-1], bias)
+    models, disk = [], []
+    for k in range(2):
+        arrays, start = [], 1.0 + 100 * k
+        for shape in shapes:
+            arrays.append(np.arange(start, start + np.prod(shape)).reshape(shape))
+            start += np.prod(shape)
+        m = nn.PersonalModel(arch)
+        for block, weights, bias in zip(m.blocks, arrays[::2], arrays[1::2]):
+            block[:-1] = weights.T
+            block[-1] = bias
+        models.append(m)
+        disk.append(np.concatenate([a.ravel() for a in arrays]))
+    state = ClientState(client_id=5, pool=models, task_bindings={3: 1, 0: 0})
+    path, _ = serialize.save_client_state(tmp_path / "client_005.state", state)
+    want = (b"PFDS" + struct.pack("<IIII", 1, 5, 2, 2) + struct.pack("<4I", 0, 0, 3, 1)
+            + b"".join(b"PFDL" + struct.pack("<IIIII", 1, 2, 2, 1, 3)
+                       + struct.pack(f"<{arch.param_count()}d", *d) for d in disk))
+    assert path.read_bytes() == want
+    back = serialize.load_client_state(path, arch, 5, 3)
+    assert back.task_bindings == {0: 0, 3: 1}
+    for got, m in zip(back.pool, models):
+        assert got.params.tobytes() == m.params.tobytes()
+        assert got.params.flags.c_contiguous
+        for block, want_block in zip(got.blocks, m.blocks):
+            assert np.array_equal(block, want_block)
 
 
 def test_model_bytes_start_with_magic_and_version():
@@ -81,89 +94,80 @@ def test_model_file_size_matches_layout():
     assert len(buf.getvalue()) == header + 8 * arch.param_count()
 
 
-def corrupted(edit) -> io.BytesIO:
-    """A written model's bytes after edit(bytearray), ready to read."""
-    buf = io.BytesIO()
-    serialize.write_model(buf, random_model(0))
-    raw = bytearray(buf.getvalue())
+STATE_HEADER = 20 + 8  # magic, version, client id, pool size, bindings; one binding
+
+
+def corrupted(tmp_path, edit):
+    """A one-model, one-binding state file after edit(bytearray)."""
+    state = ClientState(client_id=0, pool=[random_model(0)], task_bindings={0: 0})
+    path, _ = serialize.save_client_state(tmp_path / "client_000.state", state)
+    raw = bytearray(path.read_bytes())
     edit(raw)
-    return io.BytesIO(bytes(raw))
+    path.write_bytes(bytes(raw))
+    return path
 
 
-def test_bad_magic_rejected():
-    def edit(raw):
-        raw[:4] = b"NOPE"
-    with pytest.raises(DataError, match="magic"):
-        serialize.read_model(corrupted(edit))
+def load(path):
+    return serialize.load_client_state(path, random_model(0).arch, 0, 0)
 
 
-def test_bad_version_rejected():
-    def edit(raw):
-        raw[4:8] = (99).to_bytes(4, "little")
-    with pytest.raises(DataError, match="version"):
-        serialize.read_model(corrupted(edit))
+def test_bad_magic_rejected(tmp_path):
+    # the state's own magic, then the model record's
+    for at, message in ((0, "bad magic"), (STATE_HEADER, "header is not the config's")):
+        def edit(raw):
+            raw[at:at + 4] = b"NOPE"
+        with pytest.raises(DataError, match=message):
+            load(corrupted(tmp_path, edit))
 
 
-def test_truncated_file_rejected():
+def test_bad_version_rejected(tmp_path):
+    for at, message in ((4, "unsupported format version 99"),
+                        (STATE_HEADER + 4, "header is not the config's")):
+        def edit(raw):
+            raw[at:at + 4] = (99).to_bytes(4, "little")
+        with pytest.raises(DataError, match=message):
+            load(corrupted(tmp_path, edit))
+
+
+def test_truncated_file_rejected(tmp_path):
     def edit(raw):
         del raw[-9:]
     with pytest.raises(DataError, match="truncated"):
-        serialize.read_model(corrupted(edit))
+        load(corrupted(tmp_path, edit))
 
 
-def test_huge_model_depth_is_truncation(tmp_path):
-    # a depth of 2**32 - 1 would read 16 GiB of hidden dims
-    def edit(raw):
-        raw[16:20] = b"\xff" * 4
-    path = tmp_path / "model.bin"
-    path.write_bytes(corrupted(edit).getvalue())
-    with open(path, "rb") as fh, pytest.raises(DataError, match="truncated"):
-        serialize.read_model(fh)
-
-
-def test_huge_hidden_width_is_truncation():
-    # a hidden width of 2**31 - 1 asks for about 2**34 parameters, and the
-    # disk-order index is built only once the bytes are known to be there
-    def edit(raw):
-        raw[20:24] = struct.pack("<I", 2**31 - 1)  # the first hidden width
-    with pytest.raises(DataError, match="truncated"):
-        serialize.read_model(corrupted(edit))
-
-
-def test_two_architectures_roundtrip_bitwise_in_one_process():
+def test_two_architectures_roundtrip_bitwise_in_one_process(tmp_path):
     # the disk-order index is cached per architecture: two archs that
     # share a parameter count, and one that shares all but its class count
     archs = [nn.ArchSpec(input_dim=5, hidden_dims=(7, 4), num_classes=3),
              nn.ArchSpec(input_dim=5, hidden_dims=(5, 6), num_classes=3),
              nn.ArchSpec(input_dim=5, hidden_dims=(7, 4), num_classes=4)]
     assert archs[0].param_count() == archs[1].param_count()
-    models = [random_model(seed, arch) for arch in archs for seed in (0, 1)]
-    for model in models:
-        model.params += np.arange(model.params.size)  # distinct biases too
-    buf = io.BytesIO()
-    for model in models:
-        start = buf.tell() + 4 + 4 + 12 + 4 * len(model.arch.hidden_dims)
-        serialize.write_model(buf, model)
-        # the version-1 order, which a round trip alone would not pin
-        want = np.concatenate([a.ravel() for b in model.blocks for a in (b[:-1].T, b[-1])])
-        assert buf.getvalue()[start:] == want.astype("<f8").tobytes()
-    buf.seek(0)
-    for model in models:
-        back = serialize.read_model(buf)
-        assert back.arch == model.arch
-        assert back.params.tobytes() == model.params.tobytes()
-        for got, want in zip(back.blocks, model.blocks):
-            assert np.array_equal(got, want)
-    assert buf.read() == b""
+    for i, arch in enumerate(archs):
+        models = [random_model(seed, arch) for seed in (0, 1)]
+        for model in models:
+            model.params += np.arange(model.params.size)  # distinct biases too
+        state = ClientState(client_id=i, pool=models, task_bindings={0: 0, 1: 1})
+        back = save_and_load(tmp_path / f"client_{i:03d}.state", state)
+        for got, model in zip(back.pool, models):
+            assert got.arch == arch
+            assert got.params.tobytes() == model.params.tobytes()
+    # and each is refused against another's: the record sizes differ, or
+    # with archs[1] read as archs[0], only the headers do
+    for i, arch in enumerate(archs):
+        with pytest.raises(DataError, match="header is not the config's|truncated"):
+            serialize.load_client_state(tmp_path / f"client_{i:03d}.state",
+                                        archs[i - 1], i, 1)
 
 
 @pytest.mark.parametrize("field", [0, 1, 2])
-def test_invalid_arch_header_rejected(field):
+def test_invalid_arch_header_rejected(tmp_path, field):
     # input_dim, num_classes or depth of zero describes no architecture
     def edit(raw):
-        raw[8 + 4 * field:12 + 4 * field] = bytes(4)
-    with pytest.raises(DataError, match="bad model header"):
-        serialize.read_model(corrupted(edit))
+        at = STATE_HEADER + 8 + 4 * field
+        raw[at:at + 4] = bytes(4)
+    with pytest.raises(DataError, match="header is not the config's"):
+        load(corrupted(tmp_path, edit))
 
 
 # ------------------------------------------------------------- datasets
@@ -191,8 +195,8 @@ def test_dataset_magic(tmp_path):
     path = tmp_path / "t.bin"
     serialize.save_dataset(path, base)
     assert path.read_bytes()[:4] == b"PFDD"
-    with open(path, "rb") as fh, pytest.raises(DataError):
-        serialize.read_model(fh)  # wrong reader for this magic
+    with pytest.raises(DataError, match="bad magic"):  # the wrong reader for this magic
+        serialize.load_client_state(path, random_model(0).arch, 0, 0)
 
 
 @pytest.mark.parametrize("offset, byte", [(-1, b" "), (0, b"\xff")],
@@ -222,7 +226,7 @@ def test_client_state_roundtrip(tmp_path):
     path, sidecar = serialize.save_client_state(tmp_path / "client_004.state", state)
     assert path.read_bytes()[:4] == b"PFDS"
     assert json.loads(sidecar.read_text()) == state.rho_history
-    back = serialize.load_client_state(path)
+    back = serialize.load_client_state(path, state.pool[0].arch, 4, 2)
     assert back.client_id == 4
     assert back.task_bindings == state.task_bindings
     assert back.rho_history == []
@@ -238,13 +242,13 @@ def test_huge_pool_size_is_truncation(tmp_path):
     raw[12:16] = b"\xff" * 4  # pool size 2**32 - 1
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError, match="truncated"):
-        serialize.load_client_state(path)
+        load(path)
 
 
 def test_client_state_without_sidecar(tmp_path):
     state = ClientState(client_id=0, pool=[random_model(0)], task_bindings={0: 0})
     path, sidecar = serialize.save_client_state(tmp_path / "client_000.state", state)
     sidecar.unlink()
-    back = serialize.load_client_state(path)
+    back = load(path)
     assert back.rho_history == []
 
