@@ -136,6 +136,24 @@ def test_truncated_file_rejected(tmp_path):
         load(corrupted(tmp_path, edit))
 
 
+def test_huge_model_depth_is_truncation(tmp_path):
+    # a depth of 2**32 - 1 once sized a 16 GiB read of hidden dims; the
+    # reader now sizes every record from the config, so it is a mismatch
+    def edit(raw):
+        raw[STATE_HEADER + 16:STATE_HEADER + 20] = b"\xff" * 4
+    with pytest.raises(DataError, match="header is not the config's"):
+        load(corrupted(tmp_path, edit))
+
+
+def test_huge_hidden_width_is_truncation(tmp_path):
+    # a first hidden width of 2**31 - 1 once asked for about 2**34
+    # parameters; sized from the config, the record is a header mismatch
+    def edit(raw):
+        raw[STATE_HEADER + 20:STATE_HEADER + 24] = struct.pack("<I", 2**31 - 1)
+    with pytest.raises(DataError, match="header is not the config's"):
+        load(corrupted(tmp_path, edit))
+
+
 def test_two_architectures_roundtrip_bitwise_in_one_process(tmp_path):
     # the disk-order index is cached per architecture: two archs that
     # share a parameter count, and one that shares all but its class count
