@@ -127,8 +127,7 @@ def evaluate_run_dir(run_dir):
     `score_run` scores the checkpoints that `load_client_state` reads and
     checks. Returns (config, metrics, pool_sizes, param_count_total)."""
     run_dir = Path(run_dir)
-    config, data_seed = read_run_manifest(run_dir)
-    cfg = parse_config(config)  # a config that parses but is invalid stays exit 2
+    cfg, data_seed = read_run_manifest(run_dir)
     tasks = read_datasets(run_dir, cfg, data_seed)
     partitions, streams = partitions_and_streams(cfg, data_seed, tasks)
     arch = cfg.arch()

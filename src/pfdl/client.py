@@ -12,13 +12,12 @@ count.
 
 A local round trains all of a round's sampled clients at once: each bound
 model takes one slot of an `nn.Workspace`, and each step is one stacked
-pass over the slots still training. Each client lays out its coming
-steps' slot rows ([batch; negatives; zero rows], with the ones column and
-the labels) in a staging buffer, STAGED_STEPS steps at a time, drawing an
-epoch's permutation and negatives as it reaches the epoch; a step then
-fills every slot with one stacked copy. The per-client parts of a step
-(the migration pull and the SGD update) stay per client, so a client's
-update does not depend on which clients share its round.
+pass over the slots still training. At each epoch's start a client draws
+the epoch's permutation and negatives and lays out every batch as slot
+rows ([batch; negatives; zero rows], with the ones column and the
+labels); a step copies each client's batch into its slot. The per-client
+parts of a step (the migration pull and the SGD update) stay per client,
+so a client's update does not depend on which clients share its round.
 """
 
 from __future__ import annotations
@@ -102,14 +101,11 @@ def add_migration_grads(grads: np.ndarray, w: np.ndarray, s: float,
     grads += 2.0 * (s * w - abar)
 
 
-# steps of slot inputs staged at once: the staging buffers hold this many
-# steps of every slot, whatever local_epochs is
-STAGED_STEPS = 8
-
-
 class _Lane:
     """One client of a lockstep round: its bound model, its shard, its
-    generator and the epoch it is in."""
+    generator, and its epoch laid out as slot rows. inputs[b] holds batch
+    b's slot rows [batch; negatives; zero rows], the ones column set on
+    the real rows, and labels[b] the batch's labels."""
 
     def __init__(self, pos: int, state: ClientState, model: nn.PersonalModel,
                  X: np.ndarray, y: np.ndarray, epochs: int, batch_size: int,
@@ -123,46 +119,35 @@ class _Lane:
         self.batches = self.full + (self.tail > 0)
         self.steps = epochs * self.batches
         self.rng = rng_for(*entropy)
-        self.epoch = None  # (X, y, negatives) in the epoch's order
+        self.inputs = np.zeros((self.batches, 2 * batch_size, X.shape[1] + 1))
+        self.inputs[:self.full, :, -1] = 1.0
+        self.inputs[self.full:, :2 * self.tail, -1] = 1.0
+        # labels past a short batch are never read as labels, but must be
+        # valid class indices
+        self.labels = np.zeros((self.batches, batch_size), dtype=np.int64)
         self.batch_len = 0  # the rows of the batch in the workspace
         self.loss_sum = 0.0
 
-    def stage(self, inputs: np.ndarray, labels: np.ndarray, step: int, count: int) -> None:
-        """Lay out the slot rows of steps [step, step + count): inputs[j]
-        gets [batch; negatives; zero rows] with the ones column set on the
-        real rows, labels[j] the batch's labels. An epoch's first batch
-        draws its permutation, then all of its negatives in one call."""
-        bs, d = self.batch_size, self.X.shape[1]
-        j = 0
-        while j < count:
-            b = (step + j) % self.batches
-            if b == 0:
-                order = self.rng.permutation(self.X.shape[0])
-                Xe = self.X[order]
-                self.epoch = Xe, self.y[order], synthesize_negatives(
-                    Xe, self.feat_std, self.neg_spec, self.rng, bs)
-            Xe, ye, Ne = self.epoch
-            run = min(count - j, self.full - b)  # full batches from b on
-            if run > 0:
-                lo, hi = b * bs, (b + run) * bs
-                slots = inputs[j:j + run]
-                slots[:, :bs, :-1] = Xe[lo:hi].reshape(run, bs, d)
-                slots[:, bs:, :-1] = Ne[lo:hi].reshape(run, bs, d)
-                slots[..., -1] = 1.0
-                labels[j:j + run] = ye[lo:hi].reshape(run, bs)
-                j += run
-            else:  # the short last batch
-                m, slot = self.tail, inputs[j]
-                slot[:m, :-1] = Xe[-m:]
-                slot[m:2 * m, :-1] = Ne[-m:]
-                slot[:2 * m, -1] = 1.0
-                slot[2 * m:] = 0.0
-                labels[j, :m] = ye[-m:]
-                j += 1
+    def start_epoch(self) -> None:
+        """Draw the epoch's permutation, then all of its negatives in one
+        call, and lay out every batch's slot rows."""
+        bs, d, n = self.batch_size, self.X.shape[1], self.full * self.batch_size
+        order = self.rng.permutation(self.X.shape[0])
+        Xe, ye = self.X[order], self.y[order]
+        Ne = synthesize_negatives(Xe, self.feat_std, self.neg_spec, self.rng, bs)
+        full = self.inputs[:self.full]
+        full[:, :bs, :-1] = Xe[:n].reshape(self.full, bs, d)
+        full[:, bs:, :-1] = Ne[:n].reshape(self.full, bs, d)
+        self.labels[:self.full] = ye[:n].reshape(self.full, bs)
+        if self.tail:  # the short last batch
+            m, slot = self.tail, self.inputs[-1]
+            slot[:m, :-1] = Xe[n:]
+            slot[m:2 * m, :-1] = Ne[n:]
+            self.labels[-1, :m] = ye[n:]
 
-    def size_slot(self, ws: nn.Workspace, k: int, step: int) -> None:
-        """Size slot k of ws to this step's batch, when its length changed."""
-        m = self.batch_size if step % self.batches < self.full else self.tail
+    def size_slot(self, ws: nn.Workspace, k: int, b: int) -> None:
+        """Size slot k of ws to batch b, when its length changed."""
+        m = self.batch_size if b < self.full else self.tail
         if m != self.batch_len:
             self.batch_len = m
             ws.count_rows(k, m, 2 * m)
@@ -179,18 +164,6 @@ class _Lane:
             loss += migration_loss(w, st.anchor_mass, st.anchor_sum, st.anchor_sq)
         nn.sgd_step(w, grads, lr=lr, weight_decay=weight_decay)
         self.loss_sum += loss
-
-
-class _Staging:
-    """Slot inputs (steps, slots, rows, in_dim + 1) and class labels
-    (steps, slots, labelled) for STAGED_STEPS steps of a round."""
-
-    def __init__(self, ws: nn.Workspace):
-        clients = ws.params.shape[0]
-        self.inputs = np.empty((STAGED_STEPS, clients, *ws.acts[0].shape[1:]))
-        # labels past a short batch are never read as labels, but must be
-        # valid class indices
-        self.labels = np.zeros((STAGED_STEPS, clients, ws.labelled), dtype=np.int64)
 
 
 def local_train_round(states, global_params: nn.PersonalModel | None, shards, task_id: int,
@@ -233,20 +206,17 @@ def local_train_round(states, global_params: nn.PersonalModel | None, shards, ta
     for k, lane in enumerate(lanes):
         ws.params[k] = (lane.model if global_params is None else global_params).params
 
-    staging = _Staging(ws)
     active = len(lanes)
     for step in range(lanes[0].steps):
         while lanes[active - 1].steps <= step:
             active -= 1
-        j = step % STAGED_STEPS
-        if j == 0:
-            for k, lane in enumerate(lanes[:active]):
-                lane.stage(staging.inputs[:, k], staging.labels[:, k], step,
-                           min(STAGED_STEPS, lane.steps - step))
         for k, lane in enumerate(lanes[:active]):
-            lane.size_slot(ws, k, step)
-        np.copyto(ws.acts[0][:active], staging.inputs[j, :active])
-        np.copyto(ws.y[:active], staging.labels[j, :active])
+            b = step % lane.batches
+            if b == 0:
+                lane.start_epoch()
+            lane.size_slot(ws, k, b)
+            ws.acts[0][k] = lane.inputs[b]
+            ws.y[k] = lane.labels[b]
         grads, losses = nn._grads_and_loss(ws, active)
         for k, lane in enumerate(lanes[:active]):
             lane.step(ws.params[k], grads[k], float(losses[k]), lr, weight_decay)

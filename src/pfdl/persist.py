@@ -104,19 +104,26 @@ def start_run(out, cfg, data_seed: int, tasks) -> Path:
     return out
 
 
-def read_run_manifest(run_dir) -> tuple[dict, int]:
-    """The config dict and the data seed of a run directory's manifest;
-    a missing, unreadable or malformed manifest is a DataError."""
+def read_run_manifest(run_dir) -> tuple:
+    """The parsed config and the data seed of a run directory's manifest.
+    A missing, unreadable or malformed manifest is a DataError, and so is
+    a config that does not hash to the manifest's config_hash; the config
+    is parsed first, so one that parses but is invalid is a ConfigError."""
+    from .config import parse_config  # config.py imports this module, through federation
     path = Path(run_dir) / "manifest.json"
     text = read_file(path, f"{path.parent}: no manifest.json here (not a run directory?)")
     try:
         manifest = json.loads(text)
         config, data_seed = manifest["config"], manifest["seeds"]["data"]
+        config_hash = manifest["config_hash"]
     except (ValueError, LookupError, TypeError) as e:  # bad JSON, a missing field
         raise DataError(f"{path}: not a run manifest ({e!r})") from e
     if not isinstance(config, dict) or type(data_seed) is not int:
         raise DataError(f"{path}: expected a config object and an integer seeds.data")
-    return config, data_seed
+    cfg = parse_config(config)
+    if sha256_hex(canonical_json(config)) != config_hash:
+        raise DataError(f"{path}: the config does not match its config_hash")
+    return cfg, data_seed
 
 
 def read_datasets(run_dir, cfg, data_seed: int) -> list:

@@ -233,6 +233,31 @@ def test_eval_keeps_exit_2_for_an_invalid_manifest_config(tiny_config, tmp_path,
     assert capsys.readouterr().err.startswith("error[config]: lr: ")
 
 
+@pytest.mark.parametrize("key, value", [
+    (("mode",), "fedavg"),
+    (("alpha",), 0.5),
+    (("data", "stream_mode"), "shuffled"),
+], ids=["mode", "alpha", "stream_mode"])
+def test_eval_rejects_a_config_edited_after_the_run(tiny_config, tmp_path, capsys, key, value):
+    # a valid config that is not the run's would score the checkpoints
+    # under another experiment
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    *parents, last = key
+    section = manifest["config"]
+    for name in parents:
+        section = section[name]
+    assert section[last] != value
+    section[last] = value
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["eval", str(run_dir)]) == 3
+    assert capsys.readouterr().err == (f"error[data]: {path}: the config does not "
+                                       f"match its config_hash\n")
+
+
 def _set_client_id_7(path):
     raw = bytearray(path.read_bytes())
     raw[8:12] = struct.pack("<I", 7)  # the stored client id

@@ -62,7 +62,7 @@ def test_manifest_roundtrip_and_config_hash(tmp_path):
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["outputs"] == sorted(doc["outputs"])
     assert doc["config_hash"] == persist.sha256_hex(persist.canonical_json(cfg.to_dict()))
-    assert persist.read_run_manifest(out) == (cfg.to_dict(), data_seed)
+    assert persist.read_run_manifest(out) == (cfg, data_seed)
 
 
 def test_start_run_refuses_a_directory_that_holds_a_run(tmp_path):
