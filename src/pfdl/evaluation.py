@@ -5,6 +5,11 @@ score is normalized into an ensemble weight (uniform fallback when all
 scores vanish) and the models' softmax outputs are mixed accordingly.
 Accuracies land in a lower-triangular matrix A where A[n][m] is the
 accuracy on task m measured after training task n.
+
+Without a memo, a pool is mixed straight from one stacked pass (the global
+objective scores each client's pool this way); the eval cells read model
+outputs through the run's `OutputMemo`, keyed by a digest that
+`pool_digests` computes once per distinct parameter vector per evaluation.
 """
 
 from __future__ import annotations
@@ -25,6 +30,27 @@ def model_digest(model: nn.PersonalModel) -> bytes:
     """sha256 of the model's parameter bytes: equal for bit-identical
     models, new whenever a parameter changes in place."""
     return hashlib.sha256(model.params).digest()
+
+
+def pool_digests(pools) -> list[list[bytes]]:
+    """model_digest of every model of every pool, hashing each distinct
+    parameter vector once: the clients of a task hold bit-identical copies
+    of its global model. The parameters' sum groups the candidates and a
+    bitwise comparison decides reuse, so +0.0 and -0.0 stay apart."""
+    seen = {}  # sum -> [(uint64 view, digest)], for this call only
+    out = []
+    for pool in pools:
+        row = []
+        for model in pool:
+            bits = model.params.view(np.uint64)
+            group = seen.setdefault(float(model.params.sum()), [])
+            digest = next((g for b, g in group if (b == bits).all()), None)
+            if digest is None:
+                digest = model_digest(model)
+                group.append((bits, digest))
+            row.append(digest)
+        out.append(row)
+    return out
 
 
 class OutputMemo(dict):
@@ -56,15 +82,13 @@ class OutputMemo(dict):
 
 
 def ensemble_weights(scores: np.ndarray):
-    """Per-sample normalized aux scores from an (n, d) score matrix, one
+    """Per-sample normalized aux scores from an (n, M) score matrix, one
     column per pool model; also the number of rows that fell back to
-    uniform weighting."""
-    denom = scores.sum(axis=1)
+    uniform weighting (a score sum below ZERO_DENOM)."""
+    denom = scores.sum(axis=1, keepdims=True)
     fallback = denom < ZERO_DENOM
-    weights = np.empty_like(scores)
-    ok = ~fallback
-    weights[ok] = scores[ok] / denom[ok, None]
-    weights[fallback] = 1.0 / scores.shape[1]
+    weights = np.divide(scores, denom, out=np.empty_like(scores), where=~fallback)
+    np.copyto(weights, 1.0 / scores.shape[1], where=fallback)
     return weights, int(fallback.sum())
 
 
@@ -73,24 +97,34 @@ def ensemble_probs_matrix(pool, X, memo: OutputMemo | None = None, keys=()):
     and the number of rows that fell back to uniform weighting.
 
     With a memo, keys[i] is pool[i]'s memo key on X and the models'
-    outputs are read through the memo; without one, a throwaway memo
-    scores the whole pool in one stacked pass.
+    outputs are read through the memo; without one, the pool is mixed
+    straight from one stacked pass.
     """
     if not pool:
         raise ValueError("empty pool")
     if memo is None:
-        memo, keys = OutputMemo(), range(len(pool))
-    outputs = memo.fill(pool, X, keys)
-    weights, fallbacks = ensemble_weights(np.stack([s for s, _ in outputs], axis=1))
-    probs = np.stack([p for _, p in outputs], axis=1)
+        logits, scores = nn.stacked_heads(pool, X)
+        # contiguous (n, M) and (n, M, C) copies: the same layout, and so
+        # the same bits, as the memo path's np.stack(axis=1)
+        scores = np.ascontiguousarray(scores.T)
+        probs = np.ascontiguousarray(nn.softmax(logits).transpose(1, 0, 2))
+    else:
+        outputs = memo.fill(pool, X, keys)
+        scores = np.stack([s for s, _ in outputs], axis=1)
+        probs = np.stack([p for _, p in outputs], axis=1)
+    weights, fallbacks = ensemble_weights(scores)
     return np.einsum("nd,ndc->nc", weights, probs), fallbacks
 
 
-def accuracy_and_ce(probs: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    pred = np.argmax(probs, axis=1)
-    acc = float(np.mean(pred == y))
-    ce = float(np.mean(-np.log(np.clip(probs[np.arange(len(y)), y], PROB_FLOOR, None))))
-    return acc, ce
+def accuracy(probs: np.ndarray, y: np.ndarray) -> float:
+    """Share of rows whose most probable class is the label."""
+    return float(np.mean(np.argmax(probs, axis=1) == y))
+
+
+def mean_ce(probs: np.ndarray, y: np.ndarray) -> float:
+    """Mean cross-entropy of the labels, each probability floored at
+    PROB_FLOOR."""
+    return float(np.mean(-np.log(np.clip(probs[np.arange(len(y)), y], PROB_FLOOR, None))))
 
 
 @dataclass

@@ -18,8 +18,8 @@ from . import client, nn
 from .data import (DataConfig, apply_domain, build_task_stream,
                    dirichlet_partition, make_base_dataset)
 from .errors import ConfigError, InvariantError
-from .evaluation import (MetricsMatrix, OutputMemo, accuracy_and_ce,
-                         build_metrics, ensemble_probs_matrix, model_digest)
+from .evaluation import (MetricsMatrix, OutputMemo, accuracy, build_metrics,
+                         ensemble_probs_matrix, mean_ce, pool_digests)
 from .matching import NegativeSynthesisSpec
 from .persist import EventLog, start_run, state_file, write_metrics_files
 from .seeding import TAG_INIT, TAG_SAMPLE, TAG_TRAIN, rng_for
@@ -266,25 +266,26 @@ def _evaluate_after_task(cfg: ExperimentConfig, states, tasks, streams,
     bit-identical copies of those models share one computation, keyed by
     (their digests in pool order, dataset index). The key holds the
     dataset, not the stream position: with shuffled streams, clients at
-    the same position see different datasets.
+    the same position see different datasets. Each distinct parameter
+    vector is hashed once per call.
     """
     fed = cfg.federation
     mode = MODE_TABLE[fed.mode]
-    digests = [[model_digest(model) for model in st.pool] for st in states]
+    digests = pool_digests([st.pool for st in states])
     memo.retain({g for pool in digests for g in pool})
     cells = {}  # key -> (accuracy, fallbacks), or None when nothing is read
     fallbacks = 0
-    for st, pool_digests in zip(states, digests):
+    for st, client_digests in zip(states, digests):
         k = st.client_id
         for m in range(n + 1):
             d = streams[k][m]
             ds = tasks[d]
-            key = (tuple(pool_digests[i] for i in _inference_indices(mode, st, m)), d)
+            key = (tuple(client_digests[i] for i in _inference_indices(mode, st, m)), d)
             if key not in cells:
                 probs, fb = _client_task_probs(mode, st, ds.test_x, m, memo,
-                                               [(g, d) for g in pool_digests])
+                                               [(g, d) for g in client_digests])
                 cells[key] = (None if probs is None
-                              else (accuracy_and_ce(probs, ds.test_y)[0], fb))
+                              else (accuracy(probs, ds.test_y), fb))
             if cells[key] is None:
                 continue
             acc_grid[k, n, m], fb = cells[key]
@@ -310,8 +311,7 @@ def _global_objective(cfg: ExperimentConfig, states, tasks, streams,
             probs, _ = _client_task_probs(mode, st, tasks[d].train_x[rows], m)
             if probs is None:
                 continue
-            _, ce = accuracy_and_ce(probs, tasks[d].train_y[rows])
-            num += ce * rows.size
+            num += mean_ce(probs, tasks[d].train_y[rows]) * rows.size
             den += rows.size
     return num / den if den else None
 

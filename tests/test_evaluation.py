@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from pfdl import evaluation, nn
+from pfdl import evaluation, federation, nn
+from pfdl.data import DataConfig
 from pfdl.errors import InvariantError
+from pfdl.federation import ExperimentConfig, FederationConfig
 
 
 ARCH = nn.ArchSpec(input_dim=4, hidden_dims=(5,), num_classes=3)
@@ -52,6 +54,31 @@ def test_weights_proportional_to_scores():
     s = np.array([float(nn.heads(m, x[None])[1][0]) for m in pool])
     W, _ = weight_matrix(pool, x[None])
     assert np.allclose(W[0], s / s.sum(), atol=1e-12)
+
+
+def masked_weights(scores):
+    """The boolean-mask formula: divide the rows whose score sum reaches
+    ZERO_DENOM, set the others to 1/M."""
+    denom = scores.sum(axis=1)
+    fallback = denom < evaluation.ZERO_DENOM
+    weights = np.empty_like(scores)
+    ok = ~fallback
+    weights[ok] = scores[ok] / denom[ok, None]
+    weights[fallback] = 1.0 / scores.shape[1]
+    return weights, int(fallback.sum())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_weights_equal_the_masked_formula_bitwise():
+    scores = np.random.default_rng(9).random((7, 3))
+    scores[0] = 0.0  # a zero denominator
+    scores[1] = [1e-13, 2e-13, 3e-14]  # a denominator in (0, ZERO_DENOM)
+    scores[2] = [0.0, 5e-324, 0.0]  # a subnormal one
+    scores[3] = [1e-12, 0.0, 0.0]  # exactly ZERO_DENOM: divided
+    got, fallbacks = evaluation.ensemble_weights(scores)
+    want, want_fallbacks = masked_weights(scores)
+    assert got.tobytes() == want.tobytes()
+    assert fallbacks == want_fallbacks == 3
 
 
 # ------------------------------------------------------------- predict
@@ -125,6 +152,70 @@ def test_memo_returns_the_same_bits_as_direct_scoring():
     assert len(memo) == sum(len(pool) for pool in pools)
 
 
+def one_at_a_time_mixture(pool, X):
+    """The ensemble scored model by model: nn.heads per pool model, the
+    masked weights and the mixture's einsum."""
+    outputs = [nn.heads(m, X) for m in pool]
+    weights, fallbacks = masked_weights(np.stack([s for _, s in outputs], axis=1))
+    probs = np.stack([nn.softmax(logits) for logits, _ in outputs], axis=1)
+    return np.einsum("nd,ndc->nc", weights, probs), fallbacks
+
+
+def one_at_a_time_objective(cfg, states, tasks, streams, partitions):
+    """_global_objective's mean CE with each mode's inference rule written
+    out and every pool scored model by model; also the fallback count."""
+    bind = federation.MODE_TABLE[cfg.federation.mode].bind
+    num, den, fallbacks = 0.0, 0, 0
+    for st in states:
+        k = st.client_id
+        for m, d in enumerate(streams[k]):
+            rows = partitions[d][k].indices
+            idx = 0 if bind == federation.BIND_ONE else st.task_bindings.get(m)
+            if rows.size == 0 or not st.pool or (bind != federation.BIND_MATCH
+                                                 and idx is None):
+                continue
+            X, y = tasks[d].train_x[rows], tasks[d].train_y[rows]
+            if bind == federation.BIND_MATCH:
+                probs, fb = one_at_a_time_mixture(st.pool, X)
+                fallbacks += fb
+            else:
+                probs = nn.softmax(nn.heads(st.pool[idx], X)[0])
+            p = np.clip(probs[np.arange(len(y)), y], evaluation.PROB_FLOOR, None)
+            num += float(np.mean(-np.log(p))) * rows.size
+            den += rows.size
+    return num / den, fallbacks
+
+
+# the CI's tiny config: 3 clients, 2 domains, a [10, 6] trunk
+TINY_DATA = DataConfig(num_classes=3, input_dim=6, samples_per_class=40,
+                       rotation_degrees=(0.0, 180.0))
+
+
+@pytest.mark.parametrize("mode", federation.MODES)
+def test_global_objective_equals_model_by_model_scoring_bitwise(mode):
+    cfg = ExperimentConfig(
+        federation=FederationConfig(num_clients=3, rounds_per_task=3,
+                                    local_epochs=1, mode=mode),
+        data=TINY_DATA, hidden_dims=(10, 6))
+    states = federation.run_experiment(cfg).states
+    _, tasks, partitions, streams = federation.build_datasets(cfg)
+    # client 0's aux scores vanish on some rows: a steep first aux head on
+    # the hidden units, the other models' aux heads driven to 0
+    pool = states[0].pool
+    rng = np.random.default_rng(10)
+    for model in pool[1:]:
+        model.blocks[-1][:-1] = 0.0
+        model.blocks[-1][-1] = -1000.0
+    pool[0].blocks[-1][:-1, 0] = 1000.0 * rng.standard_normal(cfg.hidden_dims[-1])
+    pool[0].blocks[-1][-1] = 0.0
+    want, fallbacks = one_at_a_time_objective(cfg, states, tasks, streams, partitions)
+    got = federation._global_objective(cfg, states, tasks, streams, partitions)
+    assert got == want
+    if mode == "pfeddil":
+        rows = sum(partitions[d][0].indices.size for d in streams[0])
+        assert 0 < fallbacks < rows
+
+
 def test_memo_fills_a_pools_missing_entries_in_one_pass(monkeypatch):
     X = np.random.default_rng(8).standard_normal((12, 4))
     pool = pool_of(4, seed0=60)
@@ -157,13 +248,23 @@ def test_memo_retain_drops_other_digests():
     assert sorted(memo) == [(keep, 0), (keep, 1)]
 
 
-def test_accuracy_and_ce():
+def test_accuracy_counts_argmax_hits():
     probs = np.array([[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]])
-    y = np.array([0, 1, 0])
-    acc, ce = evaluation.accuracy_and_ce(probs, y)
-    assert abs(acc - 2 / 3) < 1e-12
-    want = -(np.log(0.8) + np.log(0.7) + np.log(0.3)) / 3
-    assert abs(ce - want) < 1e-12
+    assert evaluation.accuracy(probs, np.array([0, 1, 0])) == 2 / 3
+    assert evaluation.accuracy(probs, np.array([0, 1, 2])) == 1.0
+    # a tie goes to the first class
+    assert evaluation.accuracy(np.array([[0.5, 0.5, 0.0]]), np.array([1])) == 0.0
+
+
+def test_mean_ce_floors_a_zero_true_class_probability():
+    probs = np.array([[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4],
+                      [0.0, 0.5, 0.5]])
+    y = np.array([0, 1, 0, 0])
+    want = -(np.log(0.8) + np.log(0.7) + np.log(0.3)
+             + np.log(evaluation.PROB_FLOOR)) / 4
+    assert abs(evaluation.mean_ce(probs, y) - want) < 1e-12
+    assert abs(evaluation.mean_ce(probs[:3], y[:3])
+               + (np.log(0.8) + np.log(0.7) + np.log(0.3)) / 3) < 1e-12
 
 
 # ------------------------------------------------------------- metrics

@@ -382,7 +382,7 @@ def _memo_free_grid(cfg, states, tasks, streams, n):
             ds = tasks[streams[st.client_id][m]]
             probs, fb = federation._client_task_probs(mode, st, ds.test_x, m)
             if probs is not None:
-                grid[st.client_id, n, m] = evaluation.accuracy_and_ce(probs, ds.test_y)[0]
+                grid[st.client_id, n, m] = evaluation.accuracy(probs, ds.test_y)
                 fallbacks += fb
     return grid, fallbacks
 
@@ -430,6 +430,36 @@ def test_memo_holds_only_models_some_pool_holds(monkeypatch):
     assert memo_digests and memo_digests <= live[-1]
     # the run changed models that an earlier eval had scored
     assert set().union(*live[:-1]) - live[-1]
+
+
+def test_each_distinct_model_is_hashed_once_per_eval(monkeypatch):
+    cfg = small_cfg(mode="fedavg", num_clients=6)
+    _, tasks, _, streams = federation.build_datasets(cfg)
+    base = nn.init_model(cfg.arch(), [7])
+    mid = base.params.size // 2
+    nudged, plus, minus = (nn.clone_model(base) for _ in range(3))
+    nudged.params[mid] = np.nextafter(base.params[mid], np.inf)
+    plus.params[mid] = 0.0
+    minus.params[mid] = -0.0  # np.array_equal calls it equal to plus
+    models = [base, nudged, plus, minus, nn.clone_model(base), nn.clone_model(plus)]
+    states = [ClientState(client_id=k, pool=[m]) for k, m in enumerate(models)]
+    want, _ = _memo_free_grid(cfg, states, tasks, streams, 0)
+    digest, score = evaluation.model_digest, federation._client_task_probs
+    hashed, scored = [], []
+    monkeypatch.setattr(evaluation, "model_digest",
+                        lambda m: hashed.append(m) or digest(m))
+    monkeypatch.setattr(federation, "_client_task_probs",
+                        lambda mode, st, *a: scored.append(st) or score(mode, st, *a))
+    memo = evaluation.OutputMemo()
+    grid, w_grid = np.full((6, 1, 1), np.nan), np.zeros((6, 1, 1))
+    federation._evaluate_after_task(cfg, states, tasks, streams, 0, grid, w_grid,
+                                    EventLog(), memo)
+    # the copies of base and plus are not hashed, the four distinct models are
+    assert hashed == models[:4]
+    assert [st.pool[0] for st in scored] == models[:4]
+    assert {key for key, _ in memo} == {digest(m) for m in models[:4]}
+    assert len({digest(m) for m in models}) == 4
+    assert np.array_equal(grid[:, 0], want[:, 0], equal_nan=True)
 
 
 THREE_DOMAINS = replace(SMALL_DATA, rotation_degrees=(0.0, 120.0, 240.0))
