@@ -18,6 +18,10 @@ rows ([batch; negatives; zero rows], with the ones column and the
 labels); a step copies each client's batch into its slot. The per-client
 parts of a step (the migration pull and the SGD update) stay per client,
 so a client's update does not depend on which clients share its round.
+
+The pass computes gradients only. A client's round loss (`train_loss`)
+is scored once: the joint loss of its last batch through `nn.heads` at
+the parameters just before their last update, plus the migration pull.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ class LocalUpdate:
     client_id: int
     parameters: nn.PersonalModel
     num_samples: int
-    train_loss: float = 0.0  # round-mean joint loss, for the event log
+    train_loss: float  # the last batch's joint loss before its update, for the event log
 
 
 def begin_task(state: ClientState, shard_x: np.ndarray, task_id: int, lam: float,
@@ -126,7 +130,7 @@ class _Lane:
         # valid class indices
         self.labels = np.zeros((self.batches, batch_size), dtype=np.int64)
         self.batch_len = 0  # the rows of the batch in the workspace
-        self.loss_sum = 0.0
+        self.loss = None  # the round's loss, scored at its last step
 
     def start_epoch(self) -> None:
         """Draw the epoch's permutation, then all of its negatives in one
@@ -154,16 +158,21 @@ class _Lane:
             ws.y_aux[k, :m] = 1.0
             ws.y_aux[k, m:] = 0.0
 
-    def step(self, w: np.ndarray, grads: np.ndarray, loss: float, lr: float,
-             weight_decay: float) -> None:
-        """Add the migration pull to the pass's gradient and loss, then
-        update w, the client's row of the workspace parameters."""
-        st = self.state
+    def step(self, w: np.ndarray, grads: np.ndarray, lr: float, weight_decay: float,
+             last: bool) -> None:
+        """Add the migration pull to the pass's gradient, then update w,
+        the client's row of the workspace parameters. At the round's last
+        step, first score the batch's joint loss at w, plus the pull."""
+        st, m = self.state, self.batch_len
+        if last:
+            self.loss = nn.batch_loss(nn.PersonalModel(self.model.arch, w),
+                                      self.inputs[-1, :2 * m, :-1], self.labels[-1, :m],
+                                      np.repeat([1.0, 0.0], m))
         if st.anchor_mass:
             add_migration_grads(grads, w, st.anchor_mass, st.anchor_sum)
-            loss += migration_loss(w, st.anchor_mass, st.anchor_sum, st.anchor_sq)
+            if last:
+                self.loss += migration_loss(w, st.anchor_mass, st.anchor_sum, st.anchor_sq)
         nn.sgd_step(w, grads, lr=lr, weight_decay=weight_decay)
-        self.loss_sum += loss
 
 
 def local_train_round(states, global_params: nn.PersonalModel | None, shards, task_id: int,
@@ -217,14 +226,13 @@ def local_train_round(states, global_params: nn.PersonalModel | None, shards, ta
             lane.size_slot(ws, k, b)
             ws.acts[0][k] = lane.inputs[b]
             ws.y[k] = lane.labels[b]
-        grads, losses = nn._grads_and_loss(ws, active)
+        grads = nn._grads_and_loss(ws, active)
         for k, lane in enumerate(lanes[:active]):
-            lane.step(ws.params[k], grads[k], float(losses[k]), lr, weight_decay)
+            lane.step(ws.params[k], grads[k], lr, weight_decay, step == lane.steps - 1)
 
     for k, lane in enumerate(lanes):
         np.copyto(lane.model.params, ws.params[k])
         updates[lane.pos] = LocalUpdate(
             client_id=lane.state.client_id, parameters=nn.clone_model(lane.model),
-            num_samples=lane.X.shape[0],
-            train_loss=lane.loss_sum / lane.steps if lane.steps else 0.0)
+            num_samples=lane.X.shape[0], train_loss=lane.loss)
     return updates

@@ -45,7 +45,9 @@ def _random_arch(rng) -> nn.ArchSpec:
 
 def run_nn_gradcheck(num_cases: int, seed: int = 0, h: float = 1e-6) -> float:
     """Max relative error of analytic vs central-difference gradients of
-    the joint loss over random models and batches.
+    the joint loss over random models and batches: `nn.backward` runs the
+    training pass, and the differences score `nn.batch_loss`, which goes
+    through `nn.heads` and not that pass.
 
     Each case labels a random number of leading rows with classes, as the
     fused training pass does over [batch; negatives]."""

@@ -23,14 +23,16 @@ stacked `np.matmul` over the slots, which computes each slot exactly as a
 zero rows after them; those add exact zeros to its gradient. The views of
 a pass over the leading `active` slots, and its scratch buffers, are built
 once per workspace and count, so a pass is its ufunc and matmul calls
-writing into preallocated arrays: the CE target is gathered through flat
-indices and the sigmoid divides under a `where=` mask, each bitwise the
-plain expression. `backward` and `batch_loss` run the same pass with
-K = 1. Scoring needs no buffers: `stacked_heads` runs M models on the same
-rows X (n, in_dim) as one np.matmul per layer against their (M, in_dim,
-out_dim) Wᵀ blocks plus the bias row, and each model's slice is bitwise
-what a 2-D pass would give; `heads` is its M = 1 case, which runs on the
-model's own 2-D blocks.
+writing into preallocated arrays: the CE gradient's target entries are
+reached through flat indices and the sigmoid divides under a `where=`
+mask, each bitwise the plain expression. The pass computes gradients
+only; `backward` runs it with K = 1. Scoring needs no buffers:
+`stacked_heads` runs M models on the same rows X (n, in_dim) as one
+np.matmul per layer against their (M, in_dim, out_dim) Wᵀ blocks plus the
+bias row, and each model's slice is bitwise what a 2-D pass would give;
+`heads` is its M = 1 case, which runs on the model's own 2-D blocks.
+`batch_loss` scores the joint loss through `heads`, so a finite-difference
+check of `backward` against it does not run the pass it checks.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ class Workspace:
 
     def __init__(self, arch: ArchSpec, clients: int, rows: int, labelled: int):
         K, N, L, C = clients, rows, labelled, arch.num_classes
-        self.rows, self.labelled = rows, labelled
+        self.labelled = labelled
         self.params = np.zeros((K, arch.param_count()))
         self.acts = [np.ones((K, N, d + 1)) for d in (arch.input_dim, *arch.hidden_dims)]
         self.x = self.acts[0][..., :-1]
@@ -150,7 +152,6 @@ class Workspace:
         # rows for a counted row, inf for the rest
         self.cls_div = np.full((K, L, 1), float(L))
         self.aux_div = np.full((K, N), float(N))
-        self.padded: dict[int, tuple[int, int]] = {}  # slot -> (labelled, rows)
 
         self.acts_t = [t.transpose(0, 2, 1) for t in self.acts]
         self.masks = [np.empty(z.shape, dtype=bool) for z in self.zs]
@@ -162,7 +163,7 @@ class Workspace:
         self.cls_w = self.cls_block[:, :-1].transpose(0, 2, 1)
         self.aux_w = self.aux_block[:, :-1].transpose(0, 2, 1)
         self.aux_z = np.empty((K, N, 1))
-        self.s, self.bce, self.bce_scratch, self.delta_a = (np.empty((K, N)) for _ in range(4))
+        self.s, self.delta_a = np.empty((K, N)), np.empty((K, N))
         self.sigmoid_scratch = np.empty((K, N)), np.empty((K, N)), np.empty((K, N), dtype=bool)
         self.logits = np.empty((K, L, C))
         self.ce_scratch = _ce_scratch(self.logits.shape)
@@ -179,9 +180,6 @@ class Workspace:
         self.cls_div[k, labelled:] = np.inf
         self.aux_div[k, :rows] = rows
         self.aux_div[k, rows:] = np.inf
-        self.padded.pop(k, None)
-        if labelled < self.labelled or rows < self.rows:
-            self.padded[k] = labelled, rows
 
     def slots(self, active: int) -> Workspace:
         """The workspace cut to slots [:active]: every array a view of its
@@ -276,27 +274,22 @@ def _as_batch(arch: ArchSpec, X) -> np.ndarray:
     return X
 
 
-def _loaded(model: PersonalModel, X, y_cls, y_aux) -> Workspace:
-    """A fresh one-slot workspace holding the model, the rows of X and
-    their labels: y_cls labels the leading rows, y_aux every row."""
-    X = _as_batch(model.arch, X)
+def _checked(arch: ArchSpec, X, y_cls, y_aux):
+    """X as a batch and its labels as arrays: y_cls labels the leading
+    rows, y_aux every row."""
+    X = _as_batch(arch, X)
     N = X.shape[0]
     if N == 0:
         raise ValueError("empty batch")
     y = np.asarray(y_cls, dtype=np.int64)
     if y.ndim != 1 or not 1 <= y.shape[0] <= N:
         raise ValueError("y_cls must label between one and all leading rows")
-    if y.min() < 0 or y.max() >= model.arch.num_classes:
-        raise ValueError(f"y_cls must lie in [0, {model.arch.num_classes})")
+    if y.min() < 0 or y.max() >= arch.num_classes:
+        raise ValueError(f"y_cls must lie in [0, {arch.num_classes})")
     ya = np.asarray(y_aux, dtype=np.float64)
     if ya.shape != (N,):
         raise ValueError("y_aux must have one label per row")
-    ws = Workspace(model.arch, 1, N, y.shape[0])
-    ws.params[0] = model.params
-    ws.x[0] = X
-    ws.y[0] = y
-    ws.y_aux[0] = ya
-    return ws
+    return X, y, ya
 
 
 def stacked_heads(pool, X, cls: bool = True):
@@ -332,50 +325,46 @@ def heads(model: PersonalModel, X) -> tuple[np.ndarray, np.ndarray]:
     return logits[0], scores[0]
 
 
-def _bce(scores, y, out, t):
-    """Per-row BCE of sigmoid scores against 0/1 labels into out, with t
-    as scratch of the same shape."""
-    # -(y log(s) + (1 - y) log(1 - s)), s clipped to [eps, 1 - eps]
-    np.minimum(np.maximum(scores, BCE_EPS, out=t), 1.0 - BCE_EPS, out=t)
-    np.log(t, out=out)
-    out *= y
-    np.log(np.subtract(1.0, t, out=t), out=t)
-    t *= 1.0 - y
-    out += t
-    return np.negative(out, out=out)
+def cross_entropy(logits, labels):
+    """Per-row CE of logits (n, C) against integer labels (n,)."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return np.log(np.exp(z).sum(axis=-1)) - z[np.arange(len(labels)), labels]
+
+
+def bce(scores, y):
+    """Per-row BCE of sigmoid scores against 0/1 labels, the scores
+    clipped to [BCE_EPS, 1 - BCE_EPS]."""
+    s = np.clip(scores, BCE_EPS, 1.0 - BCE_EPS)
+    return -(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))
 
 
 def _ce_scratch(shape):
-    """Scratch buffers of `_cross_entropy` over logits of `shape`."""
+    """Scratch buffers of `_ce_grad` over logits of `shape`."""
     *rows, C = shape
     return (np.empty(shape), np.empty((*rows, 1)), np.empty((*rows, 1)), np.empty(rows),
-            np.empty(rows), np.empty(rows, dtype=np.int64),
+            np.empty(rows, dtype=np.int64),
             np.arange(int(np.prod(rows)), dtype=np.int64).reshape(rows) * C)
 
 
-def _cross_entropy(logits, labels, scratch):
-    """Per-row CE of logits (..., C) against integer labels (...), and its
-    gradient with respect to the logits, softmax(logits) - onehot(label).
-    Both are views of `scratch` (see `_ce_scratch`)."""
-    e, m, se, ce, target, idx, row_starts = scratch
+def _ce_grad(logits, labels, scratch):
+    """The CE's gradient with respect to logits (..., C) against integer
+    labels (...), softmax(logits) - onehot(label), as a view of `scratch`
+    (see `_ce_scratch`)."""
+    e, m, se, target, idx, row_starts = scratch
     np.exp(np.subtract(logits, _row_max(logits, m), out=e), out=e)
     np.sum(e, axis=-1, keepdims=True, out=se)
-    lse = np.log(se, out=ce[..., None])
-    lse += m
+    delta = np.divide(e, se, out=e)
     # each row's target entry, through its flat index row * C + label
     flat = np.add(row_starts, labels, out=idx).reshape(-1)
-    np.take(logits.reshape(-1), flat, out=target.reshape(-1))
-    ce -= target
-    delta = np.divide(e, se, out=e)
     np.take(delta.reshape(-1), flat, out=target.reshape(-1))
     target -= 1.0
     delta.reshape(-1)[flat] = target.reshape(-1)
-    return ce, delta
+    return delta
 
 
-def _grads_and_loss(ws: Workspace, active: int):
+def _grads_and_loss(ws: Workspace, active: int) -> np.ndarray:
     """One forward and one backward pass of the joint loss for slots
-    [:active] of ws; returns (ws.grads[:active], each slot's mean loss).
+    [:active] of ws; returns ws.grads[:active], each slot's flat gradient.
 
     A slot's loss is the mean CE over its labelled rows plus the mean BCE
     over its real rows, so a single trunk pass over [batch; negatives]
@@ -383,7 +372,7 @@ def _grads_and_loss(ws: Workspace, active: int):
     head only sees its own loss. Each layer's weight and bias gradient is
     one stacked product into its block of ws.grads, which the next pass
     over ws overwrites, and every other result lands in the scratch
-    buffers of ws.
+    buffers of ws. The pass computes no loss value (see `batch_loss`).
     """
     v = ws.slots(active)
     acts, zs, g = v.acts, v.zs, v.grad_blocks
@@ -393,15 +382,13 @@ def _grads_and_loss(ws: Workspace, active: int):
     h1, h1_t = acts[-1], v.acts_t[-1]  # the last hidden layer, with its ones column
 
     s = _sigmoid(np.matmul(h1, v.aux_block, out=v.aux_z)[..., 0], v.s, *v.sigmoid_scratch)
-    bce = _bce(s, v.y_aux, v.bce, v.bce_scratch)
     delta_a = np.subtract(s, v.y_aux, out=v.delta_a)
     delta_a /= v.aux_div
     np.matmul(h1_t, delta_a[..., None], out=g[-1])
     d_h = np.multiply(delta_a[..., None], v.aux_w, out=v.deltas[-1])
 
     L = ws.labelled
-    logits = np.matmul(h1[:, :L], v.cls_block, out=v.logits)
-    ce, delta = _cross_entropy(logits, v.y, v.ce_scratch)
+    delta = _ce_grad(np.matmul(h1[:, :L], v.cls_block, out=v.logits), v.y, v.ce_scratch)
     delta /= v.cls_div
     np.matmul(h1_t[..., :L], delta, out=g[-2])
     d_h[:, :L] += np.matmul(delta, v.cls_w, out=v.d_cls)
@@ -412,26 +399,23 @@ def _grads_and_loss(ws: Workspace, active: int):
         np.matmul(v.acts_t[i], delta, out=g[i])
         if i > 0:
             delta = np.matmul(delta, v.trunk_w[i], out=v.deltas[i - 1])
-
-    # a padded slot sums its counted rows only, as a pass over exactly
-    # those rows would; a slot's first row always counts, so its divisor
-    # there is the slot's count
-    ce_sum, bce_sum = ce.sum(axis=1), bce.sum(axis=1)
-    for k, (n, N) in ws.padded.items():
-        if k < active:
-            ce_sum[k], bce_sum[k] = ce[k, :n].sum(), bce[k, :N].sum()
-    return ws.grads[:active], bce_sum / v.aux_div[:, 0] + ce_sum / v.cls_div[:, 0, 0]
+    return ws.grads[:active]
 
 
 def backward(model: PersonalModel, X, y_cls, y_aux) -> np.ndarray:
     """The joint loss's flat gradient over the rows of X, in a new array."""
-    return _grads_and_loss(_loaded(model, X, y_cls, y_aux), 1)[0][0]
+    X, y, ya = _checked(model.arch, X, y_cls, y_aux)
+    ws = Workspace(model.arch, 1, X.shape[0], y.shape[0])
+    ws.params[0], ws.x[0], ws.y[0], ws.y_aux[0] = model.params, X, y, ya
+    return _grads_and_loss(ws, 1)[0]
 
 
 def batch_loss(model: PersonalModel, X, y_cls, y_aux) -> float:
-    """Mean joint loss over a batch: mean CE over the rows y_cls labels
-    (the leading ones) + mean BCE over all rows."""
-    return float(_grads_and_loss(_loaded(model, X, y_cls, y_aux), 1)[1][0])
+    """Mean joint loss over a batch, scored through `heads`: mean CE over
+    the rows y_cls labels (the leading ones) + mean BCE over all rows."""
+    X, y, ya = _checked(model.arch, X, y_cls, y_aux)
+    logits, scores = heads(model, X)
+    return float(cross_entropy(logits[:len(y)], y).mean() + bce(scores, ya).mean())
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float, weight_decay: float = 0.0) -> None:

@@ -143,7 +143,7 @@ def test_4_ensemble_weights_are_proper_distributions():
 def _constant_update(cid: int, value: float, n: int, arch: nn.ArchSpec) -> LocalUpdate:
     m = nn.init_model(arch, [99, cid])
     m.params[...] = value
-    return LocalUpdate(client_id=cid, parameters=m, num_samples=n)
+    return LocalUpdate(client_id=cid, parameters=m, num_samples=n, train_loss=0.0)
 
 
 def test_5_aggregation_matches_weighted_mean_oracle():
@@ -162,7 +162,7 @@ def test_5_aggregation_matches_weighted_mean_oracle():
             m = nn.init_model(arch, [5, cid])
             m.params[...] = rng.standard_normal(m.params.shape)
             updates.append(LocalUpdate(client_id=cid, parameters=m,
-                                       num_samples=int(rng.integers(1, 50))))
+                                       num_samples=int(rng.integers(1, 50)), train_loss=0.0))
         total = sum(u.num_samples for u in updates)
         oracle = sum(u.num_samples * u.parameters.params.copy() for u in updates) / total
         got = aggregate(updates).params.copy()

@@ -349,12 +349,12 @@ def test_lockstep_update_is_independent_of_the_round(order_seed):
 def _per_client_round(state, X, y, epochs, lr, wd, batch_size, entropy):
     """One client's local round as a plain loop: a one-slot workspace
     loaded batch by batch, each epoch drawing its permutation and then its
-    negatives. Returns (parameters, mean step loss)."""
+    negatives. Returns (parameters, the joint loss of the last batch before
+    its update)."""
     model = nn.clone_model(state.pool[state.task_bindings[0]])
     rng = rng_for(*entropy)
     ws = nn.Workspace(ROUND_ARCH, 1, 2 * batch_size, batch_size)
     ws.params[0] = model.params
-    losses = []
     for _ in range(epochs):
         order = rng.permutation(len(X))
         Xe, ye = X[order], y[order]
@@ -370,15 +370,15 @@ def _per_client_round(state, X, y, epochs, lr, wd, batch_size, entropy):
             ws.y[0, :m] = yb
             ws.y_aux[0] = 0.0
             ws.y_aux[0, :m] = 1.0
-            grads, loss = nn._grads_and_loss(ws, 1)
-            g, w, loss = grads[0], ws.params[0], float(loss[0])
+            g, w = nn._grads_and_loss(ws, 1)[0], ws.params[0]
+            loss = nn.batch_loss(nn.PersonalModel(ROUND_ARCH, w.copy()),
+                                 np.concatenate([xb, nb]), yb, np.repeat([1.0, 0.0], m))
             if state.anchor_mass:
                 client.add_migration_grads(g, w, state.anchor_mass, state.anchor_sum)
                 loss += client.migration_loss(w, state.anchor_mass, state.anchor_sum,
                                               state.anchor_sq)
             nn.sgd_step(w, g, lr=lr, weight_decay=wd)
-            losses.append(loss)
-    return ws.params[0].copy(), sum(losses) / len(losses)
+    return ws.params[0].copy(), loss
 
 
 def test_lockstep_round_equals_a_per_client_loop():
@@ -563,7 +563,8 @@ def test_fused_step_matches_two_pass_reference(num_anchors, n, epochs):
     up = run_round(st, X, y, epochs=epochs)
 
     assert len(want) == epochs * -(-n // 16)
-    assert abs(up.train_loss - np.mean(want)) <= 1e-12
+    # the round's loss is the last step's, scored before its update
+    assert abs(up.train_loss - want[-1]) <= 1e-12
     assert np.max(np.abs(up.parameters.params - reference.params)) <= 1e-12
 
 
@@ -576,15 +577,15 @@ def test_each_batch_keeps_the_negative_mix(monkeypatch):
     batches = []
 
     def record(ws, active):
-        assert active == 1 and ws.rows == 64
-        m, rows = ws.padded.get(0, (ws.labelled, ws.rows))
+        assert active == 1 and ws.x.shape[1] == 64
+        m, rows = int(ws.cls_div[0, 0, 0]), int(ws.aux_div[0, 0])
         assert rows == 2 * m
         assert np.array_equal(ws.y_aux[0, :rows], np.r_[np.ones(m), np.zeros(m)])
         assert np.all(ws.acts[0][0, :rows, -1] == 1.0)
         # padding rows are zero, ones column too
         assert not np.any(ws.acts[0][0, rows:])
         batches.append((ws.x[0, :m].copy(), ws.x[0, m:rows].copy()))
-        return np.zeros((active, ws.params.shape[1])), np.zeros(active)
+        return np.zeros((active, ws.params.shape[1]))
 
     monkeypatch.setattr(nn, "_grads_and_loss", record)
     client.local_train_round([st], None, [(X, y)], task_id=0, epochs=1, lr=0.05,

@@ -63,7 +63,7 @@ def constant_update(client_id, value, n):
     arch = nn.ArchSpec(input_dim=1, hidden_dims=(1,), num_classes=1)
     m = nn.init_model(arch, 0)
     m.params[:] = value
-    return LocalUpdate(client_id=client_id, parameters=m, num_samples=n)
+    return LocalUpdate(client_id=client_id, parameters=m, num_samples=n, train_loss=0.0)
 
 
 def test_aggregate_weighted_mean_hand_case():
@@ -79,7 +79,7 @@ def test_aggregate_idempotent_on_identical_payloads():
 
 
 def test_aggregate_single_update_is_identity():
-    u = LocalUpdate(0, nn.init_model(ARCH, 12), num_samples=17)
+    u = LocalUpdate(0, nn.init_model(ARCH, 12), num_samples=17, train_loss=0.0)
     out = aggregate([u])
     assert np.array_equal(out.params, u.parameters.params)
 
@@ -100,7 +100,7 @@ def test_aggregate_matches_naive_oracle():
         for k in range(int(rng.integers(2, 6))):
             m = nn.init_model(ARCH, [trial, k])
             m.params += rng.standard_normal(m.params.shape)
-            updates.append(LocalUpdate(k, m, num_samples=int(rng.integers(1, 50))))
+            updates.append(LocalUpdate(k, m, num_samples=int(rng.integers(1, 50)), train_loss=0.0))
         got = aggregate(updates).params.copy()
         want = naive_weighted_mean(updates)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -111,7 +111,7 @@ def test_aggregate_order_invariant():
     updates = []
     for k in range(4):
         m = nn.init_model(ARCH, k)
-        updates.append(LocalUpdate(k, m, num_samples=int(rng.integers(1, 30))))
+        updates.append(LocalUpdate(k, m, num_samples=int(rng.integers(1, 30)), train_loss=0.0))
     a = aggregate(updates).params.copy()
     b = aggregate(list(reversed(updates))).params.copy()
     assert np.array_equal(a, b)
@@ -127,8 +127,8 @@ def test_aggregate_affine_equivariance():
         ms.params *= scale
         ms.params += shift
         n = int(rng.integers(1, 40))
-        updates.append(LocalUpdate(k, m, num_samples=n))
-        shifted.append(LocalUpdate(k, ms, num_samples=n))
+        updates.append(LocalUpdate(k, m, num_samples=n, train_loss=0.0))
+        shifted.append(LocalUpdate(k, ms, num_samples=n, train_loss=0.0))
     base = aggregate(updates).params.copy()
     got = aggregate(shifted).params.copy()
     assert np.max(np.abs(got - (scale * base + shift))) < 1e-12
@@ -139,8 +139,8 @@ def test_aggregate_rejects_empty_and_mismatched():
         aggregate([])
     other = nn.ArchSpec(input_dim=4, hidden_dims=(5,), num_classes=3)
     with pytest.raises(InvariantError):
-        aggregate([LocalUpdate(0, nn.init_model(ARCH, 0), 3),
-                   LocalUpdate(1, nn.init_model(other, 0), 3)])
+        aggregate([LocalUpdate(0, nn.init_model(ARCH, 0), 3, 0.0),
+                   LocalUpdate(1, nn.init_model(other, 0), 3, 0.0)])
 
 
 def test_aggregate_conserves_sample_weight():

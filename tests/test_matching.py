@@ -63,6 +63,17 @@ def test_strategy_reuse_above_threshold():
     assert r.model_index == 1  # lowest index among ties
 
 
+@pytest.mark.parametrize("rho, lam, best", [
+    ([0.2, 0.5, 0.3], 0.5, 1), ([0.4, 1.0], 1.0, 1), ([0.0, 0.0], 0.0, 0)])
+def test_strategy_reuses_at_exactly_lambda(rho, lam, best):
+    # reaching lam is enough: with room in the pool, an intensity equal to
+    # lam still reuses, and no budget is involved
+    r = matching.select_strategy(np.array(rho), lam, len(rho), 8)
+    assert r.decision == matching.DECISION_REUSE
+    assert r.model_index == best
+    assert not r.budget_forced
+
+
 def test_strategy_new_model_below_threshold():
     r = matching.select_strategy(np.array([0.2, 0.3]), 0.5, 2, 8)
     assert r.decision == matching.DECISION_NEW

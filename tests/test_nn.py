@@ -248,18 +248,13 @@ def test_softmax_rows_sum_to_one():
 # ---------------------------------------------------------------- losses
 
 
-def ce_rows(logits, labels):
-    """The training pass's per-row CE, into fresh scratch buffers."""
-    return nn._cross_entropy(logits, labels, nn._ce_scratch(logits.shape))[0]
-
-
-def bce_rows(scores, y):
-    """The training pass's per-row BCE, into fresh buffers."""
-    return nn._bce(scores, y, np.empty_like(scores), np.empty_like(scores))
+# the scoring loss's per-row terms, which `batch_loss` and a round's
+# `train_loss` are made of
+ce_rows, bce_rows = nn.cross_entropy, nn.bce
 
 
 def ce(logits, label):
-    """The training pass's CE on one row of logits."""
+    """The scoring loss's CE on one row of logits."""
     logits = np.asarray(logits, dtype=float)[None, :]
     return ce_rows(logits, np.array([label]))[0]
 
@@ -400,7 +395,7 @@ def test_backward_empty_batch_raises():
 
 def _fused_pass_2d(model, X, y, ya):
     """The joint pass on plain 2-D arrays, one product per layer and the
-    same operation order as the stacked pass: (flat gradient, mean loss)."""
+    same operation order as the stacked pass: the flat gradient."""
     blocks = model.blocks
     acts, zs = [np.hstack([X, np.ones((len(X), 1))])], []
     for block in blocks[:-2]:
@@ -409,8 +404,6 @@ def _fused_pass_2d(model, X, y, ya):
     h1, (cls, aux), N, n = acts[-1], blocks[-2:], len(X), len(y)
     grads = [None] * len(blocks)
     s = nn.sigmoid((h1 @ aux).ravel())
-    sc = np.minimum(np.maximum(s, nn.BCE_EPS), 1.0 - nn.BCE_EPS)
-    loss = float((-(ya * np.log(sc) + (1.0 - ya) * np.log(1.0 - sc))).sum() / N)
     delta_a = (s - ya) / N
     grads[-1] = np.dot(h1.T, delta_a[:, None])
     d_h = np.outer(delta_a, aux[:-1])
@@ -418,8 +411,6 @@ def _fused_pass_2d(model, X, y, ya):
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
     se = e.sum(axis=1, keepdims=True)
-    lse = (m + np.log(se)).ravel()
-    loss += float((lse - logits[np.arange(n), y]).sum() / n)
     delta = e / se
     delta[np.arange(n), y] -= 1.0
     delta /= n
@@ -431,7 +422,7 @@ def _fused_pass_2d(model, X, y, ya):
         grads[i] = np.dot(acts[i].T, delta)
         if i > 0:
             delta = delta @ blocks[i][:-1].T
-    return np.concatenate([g.ravel() for g in grads]), loss
+    return np.concatenate([g.ravel() for g in grads])
 
 
 def _random_models(rng, arch, count):
@@ -463,7 +454,7 @@ def _load(ws, k, X, y, ya):
 @pytest.mark.parametrize("K", [1, 3, 8])
 def test_stacked_pass_equals_the_2d_pass_bitwise(K):
     # full slots: each slot's stacked products are the 2-D products, bit
-    # for bit, and so are its gradient and loss
+    # for bit, and so is its gradient
     rng = np.random.default_rng(20 + K)
     arch = nn.ArchSpec(input_dim=16, hidden_dims=(64, 32), num_classes=5)
     models = _random_models(rng, arch, K)
@@ -471,11 +462,9 @@ def test_stacked_pass_equals_the_2d_pass_bitwise(K):
     for model in models:
         X, y, _ = random_batch(rng, model, 64)
         batches.append((X, y[:32], np.repeat([1.0, 0.0], 32)))
-    grads, losses = nn._grads_and_loss(_filled(models, batches, 64, 32), K)
+    grads = nn._grads_and_loss(_filled(models, batches, 64, 32), K)
     for k, model in enumerate(models):
-        want, want_loss = _fused_pass_2d(model, *batches[k])
-        assert grads[k].tobytes() == want.tobytes()
-        assert losses[k] == want_loss
+        assert grads[k].tobytes() == _fused_pass_2d(model, *batches[k]).tobytes()
 
 
 def test_reused_workspaces_match_fresh_ones():
@@ -494,19 +483,16 @@ def test_reused_workspaces_match_fresh_ones():
             batches.append((X, y[:m], np.repeat([1.0, 0.0], m)))
             ws.params[k] = models[k].params
             _load(ws, k, *batches[-1])
-        grads, losses = nn._grads_and_loss(ws, 3)
+        grads = nn._grads_and_loss(ws, 3)
         assert grads.base is ws.grads
         for k, m in enumerate(sizes):
             assert np.all(ws.acts[0][k, :2 * m, -1] == 1.0)
-            fresh_g, fresh_loss = nn._grads_and_loss(_filled([models[k]], [batches[k]], 16, 8), 1)
-            assert grads[k].tobytes() == fresh_g[0].tobytes()
-            assert losses[k] == fresh_loss[0]
+            fresh = nn._grads_and_loss(_filled([models[k]], [batches[k]], 16, 8), 1)
+            assert grads[k].tobytes() == fresh[0].tobytes()
             alone = nn.backward(models[k], *batches[k])
             if m == 8:
                 assert grads[k].tobytes() == alone.tobytes()
             assert np.allclose(grads[k], alone, rtol=1e-12, atol=1e-15)
-            assert losses[k] == pytest.approx(nn.batch_loss(models[k], *batches[k]),
-                                              rel=1e-14)
             nn.sgd_step(models[k].params, grads[k], lr=0.1)
 
 
@@ -518,14 +504,12 @@ def test_slots_past_active_are_not_touched():
                (random_batch(rng, model, 8) for model in models)]
     ws = _filled(models, batches, 8, 4)
     ws.grads[2] = 7.0
-    grads, losses = nn._grads_and_loss(ws, 2)
-    assert grads.shape == (2, small_arch().param_count()) and losses.shape == (2,)
+    grads = nn._grads_and_loss(ws, 2)
+    assert grads.shape == (2, small_arch().param_count())
     assert np.all(ws.grads[2] == 7.0)
     first = grads.copy()
     ws.x[2] = np.nan
-    again, again_losses = nn._grads_and_loss(ws, 2)
-    assert again.tobytes() == first.tobytes()
-    assert np.array_equal(again_losses, losses)
+    assert nn._grads_and_loss(ws, 2).tobytes() == first.tobytes()
 
 
 def test_backward_result_survives_later_calls():
