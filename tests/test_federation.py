@@ -353,7 +353,6 @@ def test_param_count_is_pool_models_times_params(mode):
     assert res.param_count_total == stored * cfg.arch().param_count()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergent_round_raises_and_closes_the_event_log(tmp_path, monkeypatch):
     handles = []
 
