@@ -25,7 +25,7 @@ from .gradcheck import run_migration_gradcheck, run_nn_gradcheck
 from .persist import (EventLog, make_out_dir, read_datasets, read_run_manifest,
                       state_file, summary_row, write_data, write_metrics_files,
                       write_summary_csv)
-from .serialize import load_client_state
+from .serialize import load_client_state, open_task_reader
 
 LAMBDA_SWEEP = (0.0, 0.2, 0.5, 0.8, 1.0)
 GRADCHECK_CASES = 100
@@ -131,13 +131,14 @@ def evaluate_run_dir(run_dir):
     tasks = read_datasets(run_dir, cfg, data_seed)
     partitions, streams = partitions_and_streams(cfg, data_seed, tasks)
     arch = cfg.arch()
+    K = cfg.federation.num_clients
 
     states = []  # one task's clients at a time: the last task's are freed first
 
     def load_task(tpos: int):
         states.clear()
-        states.extend(load_client_state(run_dir / state_file(tpos, k), arch, k, tpos)
-                      for k in range(cfg.federation.num_clients))
+        with open_task_reader(run_dir / state_file(tpos), K) as reader:
+            states.extend(load_client_state(reader, arch, k, tpos) for k in range(K))
         return states
 
     return cfg, *score_run(cfg, tasks, streams, partitions, load_task, EventLog())

@@ -46,7 +46,6 @@ class ClientState:
     anchor_sq: float = 0.0
     # task -> bound pool index; a client trains exactly the tasks it bound
     task_bindings: dict[int, int] = field(default_factory=dict)
-    rho_history: list[dict] = field(default_factory=list)
 
 
 @dataclass
@@ -69,7 +68,6 @@ def begin_task(state: ClientState, shard_x: np.ndarray, task_id: int, lam: float
     """
     shard_x = np.asarray(shard_x, dtype=np.float64)
     if shard_x.shape[0] == 0:
-        state.rho_history.append({"task": int(task_id), "inactive": True})
         return None
 
     rho = matching_intensity(state.pool, shard_x)
@@ -89,7 +87,6 @@ def begin_task(state: ClientState, shard_x: np.ndarray, task_id: int, lam: float
     state.anchor_mass = float(weights.sum())
     state.anchor_sum = weights @ anchors
     state.anchor_sq = float(weights @ np.einsum("ij,ij->i", anchors, anchors))
-    state.rho_history.append({"task": int(task_id), **report.to_record()})
     return report
 
 

@@ -23,7 +23,7 @@ from .evaluation import (MetricsMatrix, OutputMemo, accuracy, build_metrics,
 from .matching import NegativeSynthesisSpec
 from .persist import EventLog, start_run, state_file, write_metrics_files
 from .seeding import TAG_INIT, TAG_SAMPLE, TAG_TRAIN, rng_for
-from .serialize import save_client_state
+from .serialize import open_task_writer, save_client_state
 
 BIND_MATCH = "match"
 BIND_ONE = "one"
@@ -429,8 +429,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
                                      "task": tpos, **report.to_record()})
                 run_task(cfg, states, shard_data, tpos, events)
             if out is not None:
-                for st in states:
-                    save_client_state(out / state_file(tpos, st.client_id), st)
+                with open_task_writer(out / state_file(tpos), K) as fh:
+                    for st in states:
+                        save_client_state(fh, st)
             return states
 
         metrics, pool_sizes, pc_total = score_run(cfg, tasks, streams, partitions,

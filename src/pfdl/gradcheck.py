@@ -52,7 +52,7 @@ def run_nn_gradcheck(num_cases: int, seed: int = 0, h: float = 1e-6) -> float:
     Each case labels a random number of leading rows with classes, as the
     fused training pass does over [batch; negatives]."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     for _ in range(num_cases):
         arch = _random_arch(rng)
         model = nn.init_model(arch, int(rng.integers(0, 2**31)))
@@ -67,8 +67,8 @@ def run_nn_gradcheck(num_cases: int, seed: int = 0, h: float = 1e-6) -> float:
         analytic = nn.backward(model, X, y_cls=y, y_aux=ya)
         fd = finite_diff_grad(
             model.params, lambda: nn.batch_loss(model, X, y_cls=y, y_aux=ya), h)
-        worst = max(worst, max_rel_error(analytic, fd))
-    return worst
+        errors.append(max_rel_error(analytic, fd))
+    return float(np.max(errors))
 
 
 def run_migration_gradcheck(num_cases: int, seed: int = 0, h: float = 1e-6) -> float:
@@ -77,7 +77,7 @@ def run_migration_gradcheck(num_cases: int, seed: int = 0, h: float = 1e-6) -> f
     on random cases of roughly a hundred parameters and 1 to 7 anchors (a
     full pool of 8 models anchors all but the bound one)."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     arch = nn.ArchSpec(input_dim=5, hidden_dims=(8,), num_classes=4)  # 93 params
     for _ in range(num_cases):
         w = nn.init_model(arch, int(rng.integers(0, 2**31))).params
@@ -86,5 +86,5 @@ def run_migration_gradcheck(num_cases: int, seed: int = 0, h: float = 1e-6) -> f
         analytic = np.zeros_like(w)
         add_migration_grads(analytic, w, float(rho.sum()), rho @ anchors)
         fd = finite_diff_grad(w, lambda: float(rho @ ((w - anchors) ** 2).sum(axis=1)), h)
-        worst = max(worst, max_rel_error(analytic, fd))
-    return worst
+        errors.append(max_rel_error(analytic, fd))
+    return float(np.max(errors))  # a NaN case stays NaN, where max(worst, nan) drops it

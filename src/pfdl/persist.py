@@ -5,6 +5,13 @@ Event records and CSV rows contain no timestamps and use fixed field
 orders, so two runs of the same configuration produce byte-identical
 files. The manifest (which does carry timestamps) declares every output
 path before the first training round.
+
+Checkpoints are one file per stream position, `checkpoints/task_TT.state`
+(`state_file`): a header, then every client's record in client-id order,
+each with model records unchanged since format version 1 (see
+serialize.py). No sidecar sits beside them: the matching history is the
+`matching` events of `events.jsonl`, and a client with no such event for
+a task sat it out.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 from . import __version__
 from .data import split_sizes
 from .errors import ConfigError, DataError
-from .serialize import SIDECAR_SUFFIX, load_dataset, read_file, save_dataset
+from .serialize import load_dataset, read_file, save_dataset
 
 
 def canonical_json(obj) -> str:
@@ -37,9 +44,9 @@ def dataset_file(t: int) -> str:
     return f"data/task_{t:02d}.bin"
 
 
-def state_file(tpos: int, k: int) -> str:
-    """Client k's checkpoint after the task at stream position tpos."""
-    return f"checkpoints/task_{tpos:02d}/client_{k:03d}.state"
+def state_file(tpos: int) -> str:
+    """Every client's checkpoint after the task at stream position tpos."""
+    return f"checkpoints/task_{tpos:02d}.state"
 
 
 def make_out_dir(path) -> Path:
@@ -84,11 +91,9 @@ def start_run(out, cfg, data_seed: int, tasks) -> Path:
         raise ConfigError(f"{out}: already holds a run (manifest.json); "
                           f"give a fresh output directory")
     data_manifest = write_data(out, cfg, data_seed, tasks)
-    states = [state_file(tpos, k) for tpos in range(len(tasks))
-              for k in range(cfg.federation.num_clients)]
     outputs = ["manifest.json", "events.jsonl", "metrics.csv", "metrics.json",
                "summary.csv", "data/data_manifest.json", *data_manifest["files"],
-               *states, *(str(Path(s).with_suffix(SIDECAR_SUFFIX)) for s in states)]
+               *(state_file(tpos) for tpos in range(len(tasks)))]
     config = cfg.to_dict()
     doc = {
         "config": config,

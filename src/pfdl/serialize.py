@@ -1,26 +1,41 @@
 """Versioned binary persistence.
 
-Files, and the model records in a state, start with a magic ("PFDD"
-dataset, "PFDS" client state, "PFDL" model) and the format version as a
-u32; numbers are little-endian. Both loaders read a file whole through
-one byte reader: it checks magic and version, sizes each read by its
-struct format or dtype, and calls a read past the end (as a corrupt count
-asks for) a truncation. A file that cannot be read is a DataError.
+Files, and the model records in a checkpoint, start with a magic ("PFDD"
+dataset, "PFDT" task checkpoint, "PFDL" model) and the format version as
+a u32; numbers are little-endian. Every loader takes its file front to
+back through one byte reader: it checks magic and version, sizes each
+read by its struct format or dtype against the bytes the file has left,
+so a read past the end (as a corrupt count asks for) is a truncation
+before anything is read, and ends with a check that nothing follows. A
+file that cannot be read is a DataError.
+
+A task checkpoint, `checkpoints/task_TT.state`, holds every client's
+state after one stream position: a 12-byte header (magic, version, client
+count), then one record per client in client-id order. A record is the
+client id, the pool size, the bindings as a count and (task, pool index)
+pairs in task order, then the pool's model records; it is byte for byte a
+version-1 per-client state file without its magic and version. There is
+no matching-history sidecar: each matching decision is a `matching`
+event in `events.jsonl`, and a client with no such event for a task sat
+it out.
 
 A model record is `_model_header(arch)`, then the float64 parameters
 layer by layer (trunk, cls_head, aux_head), each layer's (out, in)
 weights row-major, then its bias: the version-1 order, not the in-memory
 [Wᵀ; b] blocks, so an index built once per architecture moves models
-between the two. `load_client_state` checks a checkpoint against the
-config without parsing it: one comparison covers every record's header,
-the pool decodes as one (M, P) stack, and it alone decides validity.
+between the two. `load_client_state` checks a record against the config
+without parsing it: one comparison covers every model header, the pool
+decodes as one (M, P) stack, and it alone decides validity. The reader
+holds one record at a time, never the whole file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -33,50 +48,82 @@ from .errors import DataError
 
 MODEL_MAGIC = b"PFDL"
 DATA_MAGIC = b"PFDD"
-STATE_MAGIC = b"PFDS"
+TASK_MAGIC = b"PFDT"
 FORMAT_VERSION = 1
-SIDECAR_SUFFIX = ".rho.json"  # the matching history beside a .state file
 
 
-def read_file(path, missing: str) -> bytes:
-    """The bytes of the file at path. A DataError with the message
-    `missing` if it does not exist, or naming it if it cannot be read."""
+def _open_file(path, missing: str):
+    """The file at path, open for binary reading. A DataError with the
+    message `missing` if it does not exist, or naming it if it cannot be
+    opened."""
     try:
-        return Path(path).read_bytes()
+        return open(path, "rb")
     except FileNotFoundError:
         raise DataError(missing) from None
     except OSError as e:  # a directory, no permission
         raise DataError(f"{path}: cannot be read ({e.strerror})") from e
 
 
+def read_file(path, missing: str) -> bytes:
+    """The bytes of the file at path; DataErrors as `_open_file`."""
+    with _open_file(path, missing) as fh:
+        return fh.read()
+
+
 class _Reader:
-    """A binary file read whole, taken front to back after its magic and
-    version are checked; a take past the end is a truncation."""
+    """A binary file taken front to back from its open handle after its
+    magic and version are checked; a read past the end is a truncation,
+    found before anything is allocated or read. As a context manager it
+    closes the file on exit."""
 
     def __init__(self, path, magic: bytes, missing: str):
         self.ctx = str(path)
-        self.buf = memoryview(read_file(path, missing))
+        self.fh = _open_file(path, missing)
+        self.size = os.fstat(self.fh.fileno()).st_size
         self.pos = 0
-        got, version = self.unpack("<4sI")
-        if got != magic:
-            raise DataError(f"{self.ctx}: bad magic {got!r}, expected {magic!r}")
-        if version != FORMAT_VERSION:
-            raise DataError(f"{self.ctx}: unsupported format version {version}")
+        try:
+            got, version = self.unpack("<4sI")
+            if got != magic:
+                raise DataError(f"{self.ctx}: bad magic {got!r}, expected {magic!r}")
+            if version != FORMAT_VERSION:
+                raise DataError(f"{self.ctx}: unsupported format version {version}")
+        except DataError:
+            self.fh.close()
+            raise
 
-    def take(self, n: int) -> memoryview:
-        left = len(self.buf) - self.pos
+    def __enter__(self) -> "_Reader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
+    def _claim(self, n: int) -> None:
+        left = self.size - self.pos
         if n > left:
             raise DataError(f"{self.ctx}: truncated file (wanted {n} bytes, got {left})")
         self.pos += n
-        return self.buf[self.pos - n:self.pos]
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        return self.fh.read(n)
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, dtype, shape: tuple) -> np.ndarray:
-        """A read-only view of the next prod(shape) items of dtype."""
+        """The next prod(shape) items of dtype, read straight into a new
+        array (no intermediate bytes object)."""
         dtype = np.dtype(dtype)
-        return np.frombuffer(self.take(dtype.itemsize * math.prod(shape)), dtype).reshape(shape)
+        self._claim(dtype.itemsize * math.prod(shape))
+        out = np.empty(shape, dtype)
+        if self.fh.readinto(out) != out.nbytes:  # the file shrank since it was opened
+            raise DataError(f"{self.ctx}: truncated file")
+        return out
+
+    def end(self, last: str) -> None:
+        """A DataError unless the file ends here, after `last`."""
+        if self.pos != self.size:
+            raise DataError(f"{self.ctx}: trailing bytes after {last}")
 
 
 def _write_f64(fh, arr: np.ndarray) -> None:
@@ -132,52 +179,70 @@ def save_dataset(path, task: TaskDataset) -> None:
 
 
 def load_dataset(path) -> TaskDataset:
-    r = _Reader(path, DATA_MAGIC, f"{path}: missing task dataset")
-    task_id, num_classes, dim, seed, dom_len = r.unpack("<IIIqI")
-    try:
-        domain = json.loads(bytes(r.take(dom_len)))
-    except ValueError as e:  # bad JSON or bad UTF-8
-        raise DataError(f"{r.ctx}: bad domain block ({e})") from e
-    n_train, n_test = r.unpack("<QQ")
-    train_x = r.array("<f8", (n_train, dim)).astype(np.float64)
-    train_y = r.array("<u4", (n_train,)).astype(np.int64)
-    test_x = r.array("<f8", (n_test, dim)).astype(np.float64)
-    test_y = r.array("<u4", (n_test,)).astype(np.int64)
+    with _Reader(path, DATA_MAGIC, f"{path}: missing task dataset") as r:
+        task_id, num_classes, dim, seed, dom_len = r.unpack("<IIIqI")
+        try:
+            domain = json.loads(r.take(dom_len))
+        except ValueError as e:  # bad JSON or bad UTF-8
+            raise DataError(f"{r.ctx}: bad domain block ({e})") from e
+        n_train, n_test = r.unpack("<QQ")
+        train_x = r.array("<f8", (n_train, dim)).astype(np.float64, copy=False)
+        train_y = r.array("<u4", (n_train,)).astype(np.int64)
+        test_x = r.array("<f8", (n_test, dim)).astype(np.float64, copy=False)
+        test_y = r.array("<u4", (n_test,)).astype(np.int64)
+        r.end("the test labels")
     return TaskDataset(task_id=task_id, domain=domain, num_classes=num_classes,
                        train_x=train_x, train_y=train_y, test_x=test_x, test_y=test_y,
                        seed=seed)
 
 
-# ---------------------------------------------------------------- client states
+# ---------------------------------------------------------------- task checkpoints
 
 
-def save_client_state(path, state: ClientState) -> tuple[Path, Path]:
-    """Pool and bindings as one binary record at path; the matching history
-    goes to a JSON sidecar that no loader reads. Returns (state, sidecar)."""
+@contextlib.contextmanager
+def open_task_writer(path, num_clients: int):
+    """The task checkpoint at path, open for writing after its header;
+    the caller writes num_clients records with `save_client_state`, in
+    client-id order."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    sidecar = path.with_suffix(SIDECAR_SUFFIX)
     with open(path, "wb") as fh:
-        fh.write(STATE_MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<II", state.client_id, len(state.pool)))
-        fh.write(struct.pack("<I", len(state.task_bindings)))
-        for task_id in sorted(state.task_bindings):
-            fh.write(struct.pack("<II", task_id, state.task_bindings[task_id]))
-        for model in state.pool:
-            write_model(fh, model)
-    sidecar.write_text(json.dumps(state.rho_history, indent=1) + "\n")
-    return path, sidecar
+        fh.write(struct.pack("<4sII", TASK_MAGIC, FORMAT_VERSION, num_clients))
+        yield fh
 
 
-def load_client_state(path, arch: nn.ArchSpec, client_id: int, task_pos: int) -> ClientState:
-    """Client `client_id`'s pool of arch models and its bindings, from its
-    checkpoint after stream position task_pos (the sidecar is not read; the
-    next `begin_task` rebuilds the migration pull statistics from the pool).
-    A DataError naming the file unless it holds that client, binds each
-    task once, at most task_pos, inside its pool, has arch's model headers
-    and finite parameters, and ends with the last model."""
-    r = _Reader(path, STATE_MAGIC, f"{path}: missing checkpoint")
+@contextlib.contextmanager
+def open_task_reader(path, num_clients: int):
+    """The task checkpoint at path as a `_Reader` after its header, for
+    num_clients `load_client_state` calls in client-id order. A DataError
+    naming the file unless its header counts num_clients clients and,
+    once the caller has read them, the file ends with the last one."""
+    with _Reader(path, TASK_MAGIC, f"{path}: missing checkpoint") as r:
+        (stored,) = r.unpack("<I")
+        if stored != num_clients:
+            raise DataError(f"{r.ctx}: holds {stored} clients, the config gives {num_clients}")
+        yield r
+        r.end("the last client")
+
+
+def save_client_state(fh, state: ClientState) -> None:
+    """Client state's record, its pool and bindings, into an open task
+    checkpoint."""
+    fh.write(struct.pack("<III", state.client_id, len(state.pool), len(state.task_bindings)))
+    for task_id in sorted(state.task_bindings):
+        fh.write(struct.pack("<II", task_id, state.task_bindings[task_id]))
+    for model in state.pool:
+        write_model(fh, model)
+
+
+def load_client_state(r: _Reader, arch: nn.ArchSpec, client_id: int,
+                      task_pos: int) -> ClientState:
+    """Client `client_id`'s pool of arch models and its bindings, the next
+    record of an open task checkpoint after stream position task_pos (the
+    next `begin_task` rebuilds the migration pull statistics from the
+    pool). A DataError naming the file unless the record holds that
+    client, binds each task once, at most task_pos, inside its pool, and
+    has arch's model headers and finite parameters."""
     stored, pool_size, n_bind = r.unpack("<III")
     if stored != client_id:
         raise DataError(f"{r.ctx}: holds client {stored}, expected {client_id}")
@@ -198,8 +263,6 @@ def load_client_state(path, arch: nn.ArchSpec, client_id: int, task_pos: int) ->
     if not (records[:, :len(head)] == np.frombuffer(head, np.uint8)).all():
         raise DataError(f"{r.ctx}: a pool model's header is not the config's "
                         f"(magic {MODEL_MAGIC!r}, version {FORMAT_VERSION}, {arch})")
-    if r.pos != len(r.buf):
-        raise DataError(f"{r.ctx}: trailing bytes after the last model")
     _, scatter = _disk_order(arch.input_dim, arch.hidden_dims, arch.num_classes)
     params = records[:, len(head):].view("<f8").take(scatter, axis=1)
     if not np.isfinite(params).all():

@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from pfdl import cli, nn
+from pfdl import cli, gradcheck, nn
 from pfdl.federation import MODES
-from pfdl.serialize import load_client_state, save_client_state
+from pfdl.serialize import (load_client_state, open_task_reader, open_task_writer,
+                            save_client_state)
 
 TINY = {
     "clients": 3,
@@ -18,6 +19,8 @@ TINY = {
     "arch": {"hidden_dims": [10, 6]},
 }
 TINY_ARCH = nn.ArchSpec(input_dim=6, hidden_dims=(10, 6), num_classes=3)
+MODEL_HEADER = 28  # magic, version, input_dim, num_classes, depth, two hidden widths
+MODEL_BYTES = MODEL_HEADER + 8 * TINY_ARCH.param_count()
 
 
 @pytest.fixture()
@@ -126,14 +129,30 @@ def test_eval_reproduces_run_metrics(tmp_path, doc, mode):
         assert (run_dir / name).read_bytes() == (run_dir / "eval" / name).read_bytes()
 
 
-def first_state_file(run_dir):
-    return run_dir / "checkpoints" / "task_00" / "client_000.state"
+def task_file(run_dir, tpos):
+    return run_dir / "checkpoints" / f"task_{tpos:02d}.state"
+
+
+def record_offsets(raw):
+    """Where each client's record starts in a task checkpoint of TINY_ARCH
+    models, then where the last one ends."""
+    (count,) = struct.unpack("<I", raw[8:12])
+    offsets = [12]
+    for _ in range(count):
+        _, pool, n_bind = struct.unpack("<III", raw[offsets[-1]:offsets[-1] + 12])
+        offsets.append(offsets[-1] + 12 + 8 * n_bind + pool * MODEL_BYTES)
+    return offsets
+
+
+def read_states(path, num_clients, tpos):
+    with open_task_reader(path, num_clients) as r:
+        return [load_client_state(r, TINY_ARCH, k, tpos) for k in range(num_clients)]
 
 
 def test_eval_rejects_invalid_model_header(tiny_config, tmp_path, capsys):
     run_dir = tmp_path / "run"
     cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)])
-    path = first_state_file(run_dir)
+    path = task_file(run_dir, 0)
     raw = bytearray(path.read_bytes())
     at = raw.index(b"PFDL") + 8  # the first model's input_dim
     raw[at:at + 4] = bytes(4)
@@ -146,26 +165,61 @@ def test_eval_rejects_trailing_bytes(tiny_config, tmp_path, capsys):
     # one byte, or a whole float's worth
     run_dir = tmp_path / "run"
     cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)])
-    path = first_state_file(run_dir)
+    path = task_file(run_dir, 0)
     raw = path.read_bytes()
     for extra in (b"\0", bytes(8)):
         path.write_bytes(raw + extra)
         capsys.readouterr()
         assert cli.main(["eval", str(run_dir)]) == 3
         assert capsys.readouterr().err == (f"error[data]: {path}: trailing bytes "
-                                           "after the last model\n")
+                                           "after the last client\n")
+
+
+def test_eval_rejects_trailing_bytes_after_a_dataset(tiny_config, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
+    path = run_dir / "data" / "task_01.bin"
+    path.write_bytes(path.read_bytes() + b"X")
+    capsys.readouterr()
+    assert cli.main(["eval", str(run_dir)]) == 3
+    assert capsys.readouterr().err == (f"error[data]: {path}: trailing bytes "
+                                       "after the test labels\n")
+
+
+def test_eval_refuses_a_run_directory_of_per_client_checkpoints(tiny_config, tmp_path,
+                                                                capsys):
+    # the version-1 layout before task checkpoints: one PFDS file and one
+    # .rho.json sidecar per client and task, which are a task checkpoint's
+    # records behind their own magic and version
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
+    for tpos in range(2):
+        path = task_file(run_dir, tpos)
+        raw = path.read_bytes()
+        offsets = record_offsets(raw)
+        assert offsets[-1] == len(raw)
+        (run_dir / "checkpoints" / f"task_{tpos:02d}").mkdir()
+        for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            client = run_dir / "checkpoints" / f"task_{tpos:02d}" / f"client_{k:03d}.state"
+            client.write_bytes(b"PFDS" + struct.pack("<I", 1) + raw[lo:hi])
+            client.with_suffix(".rho.json").write_text("[]\n")
+        path.unlink()
+    capsys.readouterr()
+    assert cli.main(["eval", str(run_dir)]) == 3
+    assert capsys.readouterr().err == (f"error[data]: {task_file(run_dir, 0)}: "
+                                       "missing checkpoint\n")
 
 
 def test_eval_rejects_a_missing_checkpoint(tiny_config, tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
-    path = run_dir / "checkpoints" / "task_01" / "client_001.state"
+    path = task_file(run_dir, 1)
     path.unlink()
     assert cli.main(["eval", str(run_dir)]) == 3
     assert capsys.readouterr().err == f"error[data]: {path}: missing checkpoint\n"
 
 
-@pytest.mark.parametrize("name", ["checkpoints/task_01/client_001.state",
+@pytest.mark.parametrize("name", ["checkpoints/task_01.state",
                                   "data/task_01.bin", "manifest.json"],
                          ids=["checkpoint", "dataset", "manifest"])
 def test_eval_rejects_an_unreadable_file(tiny_config, tmp_path, capsys, name):
@@ -180,18 +234,26 @@ def test_eval_rejects_an_unreadable_file(tiny_config, tmp_path, capsys, name):
 
 
 def test_eval_rejects_every_header_byte_flip(tiny_config, tmp_path, capsys):
-    # each byte of the state header, the bindings and every model record's
-    # header, xor 0x01 and xor 0x80, is exit 3 and a one-line error. Only a
-    # flipped binding that still binds tasks 0 and 1 once each inside the
-    # pool of 2 may load: nothing in the file alone can tell it apart.
+    # each byte of the task checkpoint's header, of every client record's
+    # header and bindings, and of every model record's header, xor 0x01 and
+    # xor 0x80, is exit 3 and a one-line error. Each client binds tasks 0
+    # and 1 to models 0 and 1; only a flipped pool index that still binds
+    # them once each inside the pool of 2 may load, two per record:
+    # nothing in the file alone can tell it apart.
     run_dir = tmp_path / "run"
     assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
-    path = run_dir / "checkpoints" / "task_01" / "client_001.state"
+    path = task_file(run_dir, 1)
     raw = path.read_bytes()
-    pool, n_bind = struct.unpack("<II", raw[12:20])
-    assert (pool, n_bind) == (2, 2)
-    record = (len(raw) - 36) // 2
-    offsets = [*range(36), *(36 + i * record + j for i in range(2) for j in range(28))]
+    starts = record_offsets(raw)
+    assert len(starts) == 4 and starts[-1] == len(raw)
+    offsets, pool_indices = [*range(12)], set()
+    for at in starts[:-1]:
+        pool, n_bind = struct.unpack("<II", raw[at + 4:at + 12])
+        assert (pool, n_bind) == (2, 2)
+        models = at + 28
+        offsets += [*range(at, models),
+                    *(models + i * MODEL_BYTES + j for i in range(2) for j in range(28))]
+        pool_indices |= {at + 16, at + 24}
     loaded = set()
     for at in offsets:
         for bit in (0x01, 0x80):
@@ -201,25 +263,11 @@ def test_eval_rejects_every_header_byte_flip(tiny_config, tmp_path, capsys):
             capsys.readouterr()
             code = cli.main(["eval", str(run_dir), "--out", str(tmp_path / "eval")])
             err = capsys.readouterr().err
-            assert code == 3 or (code == 0 and 20 <= at < 36), (at, bit, code)
+            assert code == 3 or (code == 0 and at in pool_indices), (at, bit, code)
             assert code == 0 or err.startswith(f"error[data]: {path}: "), (at, bit, err)
             if code == 0:
-                pairs = struct.unpack("<4I", flipped[20:36])
-                assert sorted(pairs[::2]) == [0, 1] and max(pairs[1::2]) < 2, (at, bit)
                 loaded.add((at, bit))
-    assert loaded == {(24, 0x01), (32, 0x01)}  # a pool index 0 <-> 1
-
-
-def test_eval_does_not_read_the_matching_sidecars(tiny_config, tmp_path):
-    run_dir = tmp_path / "run"
-    assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
-    sidecars = sorted(run_dir.glob("checkpoints/task_*/client_*.rho.json"))
-    assert len(sidecars) == 6
-    for path in sidecars:
-        path.write_text('{"broken')
-    assert cli.main(["eval", str(run_dir)]) == 0
-    for name in ("metrics.csv", "summary.csv", "metrics.json"):
-        assert (run_dir / name).read_bytes() == (run_dir / "eval" / name).read_bytes()
+    assert loaded == {(at, 0x01) for at in pool_indices}  # a pool index 0 <-> 1
 
 
 @pytest.mark.parametrize("edit", [
@@ -275,21 +323,24 @@ def test_eval_rejects_a_config_edited_after_the_run(tiny_config, tmp_path, capsy
 
 def _set_client_id_7(path):
     raw = bytearray(path.read_bytes())
-    raw[8:12] = struct.pack("<I", 7)  # the stored client id
+    at = record_offsets(raw)[1]
+    raw[at:at + 4] = struct.pack("<I", 7)  # client 1's stored id
     path.write_bytes(bytes(raw))
 
 
-def _copy_client_2_over(path):
-    path.write_bytes(path.with_name("client_002.state").read_bytes())
+def _swap_clients_1_and_2(path):
+    raw = path.read_bytes()
+    _, one, two, end = record_offsets(raw)
+    path.write_bytes(raw[:one] + raw[two:end] + raw[one:two])
 
 
-@pytest.mark.parametrize("tamper, stored", [(_set_client_id_7, 7), (_copy_client_2_over, 2)],
+@pytest.mark.parametrize("tamper, stored", [(_set_client_id_7, 7), (_swap_clients_1_and_2, 2)],
                          ids=["id_7", "swapped_file"])
 def test_eval_rejects_a_checkpoint_of_another_client(tiny_config, tmp_path, capsys,
                                                      tamper, stored):
     run_dir = tmp_path / "run"
     assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
-    path = run_dir / "checkpoints" / "task_01" / "client_001.state"
+    path = task_file(run_dir, 1)
     tamper(path)
     capsys.readouterr()
     assert cli.main(["eval", str(run_dir)]) == 3
@@ -298,20 +349,22 @@ def test_eval_rejects_a_checkpoint_of_another_client(tiny_config, tmp_path, caps
 
 
 @pytest.mark.parametrize("offset, value, message", [
-    (32, 9, "task 1 is bound to pool index 9, but the pool holds 2 models"),
-    (28, 9, "binds task 9, but a checkpoint after task 1 holds tasks 0..1 only"),
-    (28, 0, "task 0 is bound twice"),
+    (24, 9, "task 1 is bound to pool index 9, but the pool holds 2 models"),
+    (20, 9, "binds task 9, but a checkpoint after task 1 holds tasks 0..1 only"),
+    (20, 0, "task 0 is bound twice"),
 ], ids=["index_9", "task_9", "duplicate_task"])
 def test_eval_rejects_a_bad_binding(tmp_path, capsys, offset, value, message):
     # a disjoint client after task 1 binds task 0 to model 0 and task 1 to
-    # model 1; the second (task, pool index) pair sits at bytes 28..36
+    # model 1; the second (task, pool index) pair sits at bytes 20..28 of
+    # client 1's record
     cfg = tmp_path / "disjoint.json"
     cfg.write_text(json.dumps(dict(TINY, mode="disjoint")))
     run_dir = tmp_path / "run"
     assert cli.main(["run", "--config", str(cfg), "--out", str(run_dir)]) == 0
-    path = run_dir / "checkpoints" / "task_01" / "client_001.state"
-    assert load_client_state(path, TINY_ARCH, 1, 1).task_bindings == {0: 0, 1: 1}
+    path = task_file(run_dir, 1)
+    assert read_states(path, 3, 1)[1].task_bindings == {0: 0, 1: 1}
     raw = bytearray(path.read_bytes())
+    offset += record_offsets(raw)[1]
     raw[offset:offset + 4] = struct.pack("<I", value)
     path.write_bytes(bytes(raw))
     capsys.readouterr()
@@ -322,18 +375,20 @@ def test_eval_rejects_a_bad_binding(tmp_path, capsys, offset, value, message):
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_eval_rejects_a_non_finite_parameter(tmp_path, capsys, value):
     # a pfeddil client after task 1 binds two tasks, so its first model's
-    # first parameter sits at byte 64; the run itself never writes one
+    # first parameter sits at byte 56 of its record; the run itself never
+    # writes one
     cfg = tmp_path / "pfeddil.json"
     cfg.write_text(json.dumps(dict(TINY, data=dict(TINY["data"],
                                                    rotation_degrees=[0, 180, 90]))))
     run_dir = tmp_path / "run"
     assert cli.main(["run", "--config", str(cfg), "--out", str(run_dir)]) == 0
-    path = run_dir / "checkpoints" / "task_01" / "client_001.state"
-    state = load_client_state(path, TINY_ARCH, 1, 1)
+    path = task_file(run_dir, 1)
+    state = read_states(path, 3, 1)[1]
     assert len(state.task_bindings) == 2
     raw = bytearray(path.read_bytes())
-    assert raw[64:72] == struct.pack("<d", state.pool[0].blocks[0][0, 0])
-    raw[64:72] = struct.pack("<d", value)
+    at = record_offsets(raw)[1] + 56
+    assert raw[at:at + 8] == struct.pack("<d", state.pool[0].blocks[0][0, 0])
+    raw[at:at + 8] = struct.pack("<d", value)
     path.write_bytes(bytes(raw))
     capsys.readouterr()
     assert cli.main(["eval", str(run_dir)]) == 3
@@ -452,14 +507,16 @@ def test_eval_rejects_a_dataset_with_bad_values(three_task_run, capsys,
 def test_eval_rejects_a_model_of_another_arch(tiny_config, tmp_path, capsys):
     run_dir = tmp_path / "run"
     cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)])
-    path = first_state_file(run_dir)
-    state = load_client_state(path, TINY_ARCH, 0, 0)
+    path = task_file(run_dir, 0)
+    states = read_states(path, 3, 0)
     other = nn.ArchSpec(input_dim=6, hidden_dims=(6, 10), num_classes=3)
-    state.pool = [nn.init_model(other, 0) for _ in state.pool]
-    save_client_state(path, state)
+    states[2].pool = [nn.init_model(other, 0) for _ in states[2].pool]
+    with open_task_writer(path, 3) as fh:
+        for state in states:
+            save_client_state(fh, state)
     capsys.readouterr()
     # the pool is sized by the config's architecture, and (6, 10) has
-    # fewer parameters, so the file ends before the pool does
+    # fewer parameters, so the file ends before the last client's pool does
     assert cli.main(["eval", str(run_dir)]) == 3
     assert f"{path}: truncated file" in capsys.readouterr().err
 
@@ -552,6 +609,21 @@ def test_gradcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "max relative error" in out
+
+
+def test_gradcheck_fails_on_a_nan_case(monkeypatch, capsys):
+    # max(worst, nan) is worst, so a fold by max once dropped a NaN case
+    real, calls = gradcheck.max_rel_error, []
+
+    def nan_on_the_third(*args):
+        calls.append(args)
+        return float("nan") if len(calls) == 3 else real(*args)
+
+    monkeypatch.setattr(gradcheck, "max_rel_error", nan_on_the_third)
+    assert cli.main(["gradcheck"]) == 4
+    out = capsys.readouterr().out
+    assert "joint-loss gradients:     max relative error nan" in out
+    assert "FAIL" in out
 
 
 def test_gradcheck_seed_is_validated_like_the_config(capsys):

@@ -66,8 +66,7 @@ def test_begin_task_empty_shard_marks_inactive():
     rep = client.begin_task(st, np.zeros((0, 5)), task_id=0, lam=0.5,
                             max_pool_size=8, arch=ARCH, init_seed=1)
     assert rep is None
-    assert st.task_bindings == {}
-    assert st.rho_history[-1]["inactive"]
+    assert st.task_bindings == {} and st.pool == []
     assert run_round(st, *shard(), task_id=0) is None
 
 
@@ -93,7 +92,7 @@ def test_begin_task_lambda_one_grows_pool_and_anchors_all_previous():
     assert len(st.pool) == 3
     assert sorted(st.task_bindings.values()) == [0, 1, 2]
     # task 2 anchors the two previous models with their intensities
-    rho = st.rho_history[-1]["rho"]
+    rho = rep.rho
     assert len(rho) == 2
     assert all(0 <= r <= 1 for r in rho)
     assert_pull_covers(st, st.pool[:2], rho)
@@ -108,6 +107,23 @@ def test_begin_task_reuse_excludes_self_keeps_others():
     assert rep.decision == matching.DECISION_REUSE
     other = 1 - rep.model_index
     assert_pull_covers(st, [st.pool[other]], [rep.rho[other]])  # the other model only
+
+
+def test_begin_task_reuses_the_model_whose_intensity_equals_lambda():
+    # lam set to the client's own best intensity on the new shard, bit for
+    # bit: reaching lam reuses that model, with room left in the pool
+    st = fresh_state()
+    X, _ = shard()
+    client.begin_task(st, X, task_id=0, lam=1.0, max_pool_size=8, arch=ARCH, init_seed=0)
+    client.begin_task(st, X * 3, task_id=1, lam=1.0, max_pool_size=8, arch=ARCH, init_seed=1)
+    rho = matching.matching_intensity(st.pool, X)
+    best = int(np.argmax(rho))
+    assert rho[best] > rho[1 - best]
+    rep = client.begin_task(st, X, task_id=2, lam=float(rho[best]), max_pool_size=8,
+                            arch=ARCH, init_seed=2)
+    assert rep.decision == matching.DECISION_REUSE and not rep.budget_forced
+    assert rep.model_index == best and max(rep.rho) == rep.lam
+    assert len(st.pool) == 2 and st.task_bindings[2] == best
 
 
 def test_begin_task_include_self_switch():
@@ -267,8 +283,7 @@ def test_snapshots_stay_frozen_during_training():
     st = fresh_state()
     client.begin_task(st, X, 0, 1.0, 8, ARCH, init_seed=0)
     run_round(st, X, y, task_id=0)
-    client.begin_task(st, X + 5.0, 1, 1.0, 8, ARCH, init_seed=1)
-    rho = st.rho_history[-1]["rho"]
+    rho = client.begin_task(st, X + 5.0, 1, 1.0, 8, ARCH, init_seed=1).rho
     assert_pull_covers(st, [st.pool[0]], rho)
     frozen = st.anchor_sum.copy()
     run_round(st, X + 5.0, y, task_id=1, entropy=(0, 6, 0, 1, 0))

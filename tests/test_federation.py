@@ -12,7 +12,7 @@ from pfdl.federation import (ExperimentConfig, FederationConfig, aggregate,
                              run_experiment, run_task, sample_clients)
 from pfdl.persist import EventLog, canonical_json, sha256_hex
 from pfdl.seeding import TAG_INIT, rng_for
-from pfdl.serialize import load_client_state
+from pfdl.serialize import load_client_state, open_task_reader
 
 ARCH = nn.ArchSpec(input_dim=4, hidden_dims=(6,), num_classes=3)
 
@@ -268,11 +268,12 @@ def test_sharing_entries_share_trunk_and_aux_values(tmp_path):
     run_experiment(cfg, out_dir=tmp_path)
     lo, hi = cfg.arch().cls_head_span()
     largest = 0
+    clients = range(cfg.federation.num_clients)
     for t in range(3):
-        for k in range(cfg.federation.num_clients):
-            st = load_client_state(
-                tmp_path / "checkpoints" / f"task_{t:02d}" / f"client_{k:03d}.state",
-                cfg.arch(), k, t)
+        with open_task_reader(tmp_path / "checkpoints" / f"task_{t:02d}.state",
+                              len(clients)) as r:
+            states = [load_client_state(r, cfg.arch(), k, t) for k in clients]
+        for st in states:
             if not st.pool:
                 continue
             largest = max(largest, len(st.pool))

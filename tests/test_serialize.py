@@ -1,5 +1,4 @@
 import io
-import json
 import struct
 
 import numpy as np
@@ -19,30 +18,49 @@ def random_model(seed, arch=None):
 # ------------------------------------------------------------- models
 
 
+def save_states(path, *states):
+    """A task checkpoint at path holding the records of states, in order."""
+    with serialize.open_task_writer(path, len(states)) as fh:
+        for state in states:
+            serialize.save_client_state(fh, state)
+    return path
+
+
+def load_states(path, arch, client_ids, task_pos):
+    """The records of a task checkpoint, read as clients client_ids."""
+    with serialize.open_task_reader(path, len(client_ids)) as r:
+        return [serialize.load_client_state(r, arch, k, task_pos) for k in client_ids]
+
+
 def save_and_load(path, state, arch=None, task_pos=None):
-    """state written to path and read back against arch (its first
-    model's by default), after the task of its latest binding."""
-    serialize.save_client_state(path, state)
+    """state written to path as a one-record task checkpoint and read back
+    against arch (its first model's by default), after the task of its
+    latest binding."""
+    save_states(path, state)
     arch = arch or state.pool[0].arch
     task_pos = max(state.task_bindings, default=0) if task_pos is None else task_pos
-    return serialize.load_client_state(path, arch, state.client_id, task_pos)
+    (back,) = load_states(path, arch, [state.client_id], task_pos)
+    return back
 
 
 def test_model_roundtrip_bitwise(tmp_path):
     for seed in range(5):
         m = random_model(seed)
         state = ClientState(client_id=0, pool=[m], task_bindings={0: 0})
-        (back,) = save_and_load(tmp_path / "client_000.state", state).pool
+        (back,) = save_and_load(tmp_path / "task_00.state", state).pool
         assert back.arch == m.arch
         assert back.params.dtype == np.float64
         assert np.array_equal(back.params, m.params)
 
 
 def test_model_bytes_keep_the_on_disk_layer_order(tmp_path):
-    # a whole state's bytes, built by hand: on disk, per layer, the (out,
-    # in) weights row-major, then the bias, whatever the in-memory layout.
-    # Depth 1 makes a record's header 24 bytes, so after the 36-byte state
-    # header the first model's floats sit 4 bytes off 8-byte alignment.
+    # a whole task checkpoint's bytes, built by hand: the 12-byte header,
+    # then each client's version-1 per-client state file without its
+    # magic and version. On disk, per layer, the (out, in) weights
+    # row-major, then the bias, whatever the in-memory layout. Depth 1
+    # makes a model record's header 24 bytes, so after client 0's 28-byte
+    # record header the first model's floats sit 4 bytes off 8-byte
+    # alignment within the record.
     arch = nn.ArchSpec(input_dim=2, hidden_dims=(3,), num_classes=2)
     shapes = [(3, 2), (3,), (2, 3), (2,), (1, 3), (1,)]
     models, disk = [], []
@@ -57,15 +75,23 @@ def test_model_bytes_keep_the_on_disk_layer_order(tmp_path):
             block[-1] = bias
         models.append(m)
         disk.append(np.concatenate([a.ravel() for a in arrays]))
-    state = ClientState(client_id=5, pool=models, task_bindings={3: 1, 0: 0})
-    path, _ = serialize.save_client_state(tmp_path / "client_005.state", state)
-    want = (b"PFDS" + struct.pack("<IIII", 1, 5, 2, 2) + struct.pack("<4I", 0, 0, 3, 1)
-            + b"".join(b"PFDL" + struct.pack("<IIIII", 1, 2, 2, 1, 3)
-                       + struct.pack(f"<{arch.param_count()}d", *d) for d in disk))
+    states = [ClientState(client_id=0, pool=models, task_bindings={3: 1, 0: 0}),
+              ClientState(client_id=1),
+              ClientState(client_id=2, pool=models[1:], task_bindings={2: 0})]
+    path = save_states(tmp_path / "task_03.state", *states)
+    records = [b"PFDS" + struct.pack("<IIII", 1, 0, 2, 2) + struct.pack("<4I", 0, 0, 3, 1)
+               + b"".join(b"PFDL" + struct.pack("<IIIII", 1, 2, 2, 1, 3)
+                          + struct.pack(f"<{arch.param_count()}d", *d) for d in disk),
+               b"PFDS" + struct.pack("<IIII", 1, 1, 0, 0),
+               b"PFDS" + struct.pack("<IIII", 1, 2, 1, 1) + struct.pack("<2I", 2, 0)
+               + b"PFDL" + struct.pack("<IIIII", 1, 2, 2, 1, 3)
+               + struct.pack(f"<{arch.param_count()}d", *disk[1])]
+    want = b"PFDT" + struct.pack("<II", 1, 3) + b"".join(r[8:] for r in records)
     assert path.read_bytes() == want
-    back = serialize.load_client_state(path, arch, 5, 3)
-    assert back.task_bindings == {0: 0, 3: 1}
-    for got, m in zip(back.pool, models):
+    back = load_states(path, arch, [0, 1, 2], 3)
+    assert [st.task_bindings for st in back] == [{0: 0, 3: 1}, {}, {2: 0}]
+    assert back[1].pool == []
+    for got, m in zip(back[0].pool + back[2].pool, models + models[1:]):
         assert got.params.tobytes() == m.params.tobytes()
         assert got.params.flags.c_contiguous
         for block, want_block in zip(got.blocks, m.blocks):
@@ -94,13 +120,16 @@ def test_model_file_size_matches_layout():
     assert len(buf.getvalue()) == header + 8 * arch.param_count()
 
 
-STATE_HEADER = 20 + 8  # magic, version, client id, pool size, bindings; one binding
+TASK_HEADER = 12  # magic, version, client count
+# the task header, then client id, pool size, bindings; one binding
+STATE_HEADER = TASK_HEADER + 12 + 8
 
 
 def corrupted(tmp_path, edit):
-    """A one-model, one-binding state file after edit(bytearray)."""
+    """A task checkpoint of one one-model, one-binding client after
+    edit(bytearray)."""
     state = ClientState(client_id=0, pool=[random_model(0)], task_bindings={0: 0})
-    path, _ = serialize.save_client_state(tmp_path / "client_000.state", state)
+    path = save_states(tmp_path / "task_00.state", state)
     raw = bytearray(path.read_bytes())
     edit(raw)
     path.write_bytes(bytes(raw))
@@ -108,11 +137,12 @@ def corrupted(tmp_path, edit):
 
 
 def load(path):
-    return serialize.load_client_state(path, random_model(0).arch, 0, 0)
+    (state,) = load_states(path, random_model(0).arch, [0], 0)
+    return state
 
 
 def test_bad_magic_rejected(tmp_path):
-    # the state's own magic, then the model record's
+    # the task checkpoint's own magic, then the model record's
     for at, message in ((0, "bad magic"), (STATE_HEADER, "header is not the config's")):
         def edit(raw):
             raw[at:at + 4] = b"NOPE"
@@ -166,7 +196,7 @@ def test_two_architectures_roundtrip_bitwise_in_one_process(tmp_path):
         for model in models:
             model.params += np.arange(model.params.size)  # distinct biases too
         state = ClientState(client_id=i, pool=models, task_bindings={0: 0, 1: 1})
-        back = save_and_load(tmp_path / f"client_{i:03d}.state", state)
+        back = save_and_load(tmp_path / f"task_{i:02d}.state", state)
         for got, model in zip(back.pool, models):
             assert got.arch == arch
             assert got.params.tobytes() == model.params.tobytes()
@@ -174,8 +204,7 @@ def test_two_architectures_roundtrip_bitwise_in_one_process(tmp_path):
     # with archs[1] read as archs[0], only the headers do
     for i, arch in enumerate(archs):
         with pytest.raises(DataError, match="header is not the config's|truncated"):
-            serialize.load_client_state(tmp_path / f"client_{i:03d}.state",
-                                        archs[i - 1], i, 1)
+            load_states(tmp_path / f"task_{i:02d}.state", archs[i - 1], [i], 1)
 
 
 @pytest.mark.parametrize("field", [0, 1, 2])
@@ -214,7 +243,7 @@ def test_dataset_magic(tmp_path):
     serialize.save_dataset(path, base)
     assert path.read_bytes()[:4] == b"PFDD"
     with pytest.raises(DataError, match="bad magic"):  # the wrong reader for this magic
-        serialize.load_client_state(path, random_model(0).arch, 0, 0)
+        load(path)
 
 
 @pytest.mark.parametrize("offset, byte", [(-1, b" "), (0, b"\xff")],
@@ -239,34 +268,57 @@ def test_client_state_roundtrip(tmp_path):
     state = ClientState(client_id=4)
     state.pool = [random_model(i) for i in range(3)]
     state.task_bindings = {0: 0, 1: 2, 2: 1}
-    state.rho_history = [{"task": 0, "decision": "new_model"},
-                         {"task": 1, "rho": [0.5, 0.25]}]
-    path, sidecar = serialize.save_client_state(tmp_path / "client_004.state", state)
-    assert path.read_bytes()[:4] == b"PFDS"
-    assert json.loads(sidecar.read_text()) == state.rho_history
-    back = serialize.load_client_state(path, state.pool[0].arch, 4, 2)
+    path = tmp_path / "task_02.state"
+    back = save_and_load(path, state)
+    assert path.read_bytes()[:4] == b"PFDT"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["task_02.state"]  # no sidecar
     assert back.client_id == 4
     assert back.task_bindings == state.task_bindings
-    assert back.rho_history == []
     assert len(back.pool) == 3
     for m, b in zip(state.pool, back.pool):
         assert np.array_equal(m.params, b.params)
 
 
 def test_huge_pool_size_is_truncation(tmp_path):
-    state = ClientState(client_id=0, pool=[random_model(0)], task_bindings={0: 0})
-    path, _ = serialize.save_client_state(tmp_path / "client_000.state", state)
-    raw = bytearray(path.read_bytes())
-    raw[12:16] = b"\xff" * 4  # pool size 2**32 - 1
-    path.write_bytes(bytes(raw))
+    def edit(raw):
+        raw[TASK_HEADER + 4:TASK_HEADER + 8] = b"\xff" * 4  # pool size 2**32 - 1
     with pytest.raises(DataError, match="truncated"):
-        load(path)
+        load(corrupted(tmp_path, edit))
 
 
-def test_client_state_without_sidecar(tmp_path):
-    state = ClientState(client_id=0, pool=[random_model(0)], task_bindings={0: 0})
-    path, sidecar = serialize.save_client_state(tmp_path / "client_000.state", state)
-    sidecar.unlink()
-    back = load(path)
-    assert back.rho_history == []
+@pytest.mark.parametrize("count, message", [
+    (2, "holds 2 clients, the config gives 1"),
+    (0, "holds 0 clients, the config gives 1"),
+], ids=["more", "fewer"])
+def test_task_checkpoint_client_count_is_checked(tmp_path, count, message):
+    def edit(raw):
+        raw[8:TASK_HEADER] = struct.pack("<I", count)
+    with pytest.raises(DataError, match=message):
+        load(corrupted(tmp_path, edit))
 
+
+def test_task_checkpoint_ends_with_its_last_client(tmp_path):
+    # a second client's whole record after the one the header counts
+    path = save_states(tmp_path / "task_00.state", ClientState(client_id=0),
+                       ClientState(client_id=1))
+    raw = bytearray(path.read_bytes())
+    raw[8:TASK_HEADER] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="trailing bytes after the last client"):
+        load_states(path, random_model(0).arch, [0], 0)
+
+
+def test_reader_holds_one_record_at_a_time(tmp_path, monkeypatch):
+    # no read of a task checkpoint asks for more than one client's record
+    arch = random_model(0).arch
+    states = [ClientState(client_id=k, pool=[random_model(k + i) for i in range(3)],
+                          task_bindings={0: 0}) for k in range(4)]
+    path = save_states(tmp_path / "task_00.state", *states)
+    record = (path.stat().st_size - TASK_HEADER) // 4
+    claims = []
+    claim = serialize._Reader._claim
+    monkeypatch.setattr(serialize._Reader, "_claim",
+                        lambda self, n: claims.append(n) or claim(self, n))
+    back = load_states(path, arch, [0, 1, 2, 3], 0)
+    assert max(claims) < record and sum(claims) == path.stat().st_size
+    assert [len(st.pool) for st in back] == [3] * 4
