@@ -137,7 +137,7 @@ def evaluate_run_dir(run_dir):
 
     def load_task(tpos: int):
         states.clear()
-        with open_task_reader(run_dir / state_file(tpos), K) as reader:
+        with open_task_reader(run_dir / state_file(tpos), arch, K) as reader:
             states.extend(load_client_state(reader, arch, k, tpos) for k in range(K))
         return states
 
@@ -145,8 +145,12 @@ def evaluate_run_dir(run_dir):
 
 
 def cmd_eval(args) -> int:
+    out = Path(args.out or Path(args.rundir) / "eval")
+    if out.resolve() == Path(args.rundir).resolve():
+        raise ConfigError(f"{out}: is the run directory, whose metrics eval "
+                          "would overwrite")
     cfg, metrics, pool_sizes, pc_total = evaluate_run_dir(args.rundir)
-    out = make_out_dir(args.out or Path(args.rundir) / "eval")
+    out = make_out_dir(out)
     fed = cfg.federation
     write_metrics_files(out, fed.mode, fed.seed, metrics, pool_sizes, pc_total)
     print(f"mode={fed.mode} seed={fed.seed} avg_final={metrics.avg_final:.4f} "

@@ -429,7 +429,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
                                      "task": tpos, **report.to_record()})
                 run_task(cfg, states, shard_data, tpos, events)
             if out is not None:
-                with open_task_writer(out / state_file(tpos), K) as fh:
+                with open_task_writer(out / state_file(tpos), cfg.arch(), K) as fh:
                     for st in states:
                         save_client_state(fh, st)
             return states

@@ -12,7 +12,7 @@ then the bias as the last row. `ArchSpec.block_spans` is the one
 description of this layout, and a model's `blocks`, built on first use,
 are its only views into the vector. Gradients are flat vectors in the
 same layout, so copying, averaging and updating a model are each one
-vector operation; checkpoints keep their own order (see serialize.py).
+vector operation, and a checkpoint stores the vector as it is.
 
 Training passes run over a `Workspace` of K slots, one model each: its
 parameters are the rows of a (K, P) stack, and its buffers carry the slot

@@ -7,11 +7,11 @@ files. The manifest (which does carry timestamps) declares every output
 path before the first training round.
 
 Checkpoints are one file per stream position, `checkpoints/task_TT.state`
-(`state_file`): a header, then every client's record in client-id order,
-each with model records unchanged since format version 1 (see
-serialize.py). No sidecar sits beside them: the matching history is the
-`matching` events of `events.jsonl`, and a client with no such event for
-a task sat it out.
+(`state_file`): a header with the architecture, then every client's
+record in client-id order, its pool as raw parameters (see serialize.py).
+No sidecar sits beside them: the matching history is the `matching`
+events of `events.jsonl`, and a client with no such event for a task sat
+it out.
 """
 
 from __future__ import annotations

@@ -1,38 +1,31 @@
 """Versioned binary persistence.
 
-Files, and the model records in a checkpoint, start with a magic ("PFDD"
-dataset, "PFDT" task checkpoint, "PFDL" model) and the format version as
-a u32; numbers are little-endian. Every loader takes its file front to
-back through one byte reader: it checks magic and version, sizes each
-read by its struct format or dtype against the bytes the file has left,
-so a read past the end (as a corrupt count asks for) is a truncation
-before anything is read, and ends with a check that nothing follows. A
-file that cannot be read is a DataError.
+Dataset files start with the magic "PFDD" and format version 1, task
+checkpoints with "PFDT" and format version 2, each version a u32; numbers
+are little-endian. Every loader takes its file front to back through one
+byte reader: it checks magic and version, sizes each read by its struct
+format or dtype against the bytes the file has left, so a read past the
+end (as a corrupt count asks for) is a truncation before anything is
+read, and ends with a check that nothing follows. A file that cannot be
+read is a DataError.
 
 A task checkpoint, `checkpoints/task_TT.state`, holds every client's
-state after one stream position: a 12-byte header (magic, version, client
-count), then one record per client in client-id order. A record is the
-client id, the pool size, the bindings as a count and (task, pool index)
-pairs in task order, then the pool's model records; it is byte for byte a
-version-1 per-client state file without its magic and version. There is
-no matching-history sidecar: each matching decision is a `matching`
-event in `events.jsonl`, and a client with no such event for a task sat
-it out.
-
-A model record is `_model_header(arch)`, then the float64 parameters
-layer by layer (trunk, cls_head, aux_head), each layer's (out, in)
-weights row-major, then its bias: the version-1 order, not the in-memory
-[Wᵀ; b] blocks, so an index built once per architecture moves models
-between the two. `load_client_state` checks a record against the config
-without parsing it: one comparison covers every model header, the pool
-decodes as one (M, P) stack, and it alone decides validity. The reader
-holds one record at a time, never the whole file.
+state after one stream position. Its header is the magic, the version,
+the client count and the architecture: input_dim, num_classes, depth and
+the hidden widths, u32 each. One record per client follows, in client-id
+order: the client id, the pool size, the bindings as a count and (task,
+pool index) pairs in task order, then the pool as raw float64
+parameters, each model its flat vector in memory order (the [Wᵀ; b]
+blocks of nn.py). The reader compares the whole header after the version
+with the config's in one check, then reads each pool as one (M, P)
+stack, one record at a time. There is no matching-history sidecar: each
+matching decision is a `matching` event in `events.jsonl`, and a client
+with no such event for a task sat it out.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import math
 import os
@@ -46,10 +39,8 @@ from .client import ClientState
 from .data import TaskDataset
 from .errors import DataError
 
-MODEL_MAGIC = b"PFDL"
-DATA_MAGIC = b"PFDD"
-TASK_MAGIC = b"PFDT"
-FORMAT_VERSION = 1
+DATA_MAGIC, DATA_VERSION = b"PFDD", 1
+TASK_MAGIC, TASK_VERSION = b"PFDT", 2
 
 
 def _open_file(path, missing: str):
@@ -76,17 +67,17 @@ class _Reader:
     found before anything is allocated or read. As a context manager it
     closes the file on exit."""
 
-    def __init__(self, path, magic: bytes, missing: str):
+    def __init__(self, path, magic: bytes, version: int, missing: str):
         self.ctx = str(path)
         self.fh = _open_file(path, missing)
         self.size = os.fstat(self.fh.fileno()).st_size
         self.pos = 0
         try:
-            got, version = self.unpack("<4sI")
+            got, got_version = self.unpack("<4sI")
             if got != magic:
                 raise DataError(f"{self.ctx}: bad magic {got!r}, expected {magic!r}")
-            if version != FORMAT_VERSION:
-                raise DataError(f"{self.ctx}: unsupported format version {version}")
+            if got_version != version:
+                raise DataError(f"{self.ctx}: unsupported format version {got_version}")
         except DataError:
             self.fh.close()
             raise
@@ -130,42 +121,13 @@ def _write_f64(fh, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-# ---------------------------------------------------------------- models
-
-
-def _model_header(arch: nn.ArchSpec) -> bytes:
-    """The header of every model record of arch."""
-    depth = len(arch.hidden_dims)
-    return struct.pack(f"<4sIIII{depth}I", MODEL_MAGIC, FORMAT_VERSION, arch.input_dim,
-                       arch.num_classes, depth, *arch.hidden_dims)
-
-
-@functools.lru_cache(maxsize=16)
-def _disk_order(input_dim: int, hidden_dims: tuple, num_classes: int) -> tuple:
-    """(gather, scatter) indices between a model's flat vector and its
-    disk order: params[gather] is the disk order, disk[scatter] the flat
-    vector. Keyed by the whole architecture."""
-    arch = nn.ArchSpec(input_dim, hidden_dims, num_classes)
-    positions = nn.PersonalModel(arch, np.arange(arch.param_count(), dtype=np.float64))
-    gather = np.concatenate([a.ravel() for b in positions.blocks
-                             for a in (b[:-1].T, b[-1])]).astype(np.intp)
-    return gather, np.argsort(gather)
-
-
-def write_model(fh, model: nn.PersonalModel) -> None:
-    arch = model.arch
-    gather, _ = _disk_order(arch.input_dim, arch.hidden_dims, arch.num_classes)
-    fh.write(_model_header(arch))
-    _write_f64(fh, model.params[gather])
-
-
 # ---------------------------------------------------------------- datasets
 
 
 def save_dataset(path, task: TaskDataset) -> None:
     with open(path, "wb") as fh:
         fh.write(DATA_MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
+        fh.write(struct.pack("<I", DATA_VERSION))
         dom = json.dumps(task.domain).encode()
         fh.write(struct.pack("<IIIq", task.task_id, task.num_classes,
                              task.train_x.shape[1], int(task.seed)))
@@ -179,7 +141,7 @@ def save_dataset(path, task: TaskDataset) -> None:
 
 
 def load_dataset(path) -> TaskDataset:
-    with _Reader(path, DATA_MAGIC, f"{path}: missing task dataset") as r:
+    with _Reader(path, DATA_MAGIC, DATA_VERSION, f"{path}: missing task dataset") as r:
         task_id, num_classes, dim, seed, dom_len = r.unpack("<IIIqI")
         try:
             domain = json.loads(r.take(dom_len))
@@ -199,40 +161,57 @@ def load_dataset(path) -> TaskDataset:
 # ---------------------------------------------------------------- task checkpoints
 
 
+def _task_header(arch: nn.ArchSpec, num_clients: int) -> bytes:
+    """A task checkpoint's header after its magic and version."""
+    depth = len(arch.hidden_dims)
+    return struct.pack(f"<IIII{depth}I", num_clients, arch.input_dim, arch.num_classes,
+                       depth, *arch.hidden_dims)
+
+
 @contextlib.contextmanager
-def open_task_writer(path, num_clients: int):
+def open_task_writer(path, arch: nn.ArchSpec, num_clients: int):
     """The task checkpoint at path, open for writing after its header;
-    the caller writes num_clients records with `save_client_state`, in
-    client-id order."""
+    the caller writes num_clients records of arch models with
+    `save_client_state`, in client-id order. The file is written beside
+    path and moved into place on a clean exit, so path holds either a
+    whole checkpoint or what it held before."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sII", TASK_MAGIC, FORMAT_VERSION, num_clients))
-        yield fh
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(struct.pack("<4sI", TASK_MAGIC, TASK_VERSION))
+            fh.write(_task_header(arch, num_clients))
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @contextlib.contextmanager
-def open_task_reader(path, num_clients: int):
+def open_task_reader(path, arch: nn.ArchSpec, num_clients: int):
     """The task checkpoint at path as a `_Reader` after its header, for
     num_clients `load_client_state` calls in client-id order. A DataError
-    naming the file unless its header counts num_clients clients and,
-    once the caller has read them, the file ends with the last one."""
-    with _Reader(path, TASK_MAGIC, f"{path}: missing checkpoint") as r:
-        (stored,) = r.unpack("<I")
-        if stored != num_clients:
-            raise DataError(f"{r.ctx}: holds {stored} clients, the config gives {num_clients}")
+    naming the file unless its header holds num_clients clients of arch
+    models and, once the caller has read them, the file ends with the
+    last one."""
+    with _Reader(path, TASK_MAGIC, TASK_VERSION, f"{path}: missing checkpoint") as r:
+        head = _task_header(arch, num_clients)
+        if r.take(len(head)) != head:
+            raise DataError(f"{r.ctx}: the header is not the config's "
+                            f"(client count {num_clients}, {arch})")
         yield r
         r.end("the last client")
 
 
 def save_client_state(fh, state: ClientState) -> None:
-    """Client state's record, its pool and bindings, into an open task
+    """Client state's record, its bindings and pool, into an open task
     checkpoint."""
     fh.write(struct.pack("<III", state.client_id, len(state.pool), len(state.task_bindings)))
     for task_id in sorted(state.task_bindings):
         fh.write(struct.pack("<II", task_id, state.task_bindings[task_id]))
     for model in state.pool:
-        write_model(fh, model)
+        _write_f64(fh, model.params)
 
 
 def load_client_state(r: _Reader, arch: nn.ArchSpec, client_id: int,
@@ -242,7 +221,7 @@ def load_client_state(r: _Reader, arch: nn.ArchSpec, client_id: int,
     next `begin_task` rebuilds the migration pull statistics from the
     pool). A DataError naming the file unless the record holds that
     client, binds each task once, at most task_pos, inside its pool, and
-    has arch's model headers and finite parameters."""
+    has finite parameters."""
     stored, pool_size, n_bind = r.unpack("<III")
     if stored != client_id:
         raise DataError(f"{r.ctx}: holds client {stored}, expected {client_id}")
@@ -258,13 +237,7 @@ def load_client_state(r: _Reader, arch: nn.ArchSpec, client_id: int,
             raise DataError(f"{r.ctx}: binds task {t}, but a checkpoint "
                             f"after task {task_pos} holds tasks 0..{task_pos} only")
         bindings[t] = idx
-    head = _model_header(arch)
-    records = r.array(np.uint8, (pool_size, len(head) + 8 * arch.param_count()))
-    if not (records[:, :len(head)] == np.frombuffer(head, np.uint8)).all():
-        raise DataError(f"{r.ctx}: a pool model's header is not the config's "
-                        f"(magic {MODEL_MAGIC!r}, version {FORMAT_VERSION}, {arch})")
-    _, scatter = _disk_order(arch.input_dim, arch.hidden_dims, arch.num_classes)
-    params = records[:, len(head):].view("<f8").take(scatter, axis=1)
+    params = r.array("<f8", (pool_size, arch.param_count()))
     if not np.isfinite(params).all():
         raise DataError(f"{r.ctx}: a pool model holds a non-finite parameter")
     pool = [nn.PersonalModel(arch, p) for p in params.astype(np.float64, copy=False)]

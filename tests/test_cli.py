@@ -19,8 +19,8 @@ TINY = {
     "arch": {"hidden_dims": [10, 6]},
 }
 TINY_ARCH = nn.ArchSpec(input_dim=6, hidden_dims=(10, 6), num_classes=3)
-MODEL_HEADER = 28  # magic, version, input_dim, num_classes, depth, two hidden widths
-MODEL_BYTES = MODEL_HEADER + 8 * TINY_ARCH.param_count()
+TASK_HEADER = 32  # magic, version, client count, input_dim, num_classes, depth, two widths
+MODEL_BYTES = 8 * TINY_ARCH.param_count()
 
 
 @pytest.fixture()
@@ -137,7 +137,7 @@ def record_offsets(raw):
     """Where each client's record starts in a task checkpoint of TINY_ARCH
     models, then where the last one ends."""
     (count,) = struct.unpack("<I", raw[8:12])
-    offsets = [12]
+    offsets = [TASK_HEADER]
     for _ in range(count):
         _, pool, n_bind = struct.unpack("<III", raw[offsets[-1]:offsets[-1] + 12])
         offsets.append(offsets[-1] + 12 + 8 * n_bind + pool * MODEL_BYTES)
@@ -145,20 +145,43 @@ def record_offsets(raw):
 
 
 def read_states(path, num_clients, tpos):
-    with open_task_reader(path, num_clients) as r:
+    with open_task_reader(path, TINY_ARCH, num_clients) as r:
         return [load_client_state(r, TINY_ARCH, k, tpos) for k in range(num_clients)]
 
 
-def test_eval_rejects_invalid_model_header(tiny_config, tmp_path, capsys):
+def test_eval_rejects_an_invalid_arch_header(tiny_config, tmp_path, capsys):
     run_dir = tmp_path / "run"
     cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)])
     path = task_file(run_dir, 0)
     raw = bytearray(path.read_bytes())
-    at = raw.index(b"PFDL") + 8  # the first model's input_dim
-    raw[at:at + 4] = bytes(4)
+    raw[12:16] = bytes(4)  # the architecture's input_dim
     path.write_bytes(bytes(raw))
+    capsys.readouterr()
     assert cli.main(["eval", str(run_dir)]) == 3
-    assert "a pool model's header is not the config's" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error[data]: {path}: the header is not the "
+                                       f"config's (client count 3, {TINY_ARCH})\n")
+
+
+def test_eval_refuses_a_parent_format_task_file(tiny_config, tmp_path, capsys):
+    # format version 1: a 12-byte header, and every model a record of its
+    # own after a 28-byte header, its weights stored as (out, in)
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
+    path = task_file(run_dir, 1)
+    model_header = b"PFDL" + struct.pack("<IIIIII", 1, 6, 3, 2, 10, 6)
+    parent = b"PFDT" + struct.pack("<II", 1, 3)
+    for k, state in enumerate(read_states(path, 3, 1)):
+        parent += struct.pack("<III", k, len(state.pool), len(state.task_bindings))
+        for pair in sorted(state.task_bindings.items()):
+            parent += struct.pack("<II", *pair)
+        for model in state.pool:
+            parent += model_header + b"".join(
+                a.tobytes() for block in model.blocks for a in (block[:-1].T, block[-1]))
+    path.write_bytes(parent)
+    capsys.readouterr()
+    assert cli.main(["eval", str(run_dir)]) == 3
+    assert capsys.readouterr().err == (f"error[data]: {path}: unsupported format "
+                                       "version 1\n")
 
 
 def test_eval_rejects_trailing_bytes(tiny_config, tmp_path, capsys):
@@ -234,9 +257,9 @@ def test_eval_rejects_an_unreadable_file(tiny_config, tmp_path, capsys, name):
 
 
 def test_eval_rejects_every_header_byte_flip(tiny_config, tmp_path, capsys):
-    # each byte of the task checkpoint's header, of every client record's
-    # header and bindings, and of every model record's header, xor 0x01 and
-    # xor 0x80, is exit 3 and a one-line error. Each client binds tasks 0
+    # each byte of the task checkpoint's header, its architecture included,
+    # and of every client record's header and bindings, xor 0x01 and xor
+    # 0x80, is exit 3 and a one-line error. Each client binds tasks 0
     # and 1 to models 0 and 1; only a flipped pool index that still binds
     # them once each inside the pool of 2 may load, two per record:
     # nothing in the file alone can tell it apart.
@@ -246,14 +269,13 @@ def test_eval_rejects_every_header_byte_flip(tiny_config, tmp_path, capsys):
     raw = path.read_bytes()
     starts = record_offsets(raw)
     assert len(starts) == 4 and starts[-1] == len(raw)
-    offsets, pool_indices = [*range(12)], set()
+    offsets, pool_indices = [*range(TASK_HEADER)], set()
     for at in starts[:-1]:
         pool, n_bind = struct.unpack("<II", raw[at + 4:at + 12])
         assert (pool, n_bind) == (2, 2)
-        models = at + 28
-        offsets += [*range(at, models),
-                    *(models + i * MODEL_BYTES + j for i in range(2) for j in range(28))]
+        offsets += range(at, at + 28)
         pool_indices |= {at + 16, at + 24}
+    assert len(offsets) == 116
     loaded = set()
     for at in offsets:
         for bit in (0x01, 0x80):
@@ -375,7 +397,7 @@ def test_eval_rejects_a_bad_binding(tmp_path, capsys, offset, value, message):
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_eval_rejects_a_non_finite_parameter(tmp_path, capsys, value):
     # a pfeddil client after task 1 binds two tasks, so its first model's
-    # first parameter sits at byte 56 of its record; the run itself never
+    # first parameter sits at byte 28 of its record; the run itself never
     # writes one
     cfg = tmp_path / "pfeddil.json"
     cfg.write_text(json.dumps(dict(TINY, data=dict(TINY["data"],
@@ -386,7 +408,7 @@ def test_eval_rejects_a_non_finite_parameter(tmp_path, capsys, value):
     state = read_states(path, 3, 1)[1]
     assert len(state.task_bindings) == 2
     raw = bytearray(path.read_bytes())
-    at = record_offsets(raw)[1] + 56
+    at = record_offsets(raw)[1] + 28
     assert raw[at:at + 8] == struct.pack("<d", state.pool[0].blocks[0][0, 0])
     raw[at:at + 8] = struct.pack("<d", value)
     path.write_bytes(bytes(raw))
@@ -511,7 +533,7 @@ def test_eval_rejects_a_model_of_another_arch(tiny_config, tmp_path, capsys):
     states = read_states(path, 3, 0)
     other = nn.ArchSpec(input_dim=6, hidden_dims=(6, 10), num_classes=3)
     states[2].pool = [nn.init_model(other, 0) for _ in states[2].pool]
-    with open_task_writer(path, 3) as fh:
+    with open_task_writer(path, TINY_ARCH, 3) as fh:
         for state in states:
             save_client_state(fh, state)
     capsys.readouterr()
@@ -663,6 +685,24 @@ def test_out_naming_a_file_is_config_error(tiny_config, tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith(f"error[config]: {taken}: cannot create the output directory")
     assert taken.read_text() == "not a directory"
+
+
+def test_eval_out_naming_the_run_directory_is_config_error(tiny_config, tmp_path, capsys):
+    # with a tampered dataset the recomputed metrics differ from the
+    # run's, and eval must not write them over the run's own files
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
+    data = run_dir / "data" / "task_01.bin"
+    data.write_bytes(data.read_bytes()[:-100] + bytes(100))
+    names = ("metrics.csv", "summary.csv", "metrics.json")
+    before = [(run_dir / name).read_bytes() for name in names]
+    for out in (run_dir, run_dir / "eval" / ".."):
+        capsys.readouterr()
+        assert cli.main(["eval", str(run_dir), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error[config]: {out}: is the run directory, "
+                                           "whose metrics eval would overwrite\n")
+        assert [(run_dir / name).read_bytes() for name in names] == before
+    assert not (run_dir / "eval").exists()
 
 
 def test_compare_one_summary_row_per_mode_and_seed(tiny_config, tmp_path):

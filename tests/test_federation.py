@@ -271,7 +271,7 @@ def test_sharing_entries_share_trunk_and_aux_values(tmp_path):
     clients = range(cfg.federation.num_clients)
     for t in range(3):
         with open_task_reader(tmp_path / "checkpoints" / f"task_{t:02d}.state",
-                              len(clients)) as r:
+                              cfg.arch(), len(clients)) as r:
             states = [load_client_state(r, cfg.arch(), k, t) for k in clients]
         for st in states:
             if not st.pool:
