@@ -19,9 +19,16 @@ labels); a step copies each client's batch into its slot. The per-client
 parts of a step (the migration pull and the SGD update) stay per client,
 so a client's update does not depend on which clients share its round.
 
+A round computes in float32 (`TRAIN_DTYPE`): the workspace, the slot
+rows, the pull and the update. The pools, the anchor statistics, the
+shards and the random draws stay float64. The broadcast or bound model
+is cast into its slot when the round starts, and the trained slot is
+copied back into the float64 pool model, exactly, when it ends.
+
 The pass computes gradients only. A client's round loss (`train_loss`)
-is scored once: the joint loss of its last batch through `nn.heads` at
-the parameters just before their last update, plus the migration pull.
+is scored once, in float64: the joint loss of its last batch through
+`nn.heads` at the parameters just before their last update, plus the
+migration pull.
 """
 
 from __future__ import annotations
@@ -34,6 +41,10 @@ from . import nn
 from .matching import (DECISION_NEW, MatchingReport, NegativeSynthesisSpec,
                        matching_intensity, select_strategy, synthesize_negatives)
 from .seeding import rng_for
+
+# the precision of a local round's workspace, slot rows and update; the
+# pools, the anchor statistics and every loss stay float64
+TRAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -106,7 +117,9 @@ class _Lane:
     """One client of a lockstep round: its bound model, its shard, its
     generator, and its epoch laid out as slot rows. inputs[b] holds batch
     b's slot rows [batch; negatives; zero rows], the ones column set on
-    the real rows, and labels[b] the batch's labels."""
+    the real rows, and labels[b] the batch's labels. The slot rows and
+    `abar`, the anchor sum of the migration pull, are in TRAIN_DTYPE; the
+    shard and the draws stay float64."""
 
     def __init__(self, pos: int, state: ClientState, model: nn.PersonalModel,
                  X: np.ndarray, y: np.ndarray, epochs: int, batch_size: int,
@@ -120,7 +133,8 @@ class _Lane:
         self.batches = self.full + (self.tail > 0)
         self.steps = epochs * self.batches
         self.rng = rng_for(*entropy)
-        self.inputs = np.zeros((self.batches, 2 * batch_size, X.shape[1] + 1))
+        self.abar = state.anchor_sum.astype(TRAIN_DTYPE)
+        self.inputs = np.zeros((self.batches, 2 * batch_size, X.shape[1] + 1), TRAIN_DTYPE)
         self.inputs[:self.full, :, -1] = 1.0
         self.inputs[self.full:, :2 * self.tail, -1] = 1.0
         # labels past a short batch are never read as labels, but must be
@@ -159,16 +173,18 @@ class _Lane:
              last: bool) -> None:
         """Add the migration pull to the pass's gradient, then update w,
         the client's row of the workspace parameters. At the round's last
-        step, first score the batch's joint loss at w, plus the pull."""
+        step, first score the batch's joint loss at w, plus the pull, in
+        float64."""
         st, m = self.state, self.batch_len
         if last:
-            self.loss = nn.batch_loss(nn.PersonalModel(self.model.arch, w),
+            w64 = w.astype(np.float64)
+            self.loss = nn.batch_loss(nn.PersonalModel(self.model.arch, w64),
                                       self.inputs[-1, :2 * m, :-1], self.labels[-1, :m],
                                       np.repeat([1.0, 0.0], m))
+            if st.anchor_mass:
+                self.loss += migration_loss(w64, st.anchor_mass, st.anchor_sum, st.anchor_sq)
         if st.anchor_mass:
-            add_migration_grads(grads, w, st.anchor_mass, st.anchor_sum)
-            if last:
-                self.loss += migration_loss(w, st.anchor_mass, st.anchor_sum, st.anchor_sq)
+            add_migration_grads(grads, w, st.anchor_mass, self.abar)
         nn.sgd_step(w, grads, lr=lr, weight_decay=weight_decay)
 
 
@@ -208,9 +224,12 @@ def local_train_round(states, global_params: nn.PersonalModel | None, shards, ta
     if not lanes:
         return updates
     lanes.sort(key=lambda lane: (-lane.steps, lane.state.client_id))
-    ws = nn.Workspace(lanes[0].model.arch, len(lanes), 2 * batch_size, batch_size)
+    ws = nn.Workspace(lanes[0].model.arch, len(lanes), 2 * batch_size, batch_size,
+                      TRAIN_DTYPE)
     for k, lane in enumerate(lanes):
-        ws.params[k] = (lane.model if global_params is None else global_params).params
+        if global_params is not None:
+            np.copyto(lane.model.params, global_params.params)
+        ws.params[k] = lane.model.params
 
     active = len(lanes)
     for step in range(lanes[0].steps):
@@ -228,7 +247,8 @@ def local_train_round(states, global_params: nn.PersonalModel | None, shards, ta
             lane.step(ws.params[k], grads[k], lr, weight_decay, step == lane.steps - 1)
 
     for k, lane in enumerate(lanes):
-        np.copyto(lane.model.params, ws.params[k])
+        if lane.steps:  # a lane that took no step keeps its model's float64 bits
+            np.copyto(lane.model.params, ws.params[k])
         updates[lane.pos] = LocalUpdate(
             client_id=lane.state.client_id, parameters=nn.clone_model(lane.model),
             num_samples=lane.X.shape[0], train_loss=lane.loss)

@@ -14,12 +14,15 @@ are its only views into the vector. Gradients are flat vectors in the
 same layout, so copying, averaging and updating a model are each one
 vector operation, and a checkpoint stores the vector as it is.
 
-Training passes run over a `Workspace` of K slots, one model each: its
-parameters are the rows of a (K, P) stack, and its buffers carry the slot
-axis first, e.g. (K, rows, in_dim + 1) activations with a trailing ones
-column. Each layer's forward, and its weight and bias gradient, is one
-stacked `np.matmul` over the slots, which computes each slot exactly as a
-2-D product would. A slot with fewer real rows than the workspace keeps
+Training passes run over a `Workspace` of K slots, one model each, in
+the workspace's dtype: float32 in a local round, float64 in `backward`
+(so `pfdl gradcheck` checks the pass in double precision); models
+themselves are stored and scored in float64. The slot parameters are the
+rows of a (K, P) stack, and the buffers carry the slot axis first, e.g.
+(K, rows, in_dim + 1) activations with a trailing ones column. Each
+layer's forward, and its weight and bias gradient, is one stacked
+`np.matmul` over the slots, which computes each slot exactly as a 2-D
+product would. A slot with fewer real rows than the workspace keeps
 zero rows after them; those add exact zeros to its gradient. The views of
 a pass over the leading `active` slots, and its scratch buffers, are built
 once per workspace and count, so a pass is its ufunc and matmul calls
@@ -119,7 +122,9 @@ class PersonalModel:
 class Workspace:
     """Buffers for lockstep passes of up to `clients` models of one
     architecture over `rows` rows each, the leading `labelled` of them
-    with class labels.
+    with class labels. Every float buffer has the given dtype, and so
+    does every result of a pass: float32 in a local round, float64 in
+    `backward`.
 
     Slot k's model is row k of `params`. `acts[0]` is the input and
     `acts[i]` the i-th trunk layer's output, each with a trailing ones
@@ -137,21 +142,21 @@ class Workspace:
     gradients by inf, so they add exact zeros to the slot's gradient.
     """
 
-    def __init__(self, arch: ArchSpec, clients: int, rows: int, labelled: int):
+    def __init__(self, arch: ArchSpec, clients: int, rows: int, labelled: int, dtype):
         K, N, L, C = clients, rows, labelled, arch.num_classes
         self.labelled = labelled
-        self.params = np.zeros((K, arch.param_count()))
-        self.acts = [np.ones((K, N, d + 1)) for d in (arch.input_dim, *arch.hidden_dims)]
+        self.params = np.zeros((K, arch.param_count()), dtype)
+        self.acts = [np.ones((K, N, d + 1), dtype) for d in (arch.input_dim, *arch.hidden_dims)]
         self.x = self.acts[0][..., :-1]
-        self.zs = [np.empty((K, N, h)) for h in arch.hidden_dims]
+        self.zs = [np.empty((K, N, h), dtype) for h in arch.hidden_dims]
         self.deltas = [np.empty_like(z) for z in self.zs]
-        self.grads = np.empty((K, arch.param_count()))
+        self.grads = np.empty((K, arch.param_count()), dtype)
         self.y = np.zeros((K, L), dtype=np.int64)
-        self.y_aux = np.zeros((K, N))
+        self.y_aux = np.zeros((K, N), dtype)
         # per row the loss gradient's divisor: the slot's count of such
         # rows for a counted row, inf for the rest
-        self.cls_div = np.full((K, L, 1), float(L))
-        self.aux_div = np.full((K, N), float(N))
+        self.cls_div = np.full((K, L, 1), L, dtype)
+        self.aux_div = np.full((K, N), N, dtype)
 
         self.acts_t = [t.transpose(0, 2, 1) for t in self.acts]
         self.masks = [np.empty(z.shape, dtype=bool) for z in self.zs]
@@ -162,12 +167,13 @@ class Workspace:
         self.trunk_w = [None] + [b[:, :-1].transpose(0, 2, 1) for b in self.trunk[1:]]
         self.cls_w = self.cls_block[:, :-1].transpose(0, 2, 1)
         self.aux_w = self.aux_block[:, :-1].transpose(0, 2, 1)
-        self.aux_z = np.empty((K, N, 1))
-        self.s, self.delta_a = np.empty((K, N)), np.empty((K, N))
-        self.sigmoid_scratch = np.empty((K, N)), np.empty((K, N)), np.empty((K, N), dtype=bool)
-        self.logits = np.empty((K, L, C))
-        self.ce_scratch = _ce_scratch(self.logits.shape)
-        self.d_cls = np.empty((K, L, arch.hidden_dims[-1]))
+        self.aux_z = np.empty((K, N, 1), dtype)
+        self.s, self.delta_a = np.empty((K, N), dtype), np.empty((K, N), dtype)
+        self.sigmoid_scratch = (np.empty((K, N), dtype), np.empty((K, N), dtype),
+                                np.empty((K, N), dtype=bool))
+        self.logits = np.empty((K, L, C), dtype)
+        self.ce_scratch = _ce_scratch(self.logits.shape, dtype)
+        self.d_cls = np.empty((K, L, arch.hidden_dims[-1]), dtype)
         self._cut: dict[int, Workspace] = {}
 
     def count_rows(self, k: int, labelled: int, rows: int) -> None:
@@ -338,11 +344,11 @@ def bce(scores, y):
     return -(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))
 
 
-def _ce_scratch(shape):
-    """Scratch buffers of `_ce_grad` over logits of `shape`."""
+def _ce_scratch(shape, dtype):
+    """Scratch buffers of `_ce_grad` over logits of `shape` and dtype."""
     *rows, C = shape
-    return (np.empty(shape), np.empty((*rows, 1)), np.empty((*rows, 1)), np.empty(rows),
-            np.empty(rows, dtype=np.int64),
+    return (np.empty(shape, dtype), np.empty((*rows, 1), dtype), np.empty((*rows, 1), dtype),
+            np.empty(rows, dtype), np.empty(rows, dtype=np.int64),
             np.arange(int(np.prod(rows)), dtype=np.int64).reshape(rows) * C)
 
 
@@ -405,7 +411,7 @@ def _grads_and_loss(ws: Workspace, active: int) -> np.ndarray:
 def backward(model: PersonalModel, X, y_cls, y_aux) -> np.ndarray:
     """The joint loss's flat gradient over the rows of X, in a new array."""
     X, y, ya = _checked(model.arch, X, y_cls, y_aux)
-    ws = Workspace(model.arch, 1, X.shape[0], y.shape[0])
+    ws = Workspace(model.arch, 1, X.shape[0], y.shape[0], np.float64)
     ws.params[0], ws.x[0], ws.y[0], ws.y_aux[0] = model.params, X, y, ya
     return _grads_and_loss(ws, 1)[0]
 

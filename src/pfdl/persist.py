@@ -12,6 +12,10 @@ record in client-id order, its pool as raw parameters (see serialize.py).
 No sidecar sits beside them: the matching history is the `matching`
 events of `events.jsonl`, and a client with no such event for a task sat
 it out.
+
+Every file but `events.jsonl` is written through `serialize.open_atomic`:
+beside its path, then moved into place, so an interrupted write leaves
+the whole file or none.
 """
 
 from __future__ import annotations
@@ -27,7 +31,13 @@ import numpy as np
 from . import __version__
 from .data import split_sizes
 from .errors import ConfigError, DataError
-from .serialize import load_dataset, read_file, save_dataset
+from .serialize import load_dataset, open_atomic, read_file, save_dataset
+
+
+def write_json(path, doc) -> None:
+    """doc as indented JSON into the file at path, through `open_atomic`."""
+    with open_atomic(path) as fh:
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def canonical_json(obj) -> str:
@@ -78,7 +88,7 @@ def write_data(out, cfg, data_seed: int, tasks) -> dict:
     make_out_dir(out / "data")
     for t, name in zip(tasks, manifest["files"]):
         save_dataset(out / name, t)
-    (out / "data" / "data_manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    write_json(out / "data" / "data_manifest.json", manifest)
     return manifest
 
 
@@ -105,7 +115,7 @@ def start_run(out, cfg, data_seed: int, tasks) -> Path:
         "created_unix": time.time(),
     }
     out = Path(out)
-    (out / "manifest.json").write_text(json.dumps(doc, indent=1) + "\n")
+    write_json(out / "manifest.json", doc)
     return out
 
 
@@ -197,7 +207,7 @@ SUMMARY_COLUMNS = ["mode", "seed", "avg_final", "mean_forgetting",
 
 
 def write_metrics_csv(path, mode: str, seed: int, metrics) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_atomic(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(METRICS_COLUMNS)
         N = metrics.num_tasks
@@ -215,7 +225,7 @@ def summary_row(label: str, seed: int, metrics, pool_size_mean: float,
 
 def write_summary_csv(path, rows: list[list], first: str = "mode") -> None:
     """SUMMARY_COLUMNS under the header `first` for the label column."""
-    with open(path, "w", newline="") as fh:
+    with open_atomic(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow([first, *SUMMARY_COLUMNS[1:]])
         w.writerows(rows)
@@ -235,7 +245,7 @@ def write_metrics_json(path, metrics, pool_sizes, param_count_total) -> None:
         "pool_sizes": [int(p) for p in pool_sizes],
         "param_count_total": int(param_count_total),
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    write_json(path, doc)
 
 
 def write_metrics_files(out, mode: str, seed: int, metrics, pool_sizes,

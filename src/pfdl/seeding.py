@@ -20,11 +20,7 @@ TAG_SAMPLE = 7      # per-round client sampling
 
 
 def rng_for(*parts: int) -> np.random.Generator:
-    """Derive a Generator from a tuple of non-negative integers."""
-    entropy = []
-    for p in parts:
-        q = int(p)
-        if q < 0:
-            raise ValueError(f"seed components must be non-negative, got {p}")
-        entropy.append(q)
-    return np.random.default_rng(entropy)
+    """Derive a Generator from a tuple of non-negative integers. NumPy
+    rejects a negative part (ValueError) and a non-integer one, such as
+    2.5 (TypeError)."""
+    return np.random.default_rng(parts)

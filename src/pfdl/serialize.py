@@ -117,6 +117,22 @@ class _Reader:
             raise DataError(f"{self.ctx}: trailing bytes after {last}")
 
 
+@contextlib.contextmanager
+def open_atomic(path, mode: str = "w", **kwargs):
+    """The file at path, open for writing in `mode`: it is written beside
+    path as path.tmp and moved into place on a clean exit, so path holds
+    either the whole new file or what it held before. If the block
+    raises, the temporary is removed."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_f64(fh, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
@@ -125,7 +141,7 @@ def _write_f64(fh, arr: np.ndarray) -> None:
 
 
 def save_dataset(path, task: TaskDataset) -> None:
-    with open(path, "wb") as fh:
+    with open_atomic(path, "wb") as fh:
         fh.write(DATA_MAGIC)
         fh.write(struct.pack("<I", DATA_VERSION))
         dom = json.dumps(task.domain).encode()
@@ -172,20 +188,15 @@ def _task_header(arch: nn.ArchSpec, num_clients: int) -> bytes:
 def open_task_writer(path, arch: nn.ArchSpec, num_clients: int):
     """The task checkpoint at path, open for writing after its header;
     the caller writes num_clients records of arch models with
-    `save_client_state`, in client-id order. The file is written beside
-    path and moved into place on a clean exit, so path holds either a
-    whole checkpoint or what it held before."""
+    `save_client_state`, in client-id order. The file is written through
+    `open_atomic`, so path holds either a whole checkpoint or what it held
+    before."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(struct.pack("<4sI", TASK_MAGIC, TASK_VERSION))
-            fh.write(_task_header(arch, num_clients))
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with open_atomic(path, "wb") as fh:
+        fh.write(struct.pack("<4sI", TASK_MAGIC, TASK_VERSION))
+        fh.write(_task_header(arch, num_clients))
+        yield fh
 
 
 @contextlib.contextmanager

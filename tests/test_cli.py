@@ -551,7 +551,7 @@ def test_divergent_run_exits_4_without_nan_in_events(tmp_path, capsys):
     code = cli.main(["run", "--config", str(cfg), "--out", str(run_dir)])
     assert code == 4
     err = capsys.readouterr().err
-    assert "error[invariant]: clients [1], task 1, round 2" in err
+    assert "error[invariant]: clients [2], task 0, round 2" in err
 
     def no_constants(name):
         raise AssertionError(f"{name} in events.jsonl")

@@ -184,9 +184,9 @@ def test_batch_size_beyond_every_shard_only_caps_the_rows(tmp_path, monkeypatch)
     rows = []
 
     class Recording(nn.Workspace):
-        def __init__(self, arch, clients, n_rows, labelled):
+        def __init__(self, arch, clients, n_rows, labelled, dtype):
             rows.append(n_rows)
-            super().__init__(arch, clients, n_rows, labelled)
+            super().__init__(arch, clients, n_rows, labelled, dtype)
 
     monkeypatch.setattr(nn, "Workspace", Recording)
     _, tasks, partitions, _ = federation.build_datasets(small_cfg())

@@ -432,10 +432,10 @@ def _random_models(rng, arch, count):
     return models
 
 
-def _filled(models, batches, rows, labelled):
-    """A workspace with one slot per model; slot k holds batches[k] =
-    (X, y, ya) in its leading rows and pads the rest."""
-    ws = nn.Workspace(models[0].arch, len(models), rows, labelled)
+def _filled(models, batches, rows, labelled, dtype=np.float64):
+    """A workspace of dtype with one slot per model; slot k holds
+    batches[k] = (X, y, ya) in its leading rows and pads the rest."""
+    ws = nn.Workspace(models[0].arch, len(models), rows, labelled, dtype)
     for k, (model, batch) in enumerate(zip(models, batches)):
         ws.params[k] = model.params
         _load(ws, k, *batch)
@@ -467,6 +467,28 @@ def test_stacked_pass_equals_the_2d_pass_bitwise(K):
         assert grads[k].tobytes() == _fused_pass_2d(model, *batches[k]).tobytes()
 
 
+@pytest.mark.parametrize("padded", [False, True])
+@pytest.mark.parametrize("K", [1, 3, 8])
+def test_float32_pass_is_the_float64_pass_within_roundoff(K, padded):
+    # a local round's float32 pass against the float64 pass on the same
+    # models and rows: each slot's gradient within a few float32 roundoffs
+    # of its largest entry. Over 200 draws of each case the deviation
+    # peaked at 10.9 eps (8 padded slots), so 32 eps leaves headroom
+    rng = np.random.default_rng(30 + K + 10 * padded)
+    arch = nn.ArchSpec(input_dim=16, hidden_dims=(64, 32), num_classes=5)
+    models = _random_models(rng, arch, K)
+    batches = []
+    for model in models:
+        m = int(rng.integers(1, 32)) if padded else 32
+        X, y, _ = random_batch(rng, model, 2 * m)
+        batches.append((X, y[:m], np.repeat([1.0, 0.0], m)))
+    want = nn._grads_and_loss(_filled(models, batches, 64, 32), K)
+    got = nn._grads_and_loss(_filled(models, batches, 64, 32, np.float32), K)
+    assert got.dtype == np.float32
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 32 * np.finfo(np.float32).eps * np.max(np.abs(w))
+
+
 def test_reused_workspaces_match_fresh_ones():
     # one K = 3 workspace reused over steps whose slots change between full
     # and padded rows, as a local round does: no stale rows and no lost
@@ -475,7 +497,7 @@ def test_reused_workspaces_match_fresh_ones():
     # its real rows alone up to roundoff
     rng = np.random.default_rng(12)
     models = _random_models(rng, small_arch(), 3)
-    ws = nn.Workspace(small_arch(), 3, 16, 8)
+    ws = nn.Workspace(small_arch(), 3, 16, 8, np.float64)
     for sizes in ((8, 3, 5), (3, 8, 8), (8, 8, 1), (5, 3, 8), (8, 8, 8)):
         batches = []
         for k, m in enumerate(sizes):

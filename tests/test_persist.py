@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from pfdl import persist
-from pfdl.data import DataConfig
+from pfdl import persist, serialize
+from pfdl.data import DataConfig, make_base_dataset
 from pfdl.errors import ConfigError
 from pfdl.evaluation import build_metrics
 from pfdl.federation import ExperimentConfig, FederationConfig, build_datasets
@@ -50,6 +50,40 @@ def test_summary_row_formatting():
     assert row[2] == "0.500000"   # avg_final = mean(final row)
     assert row[4] == "2.500000" and row[5] == 1136
 
+
+def _unfinished_metrics():
+    """Metrics without the last cell of their grid: the CSV writer raises
+    after its header and two rows."""
+    metrics = small_metrics()
+    metrics.acc = metrics.acc[:, :1]
+    return metrics
+
+
+def _unfinished_dataset():
+    """A dataset whose domain block cannot be encoded: the writer raises
+    after the magic and the version."""
+    task = make_base_dataset(2, 3, 10, 1.0, seed=0)
+    task.domain = {"rotation": object()}
+    return task
+
+
+@pytest.mark.parametrize("write, error", [
+    (lambda p: persist.write_metrics_csv(p, "fedavg", 0, _unfinished_metrics()), IndexError),
+    (lambda p: persist.write_json(p, {"created": object()}), TypeError),
+    (lambda p: serialize.save_dataset(p, _unfinished_dataset()), TypeError),
+], ids=["metrics_csv", "json", "dataset"])
+def test_a_write_that_raises_leaves_neither_file_nor_temporary(tmp_path, write, error):
+    # each file is written beside its path and moved into place on a clean
+    # exit: a write that raises leaves no file, or the one it replaces
+    path = tmp_path / "out.file"
+    with pytest.raises(error):
+        write(path)
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"before")
+    with pytest.raises(error):
+        write(path)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_bytes() == b"before"
 
 
 def test_manifest_roundtrip_and_config_hash(tmp_path):
