@@ -3,7 +3,8 @@
 Subcommands: run (one experiment, full artifacts), gradcheck (finite-
 difference audit of both loss gradients), compare (summary CSV across
 modes and seeds plus a lambda sweep), eval (recompute metrics from a run
-directory's stored checkpoints), gen-data (datasets + manifest only).
+directory's stored checkpoints, and check them against the run's own),
+gen-data (datasets + manifest only).
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 internal invariant
 failure.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from .gradcheck import run_migration_gradcheck, run_nn_gradcheck
 from .persist import (EventLog, make_out_dir, read_datasets, read_run_manifest,
                       state_file, summary_row, write_data, write_metrics_files,
                       write_summary_csv)
-from .serialize import load_client_state, open_task_reader
+from .serialize import load_client_state, open_task_reader, read_file
 
 LAMBDA_SWEEP = (0.0, 0.2, 0.5, 0.8, 1.0)
 GRADCHECK_CASES = 100
@@ -144,15 +146,34 @@ def evaluate_run_dir(run_dir):
     return cfg, *score_run(cfg, tasks, streams, partitions, load_task, EventLog())
 
 
+def _check_reproduced(run_dir: Path, out: Path) -> None:
+    """DataError unless each metrics file of the run is byte for byte the
+    one eval recomputed into out; it names the file and its first
+    differing line."""
+    def shown(line):
+        return "no line" if line is None else repr(line.decode(errors="replace"))
+
+    for name in ("metrics.csv", "summary.csv", "metrics.json"):
+        path = run_dir / name
+        ran = read_file(path, f"{path}: missing run metrics file").splitlines(keepends=True)
+        recomputed = (out / name).read_bytes().splitlines(keepends=True)
+        for i, (a, b) in enumerate(zip_longest(ran, recomputed)):
+            if a != b:
+                raise DataError(f"{path}: line {i + 1} is {shown(a)}, but eval recomputed "
+                                f"{shown(b)} (see {out / name})")
+
+
 def cmd_eval(args) -> int:
-    out = Path(args.out or Path(args.rundir) / "eval")
-    if out.resolve() == Path(args.rundir).resolve():
+    run_dir = Path(args.rundir)
+    out = Path(args.out or run_dir / "eval")
+    if out.resolve() == run_dir.resolve():
         raise ConfigError(f"{out}: is the run directory, whose metrics eval "
                           "would overwrite")
-    cfg, metrics, pool_sizes, pc_total = evaluate_run_dir(args.rundir)
+    cfg, metrics, pool_sizes, pc_total = evaluate_run_dir(run_dir)
     out = make_out_dir(out)
     fed = cfg.federation
     write_metrics_files(out, fed.mode, fed.seed, metrics, pool_sizes, pc_total)
+    _check_reproduced(run_dir, out)
     print(f"mode={fed.mode} seed={fed.seed} avg_final={metrics.avg_final:.4f} "
           f"out={out}")
     return 0

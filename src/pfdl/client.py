@@ -14,10 +14,11 @@ A local round trains all of a round's sampled clients at once: each bound
 model takes one slot of an `nn.Workspace`, and each step is one stacked
 pass over the slots still training. At each epoch's start a client draws
 the epoch's permutation and negatives and lays out every batch as slot
-rows ([batch; negatives; zero rows], with the ones column and the
-labels); a step copies each client's batch into its slot. The per-client
-parts of a step (the migration pull and the SGD update) stay per client,
-so a client's update does not depend on which clients share its round.
+rows ([batch; negatives; zero rows], with the ones column) and one-hot
+class targets; a step copies each client's batch into its slot. The
+per-client parts of a step (the migration pull and the SGD update) stay
+per client, so a client's update does not depend on which clients share
+its round.
 
 A round computes in float32 (`TRAIN_DTYPE`): the workspace, the slot
 rows, the pull and the update. The pools, the anchor statistics, the
@@ -117,9 +118,9 @@ class _Lane:
     """One client of a lockstep round: its bound model, its shard, its
     generator, and its epoch laid out as slot rows. inputs[b] holds batch
     b's slot rows [batch; negatives; zero rows], the ones column set on
-    the real rows, and labels[b] the batch's labels. The slot rows and
-    `abar`, the anchor sum of the migration pull, are in TRAIN_DTYPE; the
-    shard and the draws stay float64."""
+    the real rows, and onehot[b] the batch's one-hot class targets. The
+    slot rows, the targets and `abar`, the anchor sum of the migration
+    pull, are in TRAIN_DTYPE; the shard and the draws stay float64."""
 
     def __init__(self, pos: int, state: ClientState, model: nn.PersonalModel,
                  X: np.ndarray, y: np.ndarray, epochs: int, batch_size: int,
@@ -137,15 +138,15 @@ class _Lane:
         self.inputs = np.zeros((self.batches, 2 * batch_size, X.shape[1] + 1), TRAIN_DTYPE)
         self.inputs[:self.full, :, -1] = 1.0
         self.inputs[self.full:, :2 * self.tail, -1] = 1.0
-        # labels past a short batch are never read as labels, but must be
-        # valid class indices
-        self.labels = np.zeros((self.batches, batch_size), dtype=np.int64)
+        # rows past a short batch count for nothing, but are class 0
+        self.onehot = np.zeros((self.batches, batch_size, model.arch.num_classes), TRAIN_DTYPE)
+        self.onehot[self.full:, self.tail:, 0] = 1.0
         self.batch_len = 0  # the rows of the batch in the workspace
         self.loss = None  # the round's loss, scored at its last step
 
     def start_epoch(self) -> None:
         """Draw the epoch's permutation, then all of its negatives in one
-        call, and lay out every batch's slot rows."""
+        call, and lay out every batch's slot rows and one-hot targets."""
         bs, d, n = self.batch_size, self.X.shape[1], self.full * self.batch_size
         order = self.rng.permutation(self.X.shape[0])
         Xe, ye = self.X[order], self.y[order]
@@ -153,12 +154,13 @@ class _Lane:
         full = self.inputs[:self.full]
         full[:, :bs, :-1] = Xe[:n].reshape(self.full, bs, d)
         full[:, bs:, :-1] = Ne[:n].reshape(self.full, bs, d)
-        self.labels[:self.full] = ye[:n].reshape(self.full, bs)
         if self.tail:  # the short last batch
             m, slot = self.tail, self.inputs[-1]
             slot[:m, :-1] = Xe[n:]
             slot[m:2 * m, :-1] = Ne[n:]
-            self.labels[-1, :m] = ye[n:]
+        # the batches' rows in order fill the leading rows of onehot
+        C = self.onehot.shape[-1]
+        np.equal(ye[:, None], np.arange(C), out=self.onehot.reshape(-1, C)[:ye.size])
 
     def size_slot(self, ws: nn.Workspace, k: int, b: int) -> None:
         """Size slot k of ws to batch b, when its length changed."""
@@ -179,7 +181,7 @@ class _Lane:
         if last:
             w64 = w.astype(np.float64)
             self.loss = nn.batch_loss(nn.PersonalModel(self.model.arch, w64),
-                                      self.inputs[-1, :2 * m, :-1], self.labels[-1, :m],
+                                      self.inputs[-1, :2 * m, :-1], self.onehot[-1, :m].argmax(-1),
                                       np.repeat([1.0, 0.0], m))
             if st.anchor_mass:
                 self.loss += migration_loss(w64, st.anchor_mass, st.anchor_sum, st.anchor_sq)
@@ -241,7 +243,7 @@ def local_train_round(states, global_params: nn.PersonalModel | None, shards, ta
                 lane.start_epoch()
             lane.size_slot(ws, k, b)
             ws.acts[0][k] = lane.inputs[b]
-            ws.y[k] = lane.labels[b]
+            ws.onehot[k] = lane.onehot[b]
         grads = nn._grads_and_loss(ws, active)
         for k, lane in enumerate(lanes[:active]):
             lane.step(ws.params[k], grads[k], lr, weight_decay, step == lane.steps - 1)

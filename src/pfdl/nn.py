@@ -26,10 +26,10 @@ product would. A slot with fewer real rows than the workspace keeps
 zero rows after them; those add exact zeros to its gradient. The views of
 a pass over the leading `active` slots, and its scratch buffers, are built
 once per workspace and count, so a pass is its ufunc and matmul calls
-writing into preallocated arrays: the CE gradient's target entries are
-reached through flat indices and the sigmoid divides under a `where=`
-mask, each bitwise the plain expression. The pass computes gradients
-only; `backward` runs it with K = 1. Scoring needs no buffers:
+writing into preallocated arrays: the class targets are one-hot rows, so
+the CE gradient is the softmax minus them, and the sigmoid divides under a
+`where=` mask, each bitwise the plain expression. The pass computes
+gradients only; `backward` runs it with K = 1. Scoring needs no buffers:
 `stacked_heads` runs M models on the same rows X (n, in_dim) as one
 np.matmul per layer against their (M, in_dim, out_dim) Wᵀ blocks plus the
 bias row, and each model's slice is bitwise what a 2-D pass would give;
@@ -122,7 +122,7 @@ class PersonalModel:
 class Workspace:
     """Buffers for lockstep passes of up to `clients` models of one
     architecture over `rows` rows each, the leading `labelled` of them
-    with class labels. Every float buffer has the given dtype, and so
+    with class targets. Every float buffer has the given dtype, and so
     does every result of a pass: float32 in a local round, float64 in
     `backward`.
 
@@ -130,11 +130,11 @@ class Workspace:
     `acts[i]` the i-th trunk layer's output, each with a trailing ones
     column, so a layer's forward is one product with its [Wᵀ; b] block.
     The caller fills the input rows (`x` is `acts[0]` without the ones
-    column), the class labels `y` and the aux labels `y_aux`. `zs` holds
-    the trunk's pre-activations, `deltas` the gradients with respect to
-    them, and `grads` one flat gradient per slot. The rest are the pass's
-    views and scratch buffers, so a pass allocates no array of the slot
-    stack's size.
+    column), the one-hot class targets `onehot` of the labelled rows and
+    the aux labels `y_aux`. `zs` holds the trunk's pre-activations,
+    `deltas` the gradients with respect to them, and `grads` one flat
+    gradient per slot. The rest are the pass's views and scratch buffers,
+    so a pass allocates no array of the slot stack's size.
 
     `count_rows` gives a slot fewer real rows. The caller keeps the input
     rows after them zero, ones column too; `count_rows` zeroes the hidden
@@ -151,7 +151,7 @@ class Workspace:
         self.zs = [np.empty((K, N, h), dtype) for h in arch.hidden_dims]
         self.deltas = [np.empty_like(z) for z in self.zs]
         self.grads = np.empty((K, arch.param_count()), dtype)
-        self.y = np.zeros((K, L), dtype=np.int64)
+        self.onehot = np.zeros((K, L, C), dtype)
         self.y_aux = np.zeros((K, N), dtype)
         # per row the loss gradient's divisor: the slot's count of such
         # rows for a counted row, inf for the rest
@@ -171,8 +171,9 @@ class Workspace:
         self.s, self.delta_a = np.empty((K, N), dtype), np.empty((K, N), dtype)
         self.sigmoid_scratch = (np.empty((K, N), dtype), np.empty((K, N), dtype),
                                 np.empty((K, N), dtype=bool))
+        # the class logits, then in place their softmax and CE gradient
         self.logits = np.empty((K, L, C), dtype)
-        self.ce_scratch = _ce_scratch(self.logits.shape, dtype)
+        self.softmax_scratch = (np.empty((K, L, 1), dtype), np.empty((K, L, 1), dtype))
         self.d_cls = np.empty((K, L, arch.hidden_dims[-1]), dtype)
         self._cut: dict[int, Workspace] = {}
 
@@ -263,10 +264,17 @@ def _row_max(z, out):
     return out
 
 
+def _softmax(z, e, m, se):
+    """The softmax of z over its last axis into e, which may be z; m and
+    se are scratch arrays of shape (..., 1)."""
+    np.exp(np.subtract(z, _row_max(z, m), out=e), out=e)
+    return np.divide(e, np.sum(e, axis=-1, keepdims=True, out=se), out=e)
+
+
 def softmax(z):
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - _row_max(z, np.empty((*z.shape[:-1], 1))))
-    return e / e.sum(axis=-1, keepdims=True)
+    col = (*z.shape[:-1], 1)
+    return _softmax(z, np.empty_like(z), np.empty(col), np.empty(col))
 
 
 def _as_batch(arch: ArchSpec, X) -> np.ndarray:
@@ -344,30 +352,6 @@ def bce(scores, y):
     return -(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))
 
 
-def _ce_scratch(shape, dtype):
-    """Scratch buffers of `_ce_grad` over logits of `shape` and dtype."""
-    *rows, C = shape
-    return (np.empty(shape, dtype), np.empty((*rows, 1), dtype), np.empty((*rows, 1), dtype),
-            np.empty(rows, dtype), np.empty(rows, dtype=np.int64),
-            np.arange(int(np.prod(rows)), dtype=np.int64).reshape(rows) * C)
-
-
-def _ce_grad(logits, labels, scratch):
-    """The CE's gradient with respect to logits (..., C) against integer
-    labels (...), softmax(logits) - onehot(label), as a view of `scratch`
-    (see `_ce_scratch`)."""
-    e, m, se, target, idx, row_starts = scratch
-    np.exp(np.subtract(logits, _row_max(logits, m), out=e), out=e)
-    np.sum(e, axis=-1, keepdims=True, out=se)
-    delta = np.divide(e, se, out=e)
-    # each row's target entry, through its flat index row * C + label
-    flat = np.add(row_starts, labels, out=idx).reshape(-1)
-    np.take(delta.reshape(-1), flat, out=target.reshape(-1))
-    target -= 1.0
-    delta.reshape(-1)[flat] = target.reshape(-1)
-    return delta
-
-
 def _grads_and_loss(ws: Workspace, active: int) -> np.ndarray:
     """One forward and one backward pass of the joint loss for slots
     [:active] of ws; returns ws.grads[:active], each slot's flat gradient.
@@ -394,7 +378,9 @@ def _grads_and_loss(ws: Workspace, active: int) -> np.ndarray:
     d_h = np.multiply(delta_a[..., None], v.aux_w, out=v.deltas[-1])
 
     L = ws.labelled
-    delta = _ce_grad(np.matmul(h1[:, :L], v.cls_block, out=v.logits), v.y, v.ce_scratch)
+    logits = np.matmul(h1[:, :L], v.cls_block, out=v.logits)
+    # the CE gradient, softmax(logits) - onehot, in place of the logits
+    delta = np.subtract(_softmax(logits, logits, *v.softmax_scratch), v.onehot, out=logits)
     delta /= v.cls_div
     np.matmul(h1_t[..., :L], delta, out=g[-2])
     d_h[:, :L] += np.matmul(delta, v.cls_w, out=v.d_cls)
@@ -412,7 +398,8 @@ def backward(model: PersonalModel, X, y_cls, y_aux) -> np.ndarray:
     """The joint loss's flat gradient over the rows of X, in a new array."""
     X, y, ya = _checked(model.arch, X, y_cls, y_aux)
     ws = Workspace(model.arch, 1, X.shape[0], y.shape[0], np.float64)
-    ws.params[0], ws.x[0], ws.y[0], ws.y_aux[0] = model.params, X, y, ya
+    ws.params[0], ws.x[0], ws.y_aux[0] = model.params, X, ya
+    np.equal(y[:, None], np.arange(model.arch.num_classes), out=ws.onehot[0])
     return _grads_and_loss(ws, 1)[0]
 
 

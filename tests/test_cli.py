@@ -149,6 +149,56 @@ def read_states(path, num_clients, tpos):
         return [load_client_state(r, TINY_ARCH, k, tpos) for k in range(num_clients)]
 
 
+def _zero_a_data_tail(run_dir):
+    # the last 100 bytes are task 1's last test labels; zeros are valid labels
+    path = run_dir / "data" / "task_01.bin"
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-100] + bytes(100))
+
+
+def _flip_a_pool_index(run_dir):
+    # client 1's task-0 pool index, 0 -> 1: the binding stays valid
+    path = task_file(run_dir, 1)
+    raw = bytearray(path.read_bytes())
+    raw[record_offsets(raw)[1] + 16] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def _edit_a_metrics_cell(run_dir):
+    path = run_dir / "metrics.csv"
+    path.write_bytes(path.read_bytes().replace(b"0.791667", b"0.791668"))
+
+
+@pytest.mark.parametrize("mode, tamper, message", [
+    ("pfeddil", _zero_a_data_tail,
+     "line 4 is 'pfeddil,0,test_size,1,1,0.791667\\r\\n', but eval recomputed "
+     "'pfeddil,0,test_size,1,1,0.208333\\r\\n'"),
+    ("disjoint", _flip_a_pool_index,
+     "line 3 is 'disjoint,0,test_size,1,0,0.000000\\r\\n', but eval recomputed "
+     "'disjoint,0,test_size,1,0,0.069444\\r\\n'"),
+    ("pfeddil", _edit_a_metrics_cell,
+     "line 4 is 'pfeddil,0,test_size,1,1,0.791668\\r\\n', but eval recomputed "
+     "'pfeddil,0,test_size,1,1,0.791667\\r\\n'"),
+    ("pfeddil", lambda run_dir: (run_dir / "metrics.csv").unlink(),
+     "missing run metrics file"),
+], ids=["data_tail", "pool_index", "edited_metrics", "removed_metrics"])
+def test_eval_rejects_metrics_it_does_not_reproduce(tmp_path, capsys, mode, tamper, message):
+    # each tampering passes every check of the files that scoring reads, so
+    # eval scores the run, writes what it recomputed to --out, then refuses it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(TINY, mode=mode)))
+    run_dir, out = tmp_path / "run", tmp_path / "eval"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    tamper(run_dir)
+    capsys.readouterr()
+    assert cli.main(["eval", str(run_dir), "--out", str(out)]) == 3
+    path = run_dir / "metrics.csv"
+    see = "" if message.startswith("missing") else f" (see {out / 'metrics.csv'})"
+    assert capsys.readouterr().err == f"error[data]: {path}: {message}{see}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "metrics.json",
+                                                     "summary.csv"]
+
+
 def test_eval_rejects_an_invalid_arch_header(tiny_config, tmp_path, capsys):
     run_dir = tmp_path / "run"
     cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)])
@@ -262,7 +312,8 @@ def test_eval_rejects_every_header_byte_flip(tiny_config, tmp_path, capsys):
     # 0x80, is exit 3 and a one-line error. Each client binds tasks 0
     # and 1 to models 0 and 1; only a flipped pool index that still binds
     # them once each inside the pool of 2 may load, two per record:
-    # nothing in the file alone can tell it apart.
+    # nothing in the file alone can tell it apart, and none changes TINY's
+    # pfeddil metrics, so eval's check against the run's metrics passes it.
     run_dir = tmp_path / "run"
     assert cli.main(["run", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
     path = task_file(run_dir, 1)

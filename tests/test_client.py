@@ -383,7 +383,7 @@ def _per_client_round(state, X, y, epochs, lr, wd, batch_size, entropy):
             ws.acts[0][0] = 0.0
             ws.acts[0][0, :2 * m, -1] = 1.0
             ws.x[0, :2 * m] = np.concatenate([xb, nb])
-            ws.y[0, :m] = yb
+            ws.onehot[0, :m] = yb[:, None] == np.arange(ROUND_ARCH.num_classes)
             ws.y_aux[0] = 0.0
             ws.y_aux[0, :m] = 1.0
             g, w = nn._grads_and_loss(ws, 1)[0], ws.params[0]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pfdl import nn
-from pfdl.matching import matching_intensity
+from pfdl import client, nn
+from pfdl.matching import NegativeSynthesisSpec, matching_intensity
 from test_client import _reference_pass, weights_and_biases
 
 
@@ -448,7 +448,8 @@ def _load(ws, k, X, y, ya):
     ws.count_rows(k, len(y), len(X))
     ws.acts[0][k, len(X):] = 0.0
     ws.acts[0][k, :len(X), -1] = 1.0
-    ws.x[k, :len(X)], ws.y[k, :len(y)], ws.y_aux[k, :len(X)] = X, y, ya
+    ws.x[k, :len(X)], ws.y_aux[k, :len(X)] = X, ya
+    ws.onehot[k, :len(y)] = y[:, None] == np.arange(ws.onehot.shape[-1])
 
 
 @pytest.mark.parametrize("K", [1, 3, 8])
@@ -532,6 +533,61 @@ def test_slots_past_active_are_not_touched():
     first = grads.copy()
     ws.x[2] = np.nan
     assert nn._grads_and_loss(ws, 2).tobytes() == first.tobytes()
+
+
+def _flat_index_ce_grad(logits, labels):
+    """The CE gradient as the pass once computed it: the softmax, then each
+    row's target entry gathered through its flat index row * C + label,
+    lowered by 1 and scattered back."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    delta = e / e.sum(axis=-1, keepdims=True)
+    flat = (np.arange(labels.size).reshape(labels.shape) * logits.shape[-1] + labels).ravel()
+    target = np.take(delta.ravel(), flat)
+    target -= 1.0
+    delta.reshape(-1)[flat] = target
+    return delta
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("K", [1, 3, 8])
+def test_logit_gradient_rows_equal_the_flat_index_formulation(monkeypatch, K, dtype):
+    # every pass of a lockstep round leaves its CE gradient rows, divided
+    # by their row divisors, in ws.logits. They are the bytes of the flat-
+    # index formulation against each row's label, found from the row's
+    # input, and class 0 on the rows past a short batch (whose -0.0 entries
+    # differ from the +0.0 of an all-zero target)
+    monkeypatch.setattr(client, "TRAIN_DTYPE", dtype)
+    arch = nn.ArchSpec(input_dim=16, hidden_dims=(64, 32), num_classes=5)
+    states, shards, label_of = [], [], {}
+    for k, n in enumerate([21, 5, 48, 1, 37, 16, 40, 9][:K]):
+        rng = np.random.default_rng([41, k])
+        X, y = rng.standard_normal((n, 16)), rng.integers(0, 5, size=n)
+        label_of.update(zip((x.tobytes() for x in X.astype(dtype)), y))
+        shards.append((X, y))
+        states.append(client.ClientState(k, pool=[nn.init_model(arch, [41, k])],
+                                         task_bindings={0: 0}))
+    checked, padded = 0, 0
+    grads_and_loss = nn._grads_and_loss
+
+    def checked_pass(ws, active):
+        nonlocal checked, padded
+        grads = grads_and_loss(ws, active)
+        v, L = ws.slots(active), ws.labelled
+        real = np.isfinite(v.cls_div[..., 0])
+        labels = np.array([[label_of[x.tobytes()] if r else 0 for x, r in zip(xs, rs)]
+                           for xs, rs in zip(v.x[:, :L], real)])
+        want = _flat_index_ce_grad(np.matmul(v.acts[-1][:, :L], v.cls_block), labels)
+        want /= v.cls_div
+        assert v.logits.dtype == dtype
+        assert v.logits.tobytes() == want.tobytes()
+        checked, padded = checked + 1, padded + int((~real).sum())
+        return grads
+
+    monkeypatch.setattr(nn, "_grads_and_loss", checked_pass)
+    client.local_train_round(states, None, shards, 0, epochs=2, lr=0.05, weight_decay=0.0,
+                             batch_size=16, neg_spec=NegativeSynthesisSpec(),
+                             entropies=[(0, 6, k, 0, 0) for k in range(K)])
+    assert checked and padded
 
 
 def test_backward_result_survives_later_calls():
