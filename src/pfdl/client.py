@@ -12,8 +12,10 @@ count.
 
 A local round trains all of a round's sampled clients at once: each bound
 model takes one slot of an `nn.Workspace`, and each step is one stacked
-pass over the slots still training. At each epoch's start a client draws
-the epoch's permutation and negatives and lays out every batch as slot
+pass over the slots still training. When the round starts each client
+builds its `matching.NegativePlan`: the views of its slot rows and the
+constants of its negatives. At each epoch's start it draws the epoch's
+permutation and negatives and writes every batch straight into its slot
 rows ([batch; negatives; zero rows], with the ones column) and one-hot
 class targets; a step copies each client's batch into its slot. The
 per-client parts of a step (the migration pull and the SGD update) stay
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .matching import (DECISION_NEW, MatchingReport, NegativeSynthesisSpec,
+from .matching import (DECISION_NEW, MatchingReport, NegativePlan, NegativeSynthesisSpec,
                        matching_intensity, select_strategy, synthesize_negatives)
 from .seeding import rng_for
 
@@ -118,19 +120,23 @@ class _Lane:
     """One client of a lockstep round: its bound model, its shard, its
     generator, and its epoch laid out as slot rows. inputs[b] holds batch
     b's slot rows [batch; negatives; zero rows], the ones column set on
-    the real rows, and onehot[b] the batch's one-hot class targets. The
-    slot rows, the targets and `abar`, the anchor sum of the migration
-    pull, are in TRAIN_DTYPE; the shard and the draws stay float64."""
+    the real rows, and onehot[b] the batch's one-hot class targets. Both
+    are laid out once per round, and so are `negatives`, the round's
+    `NegativePlan` over inputs, and `targets`, each shard row's one-hot
+    row; each epoch then writes its positives, negatives and targets
+    straight into those rows. The slot rows, the targets and `abar`, the
+    anchor sum of the migration pull, are in TRAIN_DTYPE; the shard and
+    the draws stay float64, and each value is rounded to TRAIN_DTYPE once,
+    as it is written into its slot row."""
 
     def __init__(self, pos: int, state: ClientState, model: nn.PersonalModel,
                  X: np.ndarray, y: np.ndarray, epochs: int, batch_size: int,
                  neg_spec: NegativeSynthesisSpec, entropy):
         self.pos, self.state, self.model = pos, state, model
-        self.X, self.y = X, y
-        self.feat_std = X.std(axis=0)
-        self.batch_size, self.neg_spec = batch_size, neg_spec
+        self.X, self.batch_size = X, batch_size
+        n, C = X.shape[0], model.arch.num_classes
         # full batches per epoch, then a short one of `tail` rows, if any
-        self.full, self.tail = divmod(X.shape[0], batch_size)
+        self.full, self.tail = divmod(n, batch_size)
         self.batches = self.full + (self.tail > 0)
         self.steps = epochs * self.batches
         self.rng = rng_for(*entropy)
@@ -139,28 +145,26 @@ class _Lane:
         self.inputs[:self.full, :, -1] = 1.0
         self.inputs[self.full:, :2 * self.tail, -1] = 1.0
         # rows past a short batch count for nothing, but are class 0
-        self.onehot = np.zeros((self.batches, batch_size, model.arch.num_classes), TRAIN_DTYPE)
+        self.onehot = np.zeros((self.batches, batch_size, C), TRAIN_DTYPE)
         self.onehot[self.full:, self.tail:, 0] = 1.0
+        # each shard row's one-hot target; an epoch's rows, in batch order,
+        # fill the leading rows of onehot
+        self.targets = np.eye(C, dtype=TRAIN_DTYPE)[y]
+        self.onehot_rows = self.onehot.reshape(-1, C)[:n]
+        self.negatives = NegativePlan(neg_spec, X.std(axis=0), n, self.inputs, batch_size)
         self.batch_len = 0  # the rows of the batch in the workspace
         self.loss = None  # the round's loss, scored at its last step
 
     def start_epoch(self) -> None:
         """Draw the epoch's permutation, then all of its negatives in one
-        call, and lay out every batch's slot rows and one-hot targets."""
-        bs, d, n = self.batch_size, self.X.shape[1], self.full * self.batch_size
-        order = self.rng.permutation(self.X.shape[0])
-        Xe, ye = self.X[order], self.y[order]
-        Ne = synthesize_negatives(Xe, self.feat_std, self.neg_spec, self.rng, bs)
-        full = self.inputs[:self.full]
-        full[:, :bs, :-1] = Xe[:n].reshape(self.full, bs, d)
-        full[:, bs:, :-1] = Ne[:n].reshape(self.full, bs, d)
-        if self.tail:  # the short last batch
-            m, slot = self.tail, self.inputs[-1]
-            slot[:m, :-1] = Xe[n:]
-            slot[m:2 * m, :-1] = Ne[n:]
-        # the batches' rows in order fill the leading rows of onehot
-        C = self.onehot.shape[-1]
-        np.equal(ye[:, None], np.arange(C), out=self.onehot.reshape(-1, C)[:ye.size])
+        call, and write every batch's slot rows and one-hot targets."""
+        order, neg = self.rng.permutation(self.X.shape[0]), self.negatives
+        # order is a permutation, so `clip` clips nothing; it spares take a buffer
+        np.take(self.X, order, axis=0, out=neg.ordered, mode="clip")
+        for src, slot in neg.positives:
+            np.copyto(slot, src)
+        synthesize_negatives(neg, self.rng)
+        np.take(self.targets, order, axis=0, out=self.onehot_rows, mode="clip")
 
     def size_slot(self, ws: nn.Workspace, k: int, b: int) -> None:
         """Size slot k of ws to batch b, when its length changed."""

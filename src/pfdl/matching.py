@@ -5,6 +5,13 @@ The matching intensity of a pooled model is the mean of its auxiliary
 classifier's sigmoid outputs over the new task's local samples. Auxiliary
 classifiers are trained one-vs-rest: the task's own samples are positives
 and synthetic off-manifold samples are negatives.
+
+A local round's negatives come in two parts. `NegativePlan` is built
+once per client and round: the row counts, the gather offsets, the noise
+scale and the views of the client's slot rows. `synthesize_negatives`
+runs once per epoch: it makes the epoch's draws and writes each negative
+straight into its slot row, computed in float64 and rounded once to the
+slot rows' dtype.
 """
 
 from __future__ import annotations
@@ -56,44 +63,69 @@ class MatchingReport:
         }
 
 
-def synthesize_negatives(X_pos: np.ndarray, feat_std: np.ndarray,
-                         spec: NegativeSynthesisSpec, rng: np.random.Generator,
-                         batch_size: int) -> np.ndarray:
-    """One negative per positive; deterministic given the rng state.
+class NegativePlan:
+    """One lane's negatives for a round, laid out once.
 
-    The rows form consecutive batches of `batch_size`. In each batch the
-    leading round(permute_fraction * length) rows are permuted and the rest
-    are noised, so slicing the result batch by batch gives every batch the
-    spec's mix. All permutations are drawn first, then all noise.
+    The plan owns `ordered`, a float64 (n, d) buffer that holds each
+    epoch's positives in their drawn order. `slots` are the lane's slot
+    rows: batch b of m positives takes rows [0, m) of slots[b], and its m
+    negatives rows [m, 2m). In each batch the leading
+    round(permute_fraction * m) negatives are permuted and the rest
+    noised, so every batch gets the spec's mix. The plan keeps the
+    permuted and noised row counts, the flat offset (row * d) in
+    `ordered` of each permuted row, the noise scale and buffer, and the
+    views that an epoch reads and writes: one group for the full batches
+    and one for the short last batch, if any.
     """
-    X_pos = np.asarray(X_pos, dtype=np.float64)
-    n, d = X_pos.shape
-    bs = batch_size
-    full, tail = divmod(n, bs)
-    # the full batches as (full, bs, d), and the short last batch
-    X3, X_tail = X_pos[:full * bs].reshape(full, bs, d), X_pos[full * bs:]
-    out = np.empty((n, d))
-    out3, out_tail = out[:full * bs].reshape(full, bs, d), out[full * bs:]
-    p = int(round(spec.permute_fraction * bs))  # permuted rows per full batch
-    p_tail = int(round(spec.permute_fraction * tail))
-    permuted = full * p + p_tail
-    if permuted:
-        # an independent coordinate permutation per sample, gathered
-        # through flat indices: row r's entries start at r * d
-        perms = np.argsort(rng.random((permuted, d)), axis=1)
-        i = np.arange(permuted)
-        rows = i + (np.minimum(i // p, full) if p else full) * (bs - p)
-        perms += rows[:, None] * d
-        gathered = np.ravel(X_pos).take(perms)
-        out3[:, :p] = gathered[:full * p].reshape(full, p, d)
-        out_tail[:p_tail] = gathered[full * p:]
-    if n > permuted:
-        noise = rng.standard_normal((n - permuted, d))
-        noise *= spec.noise_sigma_scale * feat_std
-        cut = full * (bs - p)
-        np.add(X3[:, p:], noise[:cut].reshape(full, bs - p, d), out=out3[:, p:])
-        np.add(X_tail[p_tail:], noise[cut:], out=out_tail[p_tail:])
-    return out
+
+    def __init__(self, spec: NegativeSynthesisSpec, feat_std: np.ndarray, n: int,
+                 slots: np.ndarray, batch_size: int):
+        d = feat_std.size
+        full, tail = divmod(n, batch_size)
+        # (first batch, batches, rows per batch, permuted rows per batch)
+        groups = [(b, count, m, int(round(spec.permute_fraction * m)))
+                  for b, count, m in ((0, full, batch_size), (full, 1, tail)) if count * m]
+        self.d, self.ordered = d, np.empty((n, d))
+        self.flat, self.scale = self.ordered.reshape(-1), spec.noise_sigma_scale * feat_std
+        self.permuted = sum(count * p for _, count, _, p in groups)
+        self.noised = n - self.permuted
+        self.noise = np.empty((self.noised, d))
+        self.positives, self.gathers, self.sums, rows = [], [], [], []
+        permuted = noised = 0  # the earlier groups' rows of the uniforms and the noise
+        for b, count, m, p in groups:
+            first = b * batch_size
+            src = self.ordered[first:first + count * m].reshape(count, m, d)
+            slot = slots[b:b + count, :, :d]
+            self.positives.append((src, slot[:, :m]))
+            rows.append(first + (np.arange(count)[:, None] * m + np.arange(p)).ravel())
+            self.gathers.append((slice(permuted, permuted + count * p), (count, p, d),
+                                 slot[:, m:m + p]))
+            noise = self.noise[noised:noised + count * (m - p)]
+            self.sums.append((src[:, p:], noise.reshape(count, m - p, d), slot[:, m + p:2 * m]))
+            permuted, noised = permuted + count * p, noised + count * (m - p)
+        rows = np.concatenate(rows or [np.zeros(0, np.int64)])
+        self.offsets = np.repeat(rows[:, None] * d, d, axis=1)
+
+
+def synthesize_negatives(plan: NegativePlan, rng: np.random.Generator) -> None:
+    """Draw one epoch's negatives from the positives in `plan.ordered` and
+    write them straight into the plan's slot rows.
+
+    First every permuted row's coordinate permutation (an argsort of
+    uniforms), gathered through the plan's flat offsets; then every noised
+    row's Gaussian noise, scaled and added to its positive. Both are taken
+    in float64 and rounded once into the slot rows' dtype.
+    """
+    if plan.permuted:
+        perms = np.argsort(rng.random((plan.permuted, plan.d)), axis=1)
+        perms += plan.offsets
+        for rows, shape, slot in plan.gathers:
+            slot[...] = plan.flat[perms[rows].reshape(shape)]
+    if plan.noised:
+        rng.standard_normal(out=plan.noise)
+        plan.noise *= plan.scale
+        for src, noise, slot in plan.sums:
+            np.add(src, noise, out=slot)
 
 
 def matching_intensity(pool, X) -> np.ndarray:

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from pfdl import cli, gradcheck, nn
+from pfdl import cli, federation, gradcheck, nn
 from pfdl.federation import MODES
+from pfdl.seeding import TAG_STREAM, rng_for
 from pfdl.serialize import (load_client_state, open_task_reader, open_task_writer,
                             save_client_state)
 
@@ -197,6 +198,31 @@ def test_eval_rejects_metrics_it_does_not_reproduce(tmp_path, capsys, mode, tamp
     assert capsys.readouterr().err == f"error[data]: {path}: {message}{see}\n"
     assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "metrics.json",
                                                      "summary.csv"]
+
+
+def test_eval_after_a_changed_stream_derivation_exits_3(tmp_path, capsys, monkeypatch):
+    # eval re-derives each client's task stream from the config; a code
+    # change that draws each client's permutation from its own tagged
+    # generator makes it score other tasks than the run trained, and the
+    # run's own metrics.csv shows it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(
+        TINY, clients=4, seed=2,
+        data=dict(TINY["data"], rotation_degrees=[0, 90, 180], stream_mode="shuffled"))))
+    run_dir, out = tmp_path / "run", tmp_path / "eval"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(run_dir)]) == 0
+
+    def per_client_streams(domains, num_clients, mode, seed):
+        return [[int(i) for i in rng_for(seed, TAG_STREAM, k).permutation(len(domains))]
+                for k in range(num_clients)]
+
+    monkeypatch.setattr(federation, "build_task_stream", per_client_streams)
+    capsys.readouterr()
+    assert cli.main(["eval", str(run_dir), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error[data]: {run_dir / 'metrics.csv'}: line 2 is "
+        "'pfeddil,2,test_size,0,0,0.416667\\r\\n', but eval recomputed "
+        f"'pfeddil,2,test_size,0,0,0.312500\\r\\n' (see {out / 'metrics.csv'})\n")
 
 
 def test_eval_rejects_an_invalid_arch_header(tiny_config, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 
 from pfdl import client, gradcheck, matching, nn
@@ -374,8 +375,8 @@ def _per_client_round(state, X, y, epochs, lr, wd, batch_size, entropy):
     for _ in range(epochs):
         order = rng.permutation(len(X))
         Xe, ye = X[order], y[order]
-        Ne = matching.synthesize_negatives(Xe, X.std(axis=0), NegativeSynthesisSpec(), rng,
-                                           batch_size)
+        Ne = oracles.loop_negatives(Xe, X.std(axis=0), NegativeSynthesisSpec(), rng,
+                                    batch_size)
         for start in range(0, len(X), batch_size):
             xb, nb, yb = (a[start:start + batch_size] for a in (Xe, Ne, ye))
             m = len(xb)
@@ -469,6 +470,43 @@ def test_round_memory_does_not_grow_with_local_epochs():
     assert max(peaks) <= peaks[0] + 8192, peaks
 
 
+def test_a_round_calls_the_traced_hooks_once_per_client_step_and_epoch(monkeypatch):
+    """perfbench traces `pfdl.nn.sgd_step` and `pfdl.client.synthesize_negatives`
+    and, on each traced child, requires `traced_steps == steps`: one
+    `sgd_step` call per client-step, against its predicted step count. So
+    a round calls `nn.sgd_step` once per client-step and
+    `client.synthesize_negatives` once per client-epoch, however its lanes
+    share the stacked passes."""
+    calls = {"sgd_step": [], "synthesize_negatives": []}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(nn, "sgd_step")
+    counted(client, "synthesize_negatives")
+    # 40 rows: 2 full batches and a tail of 8; 32: 2 full; 5: one short batch
+    sizes = [40, 32, 5]
+    states, shards = [], []
+    for k, n in enumerate(sizes):
+        rng = np.random.default_rng([4, k])
+        shards.append((rng.standard_normal((n, 16)), rng.integers(0, 5, size=n)))
+        states.append(client.ClientState(client_id=k, pool=[nn.init_model(ROUND_ARCH, k)],
+                                          task_bindings={0: 0}))
+    ups = train_clients(states, shards, epochs=2)
+    assert all(up is not None for up in ups)
+    steps = [2 * -(-n // 16) for n in sizes]
+    assert steps == [6, 4, 2]
+    assert len(calls["sgd_step"]) == sum(steps)
+    assert len(calls["synthesize_negatives"]) == 2 * len(sizes)
+    # each client's epochs each draw once, on that client's own plan
+    assert len({id(plan) for plan in calls["synthesize_negatives"]}) == len(sizes)
+
+
 def test_lockstep_round_adopts_the_broadcast_in_every_slot():
     states, shards = _round_clients()
     glob = nn.init_model(ROUND_ARCH, 77)
@@ -552,8 +590,8 @@ def _reference_round(model, anchors, rho, X, y, epochs, lr, wd, batch_size, entr
     rng = rng_for(*entropy)
     for _ in range(epochs):
         order = rng.permutation(len(X))
-        negatives = matching.synthesize_negatives(X[order], feat_std, NegativeSynthesisSpec(),
-                                                  rng, batch_size)
+        negatives = oracles.loop_negatives(X[order], feat_std, NegativeSynthesisSpec(), rng,
+                                           batch_size)
         for start in range(0, len(X), batch_size):
             rows = order[start:start + batch_size]
             Xb = X[rows]

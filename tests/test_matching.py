@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from pfdl import client, data, matching, nn
@@ -125,13 +126,29 @@ def test_strategy_validation():
 # ------------------------------------------------------------- negatives
 
 
+def _negatives(X, feat_std, spec, rng, batch_size, dtype=np.float64):
+    """One epoch of `matching.synthesize_negatives` over X, in its order,
+    written into slot rows of `dtype` and read back as (n, d) rows."""
+    n, d = X.shape
+    lengths = [min(batch_size, n - start) for start in range(0, n, batch_size)]
+    slots = np.zeros((len(lengths), 2 * batch_size, d + 1), dtype)
+    plan = matching.NegativePlan(spec, feat_std, n, slots, batch_size)
+    plan.ordered[...] = X
+    matching.synthesize_negatives(plan, rng)
+    # the ones column and the padding rows stay untouched
+    assert not np.any(slots[:, :, d])
+    assert not any(np.any(slots[b, 2 * m:]) for b, m in enumerate(lengths))
+    return np.concatenate([np.zeros((0, d), dtype)]
+                          + [slots[b, m:2 * m, :d] for b, m in enumerate(lengths)])
+
+
 def test_negative_synthesis_shapes_and_determinism():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((12, 5))
     std = X.std(axis=0)
     spec = matching.NegativeSynthesisSpec()
-    a = matching.synthesize_negatives(X, std, spec, np.random.default_rng(7), len(X))
-    b = matching.synthesize_negatives(X, std, spec, np.random.default_rng(7), len(X))
+    a = _negatives(X, std, spec, np.random.default_rng(7), len(X))
+    b = _negatives(X, std, spec, np.random.default_rng(7), len(X))
     assert a.shape == X.shape
     assert np.array_equal(a, b)
 
@@ -140,7 +157,7 @@ def test_negative_synthesis_pure_permutation_keeps_values():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((8, 5))
     spec = matching.NegativeSynthesisSpec(permute_fraction=1.0)
-    neg = matching.synthesize_negatives(X, X.std(axis=0), spec, rng, len(X))
+    neg = _negatives(X, X.std(axis=0), spec, rng, len(X))
     for i in range(8):
         assert np.allclose(np.sort(neg[i]), np.sort(X[i]))
 
@@ -149,46 +166,30 @@ def test_negative_synthesis_pure_noise_displaces():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((8, 5))
     spec = matching.NegativeSynthesisSpec(permute_fraction=0.0, noise_sigma_scale=1.5)
-    neg = matching.synthesize_negatives(X, X.std(axis=0), spec, rng, len(X))
+    neg = _negatives(X, X.std(axis=0), spec, rng, len(X))
     assert not np.allclose(neg, X)
-
-
-def _loop_negatives(X_pos, feat_std, spec, rng, batch_size):
-    """The negatives as a per-batch mask loop with fancy-index scatters:
-    the same draws in the same order, written the plain way."""
-    n, d = X_pos.shape
-    permuted = np.zeros(n, dtype=bool)
-    for start in range(0, n, batch_size):
-        length = min(batch_size, n - start)
-        permuted[start:start + int(round(spec.permute_fraction * length))] = True
-    out = np.empty_like(X_pos)
-    rows = np.flatnonzero(permuted)
-    if rows.size:
-        perms = np.argsort(rng.random((rows.size, d)), axis=1)
-        out[rows] = X_pos[rows[:, None], perms]
-    rows = np.flatnonzero(~permuted)
-    if rows.size:
-        noise = rng.standard_normal((rows.size, d)) * (spec.noise_sigma_scale * feat_std)
-        out[rows] = X_pos[rows] + noise
-    return out
 
 
 @pytest.mark.parametrize("permute_fraction", [0.0, 0.25, 0.5, 0.51, 1.0])
 @pytest.mark.parametrize("batch_size", [1, 7, 32])
 def test_negatives_equal_the_loop_oracle_bitwise(batch_size, permute_fraction):
     # every batch-boundary case: empty, one short batch, exact multiples,
-    # one row past them, and the benchmark's 244-row shards
+    # one row past them, and the benchmark's 244-row shards; float64 slot
+    # rows hold the oracle's bits, and float32 ones (a round's) the oracle
+    # rounded once
     spec = matching.NegativeSynthesisSpec(permute_fraction=permute_fraction)
     bs = batch_size
     for n in sorted({1, bs - 1, bs, bs + 1, 3 * bs, 3 * bs + 1, 244}):
         X = np.random.default_rng([n, bs]).standard_normal((n, 16)) * 3.0
         std = X.std(axis=0) if n else np.ones(16)
-        got_rng, want_rng = np.random.default_rng([n, 5]), np.random.default_rng([n, 5])
-        got = matching.synthesize_negatives(X, std, spec, got_rng, bs)
-        want = _loop_negatives(X, std, spec, want_rng, bs)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes(), n
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state, n
+        want_rng = np.random.default_rng([n, 5])
+        want = oracles.loop_negatives(X, std, spec, want_rng, bs)
+        for dtype in (np.float64, np.float32):
+            got_rng = np.random.default_rng([n, 5])
+            got = _negatives(X, std, spec, got_rng, bs, dtype)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.astype(dtype).tobytes(), (n, dtype)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, n
 
 
 def test_negative_spec_validation():
